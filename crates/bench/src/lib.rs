@@ -28,10 +28,7 @@ pub use libra_core::scenario::{
 pub use libra_core::search;
 pub use libra_core::search::{Cosearch, SearchConfig, SearchReport};
 pub use libra_core::sweep;
-pub use libra_core::sweep::{
-    CrossValidated3Report, CrossValidatedReport, CrossValidation, CrossValidation3,
-    Divergence3Report, DivergenceReport, ExecMode,
-};
+pub use libra_core::sweep::{DivergenceReport, ExecMode};
 pub use libra_net::{default_registry, NetSimBackend};
 pub use libra_sim::EventSimBackend;
 

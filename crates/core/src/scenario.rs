@@ -69,12 +69,12 @@ use crate::opt::Objective;
 use crate::search::{Cosearch, SearchConfig};
 use crate::store::Fingerprint;
 use crate::sweep::{
-    CrossValidation, DivergenceReport, ExecMode, SweepEngine, SweepError, SweepGrid, SweepReport,
-    SweepResult, SweepWorkload,
+    DivergenceReport, ExecMode, SweepEngine, SweepError, SweepGrid, SweepReport, SweepResult,
+    SweepWorkload,
 };
 
 // ---------------------------------------------------------------------------
-// Minimal JSON (serde-free, matching the perf harness's hand-rolled style).
+// Minimal JSON (serde-free: the workspace builds offline, without crates.io).
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value. Object key order is preserved (scenario files are
@@ -191,23 +191,31 @@ pub fn json_f64(v: f64) -> String {
 
 /// Recursive-descent parser for [`Json`]. Rejects duplicate object keys
 /// (a scenario field silently shadowed by a later duplicate would be a
-/// debugging trap).
+/// debugging trap) and arrays/objects nested more than 128 levels deep.
 pub struct JsonParser<'s> {
-    bytes: &'s [u8],
+    src: &'s str,
     pos: usize,
+    depth: usize,
 }
+
+/// Deepest array/object nesting [`JsonParser::parse`] accepts. Committed
+/// scenarios, records and request bodies nest at most 4 deep. The bound
+/// keeps hostile input (a request body of 200 KB of `[`) from
+/// overflowing the parsing thread's stack, which aborts the whole
+/// process where no `catch_unwind` can contain it.
+const MAX_NESTING: usize = 128;
 
 impl<'s> JsonParser<'s> {
     /// Parses `input` as one complete JSON value.
     ///
     /// # Errors
-    /// [`LibraError::BadRequest`] with a byte offset on malformed input
-    /// or trailing characters.
+    /// [`LibraError::BadRequest`] with a byte offset on malformed input,
+    /// nesting more than 128 levels deep, or trailing characters.
     pub fn parse(input: &'s str) -> Result<Json, LibraError> {
-        let mut p = JsonParser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = JsonParser { src: input, pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(v)
@@ -218,17 +226,13 @@ impl<'s> JsonParser<'s> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), LibraError> {
@@ -241,7 +245,7 @@ impl<'s> JsonParser<'s> {
     }
 
     fn eat_literal(&mut self, lit: &str, v: Json) -> Result<Json, LibraError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -256,11 +260,22 @@ impl<'s> JsonParser<'s> {
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `f`, one nesting level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, LibraError>) -> Result<Json, LibraError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, LibraError> {
@@ -272,7 +287,7 @@ impl<'s> JsonParser<'s> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| LibraError::BadRequest(format!("invalid JSON number {text:?}")))
@@ -303,9 +318,8 @@ impl<'s> JsonParser<'s> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -318,12 +332,15 @@ impl<'s> JsonParser<'s> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so they never occur inside a
+                    // multi-byte UTF-8 sequence: the run of the (already
+                    // valid) input ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -485,7 +502,7 @@ impl Scenario {
                 link: None,
                 backends: Vec::new(),
                 chunks: 64,
-                tolerance: CrossValidation::DEFAULT_TOLERANCE,
+                tolerance: DEFAULT_TOLERANCE,
                 warm_start: true,
                 search: None,
             },
@@ -1239,13 +1256,18 @@ impl std::fmt::Debug for BackendRegistry {
 // Divergence matrix: pairwise reports for runtime N.
 // ---------------------------------------------------------------------------
 
+/// The default pairwise relative-error tolerance, sized for validating
+/// the analytical model against the 64-chunk event simulator: the chunk
+/// pipeline's fill/drain bubble costs at most one chunk's serial
+/// traversal, ≈ `ndims / chunks` of the bottleneck time — ≤ 6.25 % for
+/// the paper's ≤ 4-dim fabrics at 64 chunks — plus slack for picosecond
+/// rounding and FIFO scheduling gaps.
+pub const DEFAULT_TOLERANCE: f64 = 0.10;
+
 /// Pairwise divergence of an `N`-backend session: one
 /// [`DivergenceReport`] per unordered backend pair, in lexicographic
-/// index order `(0,1), (0,2), …, (1,2), …`.
-///
-/// `N = 2` carries exactly the legacy two-way report; `N = 3` carries the
-/// legacy `Divergence3Report`'s three pairs in the same order. `N < 2`
-/// has no pairs and is vacuously within tolerance.
+/// index order `(0,1), (0,2), …, (1,2), …`. `N < 2` has no pairs and is
+/// vacuously within tolerance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DivergenceMatrix {
     /// The backends' display names, in session order.
@@ -1864,7 +1886,7 @@ impl<'a> Session<'a> {
     pub fn from_engine(engine: SweepEngine<'a>) -> Self {
         Session {
             engine: EngineHandle::Owned(engine),
-            tolerance: CrossValidation::DEFAULT_TOLERANCE,
+            tolerance: DEFAULT_TOLERANCE,
             mode: ExecMode::Parallel,
         }
     }
@@ -1874,13 +1896,13 @@ impl<'a> Session<'a> {
     pub fn over(engine: &'a SweepEngine<'a>) -> Self {
         Session {
             engine: EngineHandle::Borrowed(engine),
-            tolerance: CrossValidation::DEFAULT_TOLERANCE,
+            tolerance: DEFAULT_TOLERANCE,
             mode: ExecMode::Parallel,
         }
     }
 
     /// Overrides the pairwise divergence tolerance
-    /// (default [`CrossValidation::DEFAULT_TOLERANCE`]).
+    /// (default [`DEFAULT_TOLERANCE`]).
     ///
     /// # Panics
     /// Panics if `tolerance` is negative or not finite.
@@ -1994,7 +2016,7 @@ impl<'a> Session<'a> {
     /// * one backend — plans priced (the times stream to sinks), still no
     ///   pairs.
     /// * two or more — every unordered pair gets a [`DivergenceReport`],
-    ///   exactly as the legacy two-/three-way entry points produced.
+    ///   in [`DivergenceMatrix::pair_indices`] order.
     pub fn run<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
@@ -2222,6 +2244,35 @@ mod tests {
         assert!(JsonParser::parse("{\"unterminated").is_err());
         assert!(JsonParser::parse("[1,]").is_err());
         assert!(JsonParser::parse("{} trailing").is_err());
+    }
+
+    /// Nesting up to the limit parses; one level past it is a positioned
+    /// error instead of a stack overflow, for arrays and objects alike.
+    #[test]
+    fn json_parser_bounds_nesting_depth() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonParser::parse(&arrays(MAX_NESTING)).is_ok());
+        let err = JsonParser::parse(&arrays(MAX_NESTING + 1)).unwrap_err().to_string();
+        assert!(err.contains(&format!("at byte {MAX_NESTING}: nesting deeper")), "{err}");
+
+        let objects = |n: usize| format!("{}1{}", "{\"k\": ".repeat(n), "}".repeat(n));
+        assert!(JsonParser::parse(&objects(MAX_NESTING)).is_ok());
+        let err = JsonParser::parse(&objects(MAX_NESTING + 1)).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper"), "{err}");
+        let err = JsonParser::parse(&"[".repeat(200_000)).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    /// String values decode in one linear pass: a 1 MiB ASCII value
+    /// (every printable character, so escapes interleave with plain runs)
+    /// and a multi-byte value each parse back to the same string.
+    #[test]
+    fn json_strings_round_trip_long_and_multi_byte_values() {
+        let ascii: String = (0..1usize << 20).map(|i| char::from(b' ' + (i % 95) as u8)).collect();
+        let multi_byte = "naïve – Σ 测试 🚀 \"q\"\\\n".repeat(1000);
+        for s in [ascii, multi_byte] {
+            assert_eq!(JsonParser::parse(&json_escape(&s)).unwrap(), Json::Str(s));
+        }
     }
 
     #[test]

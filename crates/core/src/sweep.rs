@@ -25,12 +25,9 @@
 //!   optimum ([`opt::optimize_seeded`]) — phase-barriered so parallel and
 //!   serial runs stay bit-identical ([`SweepEngine::with_warm_start`]).
 //!
-//! The historical fixed-arity entry points (`run`, `run_cross_validated`,
-//! `run_cross_validated3`, and their `_serial` twins) survive as
-//! deprecated shims over the session front door; every one of them
-//! funnels into the same internal [`ExecMode`]-parameterized drive, so
-//! the serial-vs-parallel bit-identity contract is enforced in exactly
-//! one place.
+//! Every session run funnels into the same internal
+//! [`ExecMode`]-parameterized drive, so the serial-vs-parallel
+//! bit-identity contract is enforced in exactly one place.
 //!
 //! ```
 //! use libra_core::comm::{Collective, CommModel, GroupSpan};
@@ -74,7 +71,6 @@ use crate::expr::BwExpr;
 use crate::fault::{self, FaultInjector};
 use crate::network::NetworkShape;
 use crate::opt::{self, Constraint, Design, DesignRequest, Objective};
-use crate::scenario::Session;
 use crate::store::{Fingerprint, SharedSolveStore, SolveStore, StoreStats, StoredPoint};
 
 /// One grid point's priced outcome: the design solve plus (when the
@@ -682,61 +678,6 @@ impl SweepReport {
     }
 }
 
-/// Configuration of a cross-validated sweep: two [`EvalBackend`]s and the
-/// relative-error tolerance their times must agree within.
-///
-/// By convention `baseline` is the fast model being validated (e.g.
-/// [`crate::eval::Analytical`]) and `reference` the more faithful one (e.g.
-/// `libra-sim`'s `EventSimBackend`), but the divergence metric is
-/// symmetric — see [`crate::eval::rel_error`].
-#[derive(Clone, Copy)]
-pub struct CrossValidation<'b> {
-    baseline: &'b dyn EvalBackend,
-    reference: &'b dyn EvalBackend,
-    tolerance: f64,
-}
-
-impl<'b> CrossValidation<'b> {
-    /// Pairs two backends at [`CrossValidation::DEFAULT_TOLERANCE`].
-    pub fn new(baseline: &'b dyn EvalBackend, reference: &'b dyn EvalBackend) -> Self {
-        CrossValidation { baseline, reference, tolerance: Self::DEFAULT_TOLERANCE }
-    }
-
-    /// The default relative-error tolerance, sized for validating the
-    /// analytical model against the 64-chunk event simulator: the chunk
-    /// pipeline's fill/drain bubble costs at most one chunk's serial
-    /// traversal, ≈ `ndims / chunks` of the bottleneck time — ≤ 6.25 % for
-    /// the paper's ≤ 4-dim fabrics at 64 chunks — plus slack for
-    /// picosecond rounding and FIFO scheduling gaps.
-    pub const DEFAULT_TOLERANCE: f64 = 0.10;
-
-    /// Overrides the tolerance (relative error, e.g. `0.05` for 5 %).
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is negative or not finite.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(tolerance.is_finite() && tolerance >= 0.0, "tolerance must be ≥ 0");
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// The configured tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-}
-
-impl std::fmt::Debug for CrossValidation<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CrossValidation")
-            .field("baseline", &self.baseline.name())
-            .field("reference", &self.reference.name())
-            .field("tolerance", &self.tolerance)
-            .finish()
-    }
-}
-
 /// Both backends' verdicts on one grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointDivergence {
@@ -870,102 +811,6 @@ impl DivergenceReport {
         }
         s
     }
-}
-
-/// A cross-validated sweep's outcome: the normal sweep report plus the
-/// backend-divergence report over the same grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossValidatedReport {
-    /// The design-space results, identical to [`SweepEngine::run`]'s.
-    pub sweep: SweepReport,
-    /// The per-point backend comparison.
-    pub divergence: DivergenceReport,
-}
-
-/// Configuration of a **three-way** cross-validated sweep: three
-/// [`EvalBackend`]s priced per grid point in the same fan-out, compared
-/// pairwise. The canonical triple is Analytical / `EventSimBackend` /
-/// `NetSimBackend` — the closed form, the chunk-level event engine, and
-/// the network-layer α-β engine.
-#[derive(Clone, Copy)]
-pub struct CrossValidation3<'b> {
-    backends: [&'b dyn EvalBackend; 3],
-    tolerance: f64,
-}
-
-impl<'b> CrossValidation3<'b> {
-    /// Triples three backends at [`CrossValidation::DEFAULT_TOLERANCE`].
-    pub fn new(a: &'b dyn EvalBackend, b: &'b dyn EvalBackend, c: &'b dyn EvalBackend) -> Self {
-        CrossValidation3 { backends: [a, b, c], tolerance: CrossValidation::DEFAULT_TOLERANCE }
-    }
-
-    /// Overrides the tolerance every pair is judged against.
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is negative or not finite.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(tolerance.is_finite() && tolerance >= 0.0, "tolerance must be ≥ 0");
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// The configured tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-}
-
-impl std::fmt::Debug for CrossValidation3<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CrossValidation3")
-            .field("backends", &self.backends.map(|b| b.name().to_string()))
-            .field("tolerance", &self.tolerance)
-            .finish()
-    }
-}
-
-/// The combined divergence side of a three-way cross-validated sweep: one
-/// [`DivergenceReport`] per backend pair, in the order (a, b), (a, c),
-/// (b, c) of the [`CrossValidation3`] constructor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Divergence3Report {
-    /// Pairwise reports: `[a vs b, a vs c, b vs c]`.
-    pub pairs: Vec<DivergenceReport>,
-}
-
-impl Divergence3Report {
-    /// The pairwise report whose backends carry the two display names (in
-    /// either order), if present.
-    pub fn pair(&self, a: &str, b: &str) -> Option<&DivergenceReport> {
-        self.pairs.iter().find(|p| {
-            (p.baseline == a && p.reference == b) || (p.baseline == b && p.reference == a)
-        })
-    }
-
-    /// The largest relative error across every pair and point.
-    pub fn max_rel_error(&self) -> f64 {
-        self.pairs.iter().map(DivergenceReport::max_rel_error).fold(0.0, f64::max)
-    }
-
-    /// True when every pair is within tolerance with no backend errors.
-    pub fn within_tolerance(&self) -> bool {
-        self.pairs.iter().all(DivergenceReport::within_tolerance)
-    }
-
-    /// One line per pair.
-    pub fn summary(&self) -> String {
-        self.pairs.iter().map(DivergenceReport::summary).collect::<Vec<_>>().join("\n")
-    }
-}
-
-/// A three-way cross-validated sweep's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossValidated3Report {
-    /// The design-space results, identical to [`SweepEngine::run`]'s.
-    pub sweep: SweepReport,
-    /// The pairwise backend comparisons.
-    pub divergence: Divergence3Report,
 }
 
 /// The sweep engine: a cost model, optional extra designer constraints, and
@@ -1113,7 +958,7 @@ impl<'a> SweepEngine<'a> {
     /// Drives `f` over the contiguous index `range` of grid points (the
     /// full range for ordinary runs), parallel or serial, returning
     /// results in grid-enumeration order. **Every** public run path —
-    /// session or legacy shim, plain or cross-validated — funnels through
+    /// plain or cross-validated, whole-grid or ranged — funnels through
     /// this one function, so the serial-vs-parallel bit-identity contract
     /// is enforced in exactly one place.
     ///
@@ -1276,13 +1121,6 @@ impl<'a> SweepEngine<'a> {
         SweepReport { results, errors, cache: self.cache.stats() }
     }
 
-    /// Evaluates one grid point and, when its workload exposes a
-    /// [`CommPlan`], prices that plan **once under each backend** at the
-    /// optimized design's bandwidth vector — the shared body of every
-    /// priced sweep (the session front door and each legacy shim), so
-    /// warm-start seeding and op-eligibility rules live in exactly one
-    /// place. An empty backend slice skips pricing entirely (a plain
-    /// sweep never touches the plan cache).
     /// Global grid-enumeration index of `point` (shape-major:
     /// shape → workload → budget → objective), the instance key for
     /// per-point fault decisions. Off the hot path: called only with an
@@ -1353,6 +1191,12 @@ impl<'a> SweepEngine<'a> {
         }
     }
 
+    /// Evaluates one grid point and, when its workload exposes a
+    /// [`CommPlan`], prices that plan **once under each backend** at the
+    /// optimized design's bandwidth vector — the shared body of every
+    /// priced sweep, so warm-start seeding and op-eligibility rules live
+    /// in exactly one place. An empty backend slice skips pricing
+    /// entirely (a plain sweep never touches the plan cache).
     fn eval_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
@@ -1460,7 +1304,7 @@ impl<'a> SweepEngine<'a> {
     }
 
     /// Runs an `N`-backend priced sweep: the single driver behind
-    /// [`crate::scenario::Session::run`] and every legacy entry point.
+    /// [`crate::scenario::Session::run`].
     /// `range` restricts the run to a contiguous slice of the grid's
     /// enumeration (callers validate bounds); the emitted indices and the
     /// warm-start seeds stay exactly what the full run would produce, so
@@ -1553,110 +1397,6 @@ impl<'a> SweepEngine<'a> {
             emit,
         )
     }
-
-    /// Evaluates the whole grid **in parallel** (rayon). Results are in
-    /// grid-enumeration order and bit-identical to
-    /// [`SweepEngine::run_serial`] on the same inputs.
-    #[deprecated(
-        note = "use the scenario front door: `scenario::Session::run(grid, workloads, &[])`"
-    )]
-    pub fn run<W: SweepWorkload>(&self, grid: &SweepGrid, workloads: &[W]) -> SweepReport {
-        Session::over(self).run(grid, workloads, &[]).sweep
-    }
-
-    /// Evaluates the whole grid serially (the reference fold for the
-    /// determinism contract; also useful under an external thread pool).
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run` with `ExecMode::Serial`")]
-    pub fn run_serial<W: SweepWorkload>(&self, grid: &SweepGrid, workloads: &[W]) -> SweepReport {
-        Session::over(self).with_mode(ExecMode::Serial).run(grid, workloads, &[]).sweep
-    }
-
-    /// Evaluates the whole grid **in parallel** with both of `cv`'s
-    /// backends priced per point in the same rayon fan-out.
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run(grid, workloads, &[baseline, reference])`")]
-    pub fn run_cross_validated<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation<'_>,
-    ) -> CrossValidatedReport {
-        self.cross_validated(grid, workloads, cv, ExecMode::Parallel)
-    }
-
-    /// Serial reference fold of [`SweepEngine::run_cross_validated`].
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run` with `ExecMode::Serial`")]
-    pub fn run_cross_validated_serial<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation<'_>,
-    ) -> CrossValidatedReport {
-        self.cross_validated(grid, workloads, cv, ExecMode::Serial)
-    }
-
-    fn cross_validated<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation<'_>,
-        exec: ExecMode,
-    ) -> CrossValidatedReport {
-        let mut report = Session::over(self).with_tolerance(cv.tolerance()).with_mode(exec).run(
-            grid,
-            workloads,
-            &[cv.baseline, cv.reference],
-        );
-        let divergence =
-            report.divergence.pairs.pop().expect("two backends produce exactly one pair");
-        CrossValidatedReport { sweep: report.sweep, divergence }
-    }
-
-    /// Evaluates the whole grid **in parallel** with all three of `cv`'s
-    /// backends priced per point in the same rayon fan-out, one
-    /// [`DivergenceReport`] per backend pair.
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run(grid, workloads, &[a, b, c])`")]
-    pub fn run_cross_validated3<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation3<'_>,
-    ) -> CrossValidated3Report {
-        self.cross_validated3(grid, workloads, cv, ExecMode::Parallel)
-    }
-
-    /// Serial reference fold of [`SweepEngine::run_cross_validated3`].
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run` with `ExecMode::Serial`")]
-    pub fn run_cross_validated3_serial<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation3<'_>,
-    ) -> CrossValidated3Report {
-        self.cross_validated3(grid, workloads, cv, ExecMode::Serial)
-    }
-
-    fn cross_validated3<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation3<'_>,
-        exec: ExecMode,
-    ) -> CrossValidated3Report {
-        let report = Session::over(self).with_tolerance(cv.tolerance()).with_mode(exec).run(
-            grid,
-            workloads,
-            &cv.backends,
-        );
-        CrossValidated3Report {
-            sweep: report.sweep,
-            divergence: Divergence3Report { pairs: report.divergence.pairs },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1664,6 +1404,7 @@ mod tests {
     use super::*;
     use crate::comm::{Collective, CommModel, GroupSpan};
     use crate::eval::{Analytical, ScaledBackend};
+    use crate::scenario::Session;
     use crate::workload::CommOp;
 
     fn allreduce_workload(name: &str, gb: f64) -> FnWorkload {
@@ -2033,7 +1774,7 @@ mod tests {
         let grid = SweepGrid::new()
             .with_shape("RI(4)_SW(8)".parse().unwrap())
             .with_budgets([100.0, 200.0, 400.0, 800.0])
-            .with_objectives([Objective::Perf]);
+            .with_objectives([Objective::Perf, Objective::PerfPerCost]);
         let wls = [allreduce_workload("a", 10.0)];
         let cm = CostModel::default();
         let warm_engine = SweepEngine::new(&cm);
@@ -2042,13 +1783,22 @@ mod tests {
             .run(&grid, &wls, &[])
             .sweep;
         assert!(warm.errors.is_empty() && cold.errors.is_empty());
-        // 3 of the 4 budgets are non-anchor and found a published seed.
-        assert_eq!(warm.cache.warm_seeded, 3);
+        // Per objective, 3 of the 4 budgets are non-anchor and found a
+        // published seed.
+        assert_eq!(warm.cache.warm_seeded, 6);
         assert_eq!(cold.cache.warm_seeded, 0);
+        // Each point agrees on the metric it optimizes. PerfPerCost optima
+        // are a plateau in `weighted_time × cost`, so only the product is
+        // determined, and a seeded PerfPerCost search stops at a coarser
+        // cost tolerance than the cold one.
         for (w, c) in warm.results.iter().zip(&cold.results) {
-            let rel =
-                (w.design.weighted_time - c.design.weighted_time).abs() / c.design.weighted_time;
-            assert!(rel < 1e-4, "warm vs cold diverged: {rel} at {:?}", w.point);
+            let (metric, bound): (fn(&Design) -> f64, f64) = match w.point.objective {
+                Objective::Perf => (|d| d.weighted_time, 1e-4),
+                Objective::PerfPerCost => (|d| d.weighted_time * d.cost, 1e-3),
+            };
+            let (mw, mc) = (metric(&w.design), metric(&c.design));
+            let rel = (mw - mc).abs() / mc;
+            assert!(rel < bound, "warm vs cold diverged: {rel} at {:?}", w.point);
         }
         // Parallel and serial warm runs are bit-identical on fresh engines.
         let serial = Session::new(&cm).with_mode(ExecMode::Serial).run(&grid, &wls, &[]).sweep;
@@ -2081,8 +1831,10 @@ mod tests {
     }
 
     /// An armed `sweep.point.error` site poisons exactly its grid
-    /// indices — the rest of the sweep completes — and an identically
-    /// seeded rerun reproduces the chaos bit-for-bit.
+    /// indices — the rest of the sweep completes, each survivor exactly
+    /// as a clean run prices it — an identically seeded rerun reproduces
+    /// the chaos bit-for-bit, and an armed site that never fires
+    /// perturbs nothing.
     #[test]
     fn injected_point_errors_poison_only_their_points() {
         // 2 shapes × 1 workload × 2 budgets × 1 objective, shape-major:
@@ -2113,9 +1865,26 @@ mod tests {
             report.errors.iter().map(|e| e.point).collect::<Vec<_>>()
         );
         // Disarmed, the same grid is clean — injection is opt-in only.
-        let clean = Session::new(&cm).run(&grid, &wls, &[]).sweep;
+        // These runs solve cold: a poisoned point publishes no warm-start
+        // seed, so under warm start a survivor in its group could
+        // legitimately re-seed and drift by ulps from the clean run.
+        let cold = |spec: Option<&str>| {
+            let mut engine = SweepEngine::new(&cm).with_warm_start(false);
+            if let Some(spec) = spec {
+                engine = engine.with_fault(FaultInjector::from_spec(spec).unwrap());
+            }
+            Session::from_engine(engine).run(&grid, &wls, &[]).sweep
+        };
+        let clean = cold(None);
         assert!(clean.errors.is_empty());
         assert_eq!(clean.results.len(), 4);
+        assert_eq!(cold(Some("seed=3;sweep.point.error=0")), clean, "a silent site perturbed");
+        let poisoned = cold(Some("seed=3;sweep.point.error=#2"));
+        assert_eq!(poisoned.results.len(), 2);
+        for r in &poisoned.results {
+            let c = clean.results.iter().find(|c| c.point == r.point).unwrap();
+            assert_eq!(r, c, "survivor at {:?} differs from the clean run", r.point);
+        }
     }
 
     /// A panicking point eval (here an injected `sweep.point.panic`) is

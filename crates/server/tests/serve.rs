@@ -212,6 +212,27 @@ fn submissions_are_validated_before_queueing() {
     server.join().unwrap();
 }
 
+/// A body of 200 KB of `[` is a 400, not a stack overflow in its
+/// handler thread (an abort no `catch_unwind` contains): the server
+/// keeps answering and still runs the next job.
+#[test]
+fn deeply_nested_bodies_are_rejected_and_the_server_keeps_serving() {
+    let (server, client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let response = client.post("/v1/sweeps", "[".repeat(200 * 1024).as_bytes()).unwrap();
+    assert_eq!(response.status, 400);
+    let text = String::from_utf8(response.body).unwrap();
+    assert!(text.contains("nesting deeper"), "{text}");
+
+    assert_eq!(client.get("/v1/stats").unwrap().status, 200);
+    let scenario = scenario();
+    let (job, _) = client.submit(scenario.to_json().as_bytes()).unwrap();
+    assert_eq!(client.wait(&job, POLL, None).unwrap().exit_code(), 0);
+    assert_eq!(client.records(&job).unwrap(), direct_run_bytes(&scenario));
+
+    server.shutdown();
+    server.join().unwrap();
+}
+
 #[test]
 fn queue_is_bounded_and_states_are_observable() {
     // workers: 0 is the test seam: jobs queue forever, so queued-state

@@ -1,7 +1,8 @@
 //! Determinism contract of the allocation-free chunk-engine fast path: the
 //! scratch arena with [`Trace::Off`] must be **bit identical** to the fully
 //! instrumented trace path — on the hand-computed golden timelines and
-//! across a 60-point cross-validated design-space sweep.
+//! across a 60-point cross-validated design-space sweep priced by both
+//! the event-sim and the α-β net-sim backends.
 //!
 //! The fast path and the trace path share one event loop, so any
 //! divergence here means the refactor changed scheduling semantics, not
@@ -9,24 +10,63 @@
 
 use libra::core::comm::{Collective, CommModel, GroupSpan};
 use libra::core::cost::CostModel;
-use libra::core::eval::{validate_plan, Analytical, CommPlan, EvalBackend};
+use libra::core::eval::{
+    validate_plan, Analytical, CommPhase, CommPlan, DimTopology, EvalBackend, LinkParams, NetSpec,
+};
 use libra::core::network::NetworkShape;
 use libra::core::opt::Objective;
 use libra::core::scenario::Session;
 use libra::core::sweep::{FnWorkload, SweepGrid, SweepWorkload};
 use libra::core::workload::CommOp;
 use libra::core::LibraError;
+use libra::net::{stage_overhead_ps, NetSimBackend};
 use libra::sim::collective::{
     run_batch_ext, run_collective, BatchExt, CollectiveJob, EngineScratch, FixedOrder, JobSpec,
     Trace,
 };
-use libra::sim::event::ps_to_secs;
+use libra::sim::event::{ps_to_secs, Time};
 use libra::sim::EventSimBackend;
 
-/// The pre-optimization engine, preserved verbatim as a test oracle: every
-/// phase builds owned [`CollectiveJob`]s (span clones included) and runs
-/// the fully instrumented trace path on a fresh arena — exactly what
-/// `EventSimBackend::eval_plan` did before the scratch fast path existed.
+/// The pre-optimization engine loop, preserved verbatim as a test oracle:
+/// every phase builds owned [`CollectiveJob`]s (span clones included) and
+/// runs the fully instrumented trace path on a fresh arena with a fresh
+/// per-phase [`BatchExt`] from `ext_of`.
+fn eval_plan_trace_path(
+    n_dims: usize,
+    bw: &[f64],
+    plan: &CommPlan,
+    chunks: usize,
+    mut ext_of: impl FnMut(&CommPhase) -> BatchExt,
+) -> Result<f64, LibraError> {
+    validate_plan(n_dims, bw, plan)?;
+    let mut total = 0.0f64;
+    for phase in &plan.phases {
+        if phase.repeat == 0 {
+            continue;
+        }
+        let jobs: Vec<CollectiveJob> = phase
+            .ops
+            .iter()
+            .filter(|op| op.bytes > 0.0 && !op.span.is_trivial())
+            .map(|op| CollectiveJob {
+                collective: op.collective,
+                bytes: op.bytes,
+                span: op.span.clone(),
+                chunks,
+                release: 0,
+            })
+            .collect();
+        if jobs.is_empty() {
+            continue;
+        }
+        let ext = ext_of(phase);
+        let res = run_batch_ext(n_dims, bw, &ext, &jobs, &mut FixedOrder);
+        total += phase.repeat as f64 * ps_to_secs(res.makespan());
+    }
+    Ok(total)
+}
+
+/// `EventSimBackend::eval_plan` before the scratch fast path existed.
 struct TracePathEventSim {
     chunks: usize,
 }
@@ -37,31 +77,37 @@ impl EvalBackend for TracePathEventSim {
     }
 
     fn eval_plan(&self, n_dims: usize, bw: &[f64], plan: &CommPlan) -> Result<f64, LibraError> {
-        validate_plan(n_dims, bw, plan)?;
-        let mut total = 0.0f64;
-        for phase in &plan.phases {
-            if phase.repeat == 0 {
-                continue;
+        eval_plan_trace_path(n_dims, bw, plan, self.chunks, |_| BatchExt::none())
+    }
+}
+
+/// `NetSimBackend::eval_plan` before its dims scratch and reused
+/// per-phase [`BatchExt`]: per-call dim resolution and fresh per-phase
+/// overhead vectors over the trace-path engine.
+struct TracePathNetSim {
+    chunks: usize,
+}
+
+impl EvalBackend for TracePathNetSim {
+    fn name(&self) -> &str {
+        "net-sim-trace-path"
+    }
+
+    fn eval_plan(&self, n_dims: usize, bw: &[f64], plan: &CommPlan) -> Result<f64, LibraError> {
+        let dims: Vec<DimTopology> = (0..n_dims)
+            .map(|d| {
+                plan.net.as_ref().and_then(|net| net.dim(d)).unwrap_or(DimTopology::zero_switch())
+            })
+            .collect();
+        eval_plan_trace_path(n_dims, bw, plan, self.chunks, |phase| {
+            let mut overhead = vec![0 as Time; n_dims];
+            for op in &phase.ops {
+                for &(d, e) in op.span.extents() {
+                    overhead[d] = overhead[d].max(stage_overhead_ps(dims[d], e));
+                }
             }
-            let jobs: Vec<CollectiveJob> = phase
-                .ops
-                .iter()
-                .filter(|op| op.bytes > 0.0 && !op.span.is_trivial())
-                .map(|op| CollectiveJob {
-                    collective: op.collective,
-                    bytes: op.bytes,
-                    span: op.span.clone(),
-                    chunks: self.chunks,
-                    release: 0,
-                })
-                .collect();
-            if jobs.is_empty() {
-                continue;
-            }
-            let res = run_batch_ext(n_dims, bw, &BatchExt::none(), &jobs, &mut FixedOrder);
-            total += phase.repeat as f64 * ps_to_secs(res.makespan());
-        }
-        Ok(total)
+            BatchExt { stage_overhead_ps: overhead, offload_dims: vec![false; n_dims] }
+        })
     }
 }
 
@@ -126,11 +172,14 @@ fn fast_path_matches_two_node_ring_alpha_beta_golden() {
     assert_eq!(scratch.finish_times(), traced.finish.as_slice());
 }
 
-/// A 60-point cross-validated sweep prices every grid point under the new
-/// scratch-arena backend and the preserved trace-path oracle at **zero
-/// tolerance**: all 60 comparisons must agree bit-for-bit.
+/// A 60-point cross-validated sweep prices every grid point under the
+/// scratch-arena event-sim and net-sim backends and their preserved
+/// trace-path oracles at **zero tolerance**: each fast backend must agree
+/// with its oracle bit-for-bit at all 60 points. The plans carry a 20 ns
+/// per-hop α-β spec, so net-sim's per-phase stage overheads are live.
 #[test]
 fn sixty_point_sweep_fast_path_is_bit_identical_to_trace_path() {
+    let link = LinkParams::latency(20_000.0);
     let allreduce = |name: &'static str, gb: f64| {
         FnWorkload::new(name, move |shape: &NetworkShape| {
             let comm = CommModel::default();
@@ -144,7 +193,8 @@ fn sixty_point_sweep_fast_path_is_bit_identical_to_trace_path() {
                 Collective::AllReduce,
                 gb * 1e9,
                 GroupSpan::full(shape),
-            )]))
+            )])
+            .with_net(NetSpec::from_shape(shape, link)))
         })
     };
     let grid = SweepGrid::new()
@@ -156,26 +206,41 @@ fn sixty_point_sweep_fast_path_is_bit_identical_to_trace_path() {
     let wls = [allreduce("ar-2g", 2.0), allreduce("ar-8g", 8.0)];
     assert_eq!(grid.len(wls.len()), 60);
 
-    let fast = EventSimBackend::new(16);
     let trace = TracePathEventSim { chunks: 16 };
+    let fast = EventSimBackend::new(16);
+    let net_trace = TracePathNetSim { chunks: 16 };
+    let net_fast = NetSimBackend::new(16);
     let cm = CostModel::default();
-    let report = Session::new(&cm).with_tolerance(0.0).run(&grid, &wls, &[&trace, &fast]);
+    let report = Session::new(&cm).with_tolerance(0.0).run(
+        &grid,
+        &wls,
+        &[&trace, &fast, &net_trace, &net_fast],
+    );
     assert!(report.sweep.errors.is_empty());
-    let divergence = &report.divergence.pairs[0];
-    assert!(divergence.backend_errors.is_empty());
-    assert_eq!(divergence.points.len(), 60);
-    for p in &divergence.points {
-        assert_eq!(
-            p.baseline_secs.to_bits(),
-            p.reference_secs.to_bits(),
-            "fast path diverged from trace path at {:?}: {} vs {}",
-            p.point,
-            p.baseline_secs,
-            p.reference_secs
-        );
+    for (i, j) in [(0, 1), (2, 3)] {
+        let divergence = report.divergence.pair_between(i, j).unwrap();
+        assert!(divergence.backend_errors.is_empty());
+        assert_eq!(divergence.points.len(), 60);
+        for p in &divergence.points {
+            assert_eq!(
+                p.baseline_secs.to_bits(),
+                p.reference_secs.to_bits(),
+                "{} diverged from {} at {:?}: {} vs {}",
+                divergence.reference,
+                divergence.baseline,
+                p.point,
+                p.reference_secs,
+                p.baseline_secs
+            );
+        }
+        assert_eq!(divergence.max_rel_error(), 0.0);
+        assert!(divergence.within_tolerance());
     }
-    assert_eq!(divergence.max_rel_error(), 0.0);
-    assert!(report.divergence.within_tolerance());
+    // The α-β spec really reaches net-sim: every point pays per-hop
+    // latency on top of the zero-latency event engine's time.
+    for p in &report.divergence.pair_between(1, 3).unwrap().points {
+        assert!(p.reference_secs > p.baseline_secs, "no α paid at {:?}", p.point);
+    }
 
     // Sanity: the trace-path oracle itself brackets the analytical model —
     // i.e. it really is the old backend, not a stub.
