@@ -11,6 +11,9 @@
 //!   search picks the best budget; a final pass re-minimizes cost at the
 //!   achieved time so no stranded bandwidth is billed.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use libra_solver::convex::ConvexProblem;
 use libra_solver::scalar::grid_then_golden;
 
@@ -382,16 +385,29 @@ pub fn optimize_seeded(
             // search structure (full 24-point grid, cold probes — starting
             // points may differ at tolerance level since `compile` seeds
             // epigraph guesses from lowered values now).
+            //
+            // Each probe's design is kept, keyed by the cap's bits, whether
+            // the perf solve was seeded (all seeded probes share one seed)
+            // and `warm_refine`: the search always probes the cap it
+            // returns, so the final answer below re-uses that probe instead
+            // of solving it again. Errors are not kept.
+            let probes: RefCell<HashMap<(u64, bool, bool), Design>> = RefCell::default();
             let probe_with = |cap: f64,
                               probe_seed: Option<&[f64]>,
                               warm_refine: bool|
              -> Result<Design, LibraError> {
+                let key = (cap.to_bits(), probe_seed.is_some(), warm_refine);
+                if let Some(design) = probes.borrow().get(&key) {
+                    return Ok(design.clone());
+                }
                 let fast = solve_perf(req, Some(cap), probe_seed)?;
                 let guess = if warm_refine { Some(fast.bw.as_slice()) } else { None };
-                match refine_cost(req, fast.weighted_time, Some(cap), guess) {
-                    Ok(cheap) if cheap.cost <= fast.cost * (1.0 + 1e-9) => Ok(cheap),
-                    _ => Ok(fast),
-                }
+                let design = match refine_cost(req, fast.weighted_time, Some(cap), guess) {
+                    Ok(cheap) if cheap.cost <= fast.cost * (1.0 + 1e-9) => cheap,
+                    _ => fast,
+                };
+                probes.borrow_mut().insert(key, design.clone());
+                Ok(design)
             };
             // A seed narrows the outer search: cost range, constraints, and
             // ratio optima all scale linearly with the budget, so the

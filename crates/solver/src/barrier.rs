@@ -84,54 +84,49 @@ struct GenCon {
 }
 
 impl GenCon {
-    /// Evaluates the constraint; `+inf` when any denominator is non-positive
-    /// (outside the convex domain).
-    fn eval(&self, z: &[f64]) -> f64 {
+    /// Evaluates the constraint, writing each ratio's denominator into the
+    /// matching slot of `dens`; `+inf` when any denominator is non-positive
+    /// (outside the convex domain), with the later slots left stale.
+    fn eval(&self, z: &[f64], dens: &mut [f64]) -> f64 {
         let mut v = self.affine.eval(z);
-        for (c, den) in &self.ratios {
+        for ((c, den), slot) in self.ratios.iter().zip(&mut dens[..self.ratios.len()]) {
             let d = den.eval(z);
             if d <= 0.0 {
                 return f64::INFINITY;
             }
+            *slot = d;
             v += c / d;
         }
         v
     }
 
-    fn add_grad(&self, z: &[f64], scale: f64, grad: &mut [f64]) {
+    /// Adds `∇g(z)` into `grad`, given the ratio denominators `dens` at `z`.
+    fn add_grad(&self, dens: &[f64], grad: &mut [f64]) {
         for &(i, a) in &self.affine.terms {
-            grad[i] += scale * a;
+            grad[i] += a;
         }
-        for (c, den) in &self.ratios {
-            let d = den.eval(z);
-            let k = -scale * c / (d * d);
+        for ((c, den), d) in self.ratios.iter().zip(dens) {
+            let k = -c / (d * d);
             for &(i, b) in &den.terms {
                 grad[i] += k * b;
             }
         }
     }
 
-    fn grad(&self, z: &[f64], n: usize) -> Vec<f64> {
-        let mut g = vec![0.0; n];
-        self.add_grad(z, 1.0, &mut g);
-        g
-    }
-
-    /// Adds `scale · ∇²g(z)` into `h` (each ratio contributes
-    /// `2c/d³ · ββᵀ`).
-    fn add_hess(&self, z: &[f64], scale: f64, h: &mut Matrix, scratch: &mut Vec<f64>) {
-        for (c, den) in &self.ratios {
-            let d = den.eval(z);
+    /// Adds `scale · ∇²g(z)` into `h`, given the ratio denominators `dens`
+    /// at `z` (each ratio contributes `2c/d³ · ββᵀ`).
+    fn add_hess(&self, dens: &[f64], scale: f64, h: &mut Matrix) {
+        for ((c, den), d) in self.ratios.iter().zip(dens) {
             let k = scale * 2.0 * c / (d * d * d);
             if k == 0.0 {
                 continue;
             }
-            scratch.clear();
-            scratch.resize(h.rows(), 0.0);
-            for &(i, b) in &den.terms {
-                scratch[i] = b;
+            for &(i, bi) in &den.terms {
+                let ki = k * bi;
+                for &(j, bj) in &den.terms {
+                    h[(i, j)] += ki * bj;
+                }
             }
-            h.rank1_update(k, scratch);
         }
     }
 }
@@ -145,6 +140,14 @@ struct Nlp {
     n: usize,
     objective: Vec<f64>,
     cons: Vec<GenCon>,
+}
+
+impl Nlp {
+    /// Slots needed to hold every ratio denominator, constraint by
+    /// constraint.
+    fn n_ratios(&self) -> usize {
+        self.cons.iter().map(|gc| gc.ratios.len()).sum()
+    }
 }
 
 /// Substitution map `x = x_p + N z` produced by equality elimination.
@@ -329,29 +332,82 @@ fn lower(p: &ConvexProblem) -> Result<(Nlp, Substitution), SolverError> {
 }
 
 /// Barrier potential `t·f₀(z) − Σ log(−gᵢ(z))`; `+inf` when infeasible.
-fn potential(nlp: &Nlp, t: f64, z: &[f64]) -> f64 {
+/// Records each `gᵢ(z)` in `g` and every ratio denominator in `dens` (in
+/// constraint order), so the Newton step at `z` needs no re-evaluation;
+/// an infeasible `z` leaves the records partial.
+fn potential(nlp: &Nlp, t: f64, z: &[f64], g: &mut [f64], dens: &mut [f64]) -> f64 {
     let mut v = t * dot(&nlp.objective, z);
-    for gc in &nlp.cons {
-        let g = gc.eval(z);
-        if g >= 0.0 || !g.is_finite() {
+    let mut r = 0;
+    for (gc, gi) in nlp.cons.iter().zip(g) {
+        *gi = gc.eval(z, &mut dens[r..]);
+        r += gc.ratios.len();
+        if *gi >= 0.0 || !gi.is_finite() {
             return f64::INFINITY;
         }
-        v -= (-g).ln();
+        v -= (-*gi).ln();
     }
     v
 }
 
+/// The buffers of one barrier loop. Every Newton iteration of every
+/// centering stage reuses them, so the loop allocates nothing after setup.
+struct Workspace {
+    /// Gradient of the barrier potential.
+    grad: Vec<f64>,
+    /// Gradient of one constraint.
+    con_grad: Vec<f64>,
+    /// Hessian of the barrier potential.
+    hess: Matrix,
+    /// Cholesky factor of `hess`.
+    chol: Matrix,
+    /// Newton step.
+    step: Vec<f64>,
+    /// Line-search trial point; swapped with the iterate on acceptance.
+    trial: Vec<f64>,
+    /// Each `gᵢ` at the iterate.
+    g: Vec<f64>,
+    /// Every ratio denominator at the iterate (see [`potential`]).
+    dens: Vec<f64>,
+    /// `g` and `dens` at the trial point; swapped in on acceptance.
+    trial_g: Vec<f64>,
+    trial_dens: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(nlp: &Nlp) -> Self {
+        let (n, m, r) = (nlp.n, nlp.cons.len(), nlp.n_ratios());
+        Workspace {
+            grad: vec![0.0; n],
+            con_grad: vec![0.0; n],
+            hess: Matrix::zeros(n, n),
+            chol: Matrix::zeros(n, n),
+            step: vec![0.0; n],
+            trial: vec![0.0; n],
+            g: vec![0.0; m],
+            dens: vec![0.0; r],
+            trial_g: vec![0.0; m],
+            trial_dens: vec![0.0; r],
+        }
+    }
+}
+
 /// One centering stage: damped Newton on the barrier potential.
+///
+/// Each iterate is evaluated once: the potential and constraint records of
+/// an accepted trial point serve the next iteration's Newton step, its
+/// decrement test and its line search.
 ///
 /// Returns the number of Newton iterations used.
 fn center(
     nlp: &Nlp,
     t: f64,
     z: &mut Vec<f64>,
+    ws: &mut Workspace,
     early_stop: EarlyStop<'_>,
 ) -> Result<usize, SolverError> {
     let n = nlp.n;
-    let mut scratch = Vec::with_capacity(n);
+    let mut f0 = potential(nlp, t, z, &mut ws.g, &mut ws.dens);
+    debug_assert!(f0.is_finite(), "iterate left the strictly feasible region");
     for iter in 0..MAX_NEWTON_PER_STAGE {
         if let Some(stop) = early_stop {
             if stop(z) {
@@ -359,45 +415,52 @@ fn center(
             }
         }
         // Assemble gradient and Hessian of the barrier potential.
-        let mut grad: Vec<f64> = nlp.objective.iter().map(|c| t * c).collect();
-        let mut h = Matrix::zeros(n, n);
-        for gc in &nlp.cons {
-            let g = gc.eval(z);
-            debug_assert!(g < 0.0, "iterate left the strictly feasible region");
+        for (gi, c) in ws.grad.iter_mut().zip(&nlp.objective) {
+            *gi = t * c;
+        }
+        ws.hess.set_zero();
+        let mut r = 0;
+        for (gc, g) in nlp.cons.iter().zip(&ws.g) {
+            let dens = &ws.dens[r..r + gc.ratios.len()];
+            r += gc.ratios.len();
             let inv = -1.0 / g; // positive
-            let cg = gc.grad(z, n);
-            for (gi, ci) in grad.iter_mut().zip(&cg) {
+            ws.con_grad.fill(0.0);
+            gc.add_grad(dens, &mut ws.con_grad);
+            for (gi, ci) in ws.grad.iter_mut().zip(&ws.con_grad) {
                 *gi += inv * ci;
             }
-            h.rank1_update(inv * inv, &cg);
-            gc.add_hess(z, inv, &mut h, &mut scratch);
+            ws.hess.rank1_update(inv * inv, &ws.con_grad);
+            gc.add_hess(dens, inv, &mut ws.hess);
         }
-        let max_diag = (0..n).map(|i| h[(i, i)].abs()).fold(0.0f64, f64::max);
-        h.add_diagonal(1e-12 * (1.0 + max_diag));
-        let neg_grad: Vec<f64> = grad.iter().map(|g| -g).collect();
-        let dz = match h.cholesky() {
-            Ok(l) => Matrix::cholesky_solve(&l, &neg_grad),
-            Err(_) => h.solve(&neg_grad)?,
-        };
-        let decrement = -dot(&grad, &dz); // λ² = ∇fᵀ H⁻¹ ∇f
-        if decrement <= 0.0
-            || decrement / 2.0 < 1e-12 * (1.0 + potential(nlp, t, z).abs().min(1e12))
-        {
+        let max_diag = (0..n).map(|i| ws.hess[(i, i)].abs()).fold(0.0f64, f64::max);
+        ws.hess.add_diagonal(1e-12 * (1.0 + max_diag));
+        for (s, g) in ws.step.iter_mut().zip(&ws.grad) {
+            *s = -g;
+        }
+        match ws.hess.cholesky(&mut ws.chol) {
+            Ok(()) => ws.chol.cholesky_solve(&mut ws.step),
+            Err(_) => {
+                let dz = ws.hess.solve(&ws.step)?;
+                ws.step.copy_from_slice(&dz);
+            }
+        }
+        let decrement = -dot(&ws.grad, &ws.step); // λ² = ∇fᵀ H⁻¹ ∇f
+        if decrement <= 0.0 || decrement / 2.0 < 1e-12 * (1.0 + f0.abs().min(1e12)) {
             return Ok(iter);
         }
         // Backtracking line search: first into the domain, then Armijo.
-        let f0 = potential(nlp, t, z);
         let mut alpha = 1.0f64;
-        let mut trial: Vec<f64>;
         let mut ok = false;
         for _ in 0..80 {
-            trial = z.clone();
-            for (ti, di) in trial.iter_mut().zip(&dz) {
-                *ti += alpha * di;
+            for ((ti, zi), di) in ws.trial.iter_mut().zip(z.iter()).zip(&ws.step) {
+                *ti = zi + alpha * di;
             }
-            let f1 = potential(nlp, t, &trial);
+            let f1 = potential(nlp, t, &ws.trial, &mut ws.trial_g, &mut ws.trial_dens);
             if f1.is_finite() && f1 <= f0 - 0.25 * alpha * decrement {
-                *z = trial;
+                std::mem::swap(z, &mut ws.trial);
+                std::mem::swap(&mut ws.g, &mut ws.trial_g);
+                std::mem::swap(&mut ws.dens, &mut ws.trial_dens);
+                f0 = f1;
                 ok = true;
                 break;
             }
@@ -442,8 +505,9 @@ fn barrier_loop(
         t = (t * T_MU * T_MU).min((m / (WARM_GAP * (1.0 + obj0))).max(t));
     }
     let mut total_iters = 0usize;
+    let mut ws = Workspace::new(nlp);
     for _ in 0..MAX_BARRIER_STAGES {
-        total_iters += center(nlp, t, &mut z, early_stop)?;
+        total_iters += center(nlp, t, &mut z, &mut ws, early_stop)?;
         if let Some(stop) = early_stop {
             if stop(&z) {
                 return Ok((z, total_iters));
@@ -526,7 +590,8 @@ fn phase_one(nlp: &Nlp, z0: &[f64]) -> Result<Vec<f64>, SolverError> {
     objective[s_idx] = 1.0;
     let aux = Nlp { n: n + 1, objective, cons };
     // Strictly feasible start for phase-I: s above the worst violation.
-    let worst = nlp.cons.iter().map(|gc| gc.eval(z0)).fold(f64::NEG_INFINITY, f64::max);
+    let mut dens = vec![0.0; nlp.n_ratios()];
+    let worst = nlp.cons.iter().map(|gc| gc.eval(z0, &mut dens)).fold(f64::NEG_INFINITY, f64::max);
     if !worst.is_finite() {
         return Err(SolverError::NumericalFailure("phase-I start outside ratio domain"));
     }
@@ -573,7 +638,8 @@ pub(crate) fn solve_seeded(
     };
     let mut z0 = reduce_start(&sub, &x0, nlp.n)?;
     enter_domain(&nlp, &mut z0)?;
-    let strictly_feasible = nlp.cons.iter().all(|gc| gc.eval(&z0) < -1e-9);
+    let mut dens = vec![0.0; nlp.n_ratios()];
+    let strictly_feasible = nlp.cons.iter().all(|gc| gc.eval(&z0, &mut dens) < -1e-9);
     let z_start = if strictly_feasible { z0 } else { phase_one(&nlp, &z0)? };
     let (z, iters) = barrier_loop(&nlp, z_start, None, warm && strictly_feasible)?;
     let x = sub.recover(&z);

@@ -17,7 +17,7 @@
 //! (`t_k · B_i ≥ c_{k,i}`).
 //!
 //! Components:
-//! * [`linalg`] — dense matrices, LU / Cholesky factorizations, KKT solves.
+//! * [`linalg`] — dense matrices with LU and in-place Cholesky factorizations.
 //! * [`convex`] — problem intermediate representation ([`ConvexProblem`]).
 //! * [`barrier`] — phase-I + log-barrier Newton interior-point solver.
 //! * [`subgrad`] — projected-subgradient fallback used for cross-checking.

@@ -1,8 +1,10 @@
 //! Dense linear algebra: just enough to run a Newton interior-point method.
 //!
 //! Matrices are small in LIBRA problems (a handful of bandwidth variables
-//! plus epigraph variables), so everything here is dense, row-major, and
-//! allocation-friendly rather than tuned for large sizes.
+//! plus epigraph variables), so everything here is dense and row-major. In
+//! the routines a Newton iteration calls (rank-1 updates, the Cholesky
+//! factorization and its solve) callers own every buffer, so a Newton loop
+//! reuses storage it allocated once.
 
 use crate::error::SolverError;
 
@@ -106,6 +108,11 @@ impl Matrix {
         }
     }
 
+    /// Sets every entry to zero, keeping the storage.
+    pub fn set_zero(&mut self) {
+        self.data.fill(0.0);
+    }
+
     /// Solves `self · x = b` via LU with partial pivoting. The matrix is
     /// consumed conceptually (a working copy is factored).
     ///
@@ -167,16 +174,21 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Cholesky factorization `self = L·Lᵀ` for a symmetric positive-definite
-    /// matrix; returns the lower factor.
+    /// Cholesky factorization `self = L·Lᵀ` of a symmetric positive-definite
+    /// matrix, written into `l`: the lower factor, with zeros above the
+    /// diagonal. Only the lower triangle of `self` is read, and `l`'s prior
+    /// contents never are, so one buffer serves every factorization.
     ///
     /// # Errors
     /// Returns [`SolverError::NumericalFailure`] if the matrix is not
-    /// (numerically) positive definite.
-    pub fn cholesky(&self) -> Result<Matrix, SolverError> {
+    /// (numerically) positive definite; `l` is then partly overwritten.
+    ///
+    /// # Panics
+    /// Panics unless `self` is square and `l` has its shape.
+    pub fn cholesky(&self, l: &mut Matrix) -> Result<(), SolverError> {
         assert_eq!(self.rows, self.cols);
+        assert_eq!((l.rows, l.cols), (self.rows, self.cols));
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
                 let mut s = self[(i, j)];
@@ -194,29 +206,34 @@ impl Matrix {
                     l[(i, j)] = s / l[(j, j)];
                 }
             }
+            l.data[i * n + i + 1..(i + 1) * n].fill(0.0);
         }
-        Ok(l)
+        Ok(())
     }
 
-    /// Solves `self · x = b` using a pre-computed Cholesky factor of `self`.
-    pub fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
-        let n = l.rows;
-        let mut y = vec![0.0; n];
+    /// Solves `A·x = b` in place, where `self` is the Cholesky factor of `A`
+    /// from [`Matrix::cholesky`]: `x` holds `b` on entry and the solution on
+    /// return.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` differs from the factor's size.
+    pub fn cholesky_solve(&self, x: &mut [f64]) {
+        let n = self.rows;
+        assert_eq!(x.len(), n);
         for i in 0..n {
-            let mut s = b[i];
-            for (j, yj) in y.iter().enumerate().take(i) {
-                s -= l[(i, j)] * yj;
+            let mut s = x[i];
+            for (j, xj) in x.iter().enumerate().take(i) {
+                s -= self[(i, j)] * xj;
             }
-            y[i] = s / l[(i, i)];
+            x[i] = s / self[(i, i)];
         }
         for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in i + 1..n {
-                s -= l[(j, i)] * y[j];
+            let mut s = x[i];
+            for (j, xj) in x.iter().enumerate().skip(i + 1) {
+                s -= self[(j, i)] * xj;
             }
-            y[i] = s / l[(i, i)];
+            x[i] = s / self[(i, i)];
         }
-        y
     }
 }
 
@@ -287,18 +304,29 @@ mod tests {
     #[test]
     fn cholesky_roundtrip() {
         let a = Matrix::from_rows(&[&[25.0, 15.0, -5.0], &[15.0, 18.0, 0.0], &[-5.0, 0.0, 11.0]]);
-        let l = a.cholesky().unwrap();
-        let x = Matrix::cholesky_solve(&l, &[1.0, 2.0, 3.0]);
+        let mut l = Matrix::zeros(3, 3);
+        a.cholesky(&mut l).unwrap();
+        let mut x = vec![1.0, 2.0, 3.0];
+        l.cholesky_solve(&mut x);
         let b = a.mul_vec(&x);
         assert!((b[0] - 1.0).abs() < 1e-10);
         assert!((b[1] - 2.0).abs() < 1e-10);
         assert!((b[2] - 3.0).abs() < 1e-10);
+        // A reused buffer, dirty with stale values and a failed
+        // factorization's partial output, gets the same bits as a fresh one.
+        let mut reused =
+            Matrix::from_rows(&[&[f64::NAN, -7.0, 3.5], &[1e300, -0.0, 9.0], &[2.0, 4.0, 8.0]]);
+        let singular = Matrix::from_rows(&[&[4.0, 2.0, 1.0], &[2.0, 1.0, 0.5], &[1.0, 0.5, 9.0]]);
+        assert!(singular.cholesky(&mut reused).is_err());
+        a.cholesky(&mut reused).unwrap();
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused), bits(&l));
     }
 
     #[test]
     fn cholesky_rejects_indefinite() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert!(a.cholesky().is_err());
+        assert!(a.cholesky(&mut Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]
