@@ -2,8 +2,10 @@
 //! usage routing, flag hardening, and the dispatch subcommand's
 //! byte-identity with single-process runs.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use libra_bench::Scenario;
 
@@ -437,6 +439,21 @@ fn sigkill_mid_run_heals_the_store_and_resumes_byte_identically() {
     );
 }
 
+/// Waits for a `libra serve --port-file` to name its port: the file
+/// appears once the listener is bound.
+fn wait_for_port(port_file: &Path) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Ok(s) = std::fs::read_to_string(port_file) {
+            if s.ends_with('\n') {
+                return s.trim().to_string();
+            }
+        }
+        assert!(Instant::now() < deadline, "serve never wrote its port file");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// `serve` + `submit` end to end, against the real binary over a real
 /// socket: submissions stream back byte-identical to the checked-in
 /// goldens (ci_small and the full design-space sweep), repeat
@@ -467,18 +484,7 @@ fn serve_and_submit_round_trip_matches_goldens_and_shares_the_store() {
         .spawn()
         .expect("serve child spawns");
 
-    // The port file appears once the listener is bound.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let port = loop {
-        if let Ok(s) = std::fs::read_to_string(&port_file) {
-            if s.ends_with('\n') {
-                break s.trim().to_string();
-            }
-        }
-        assert!(std::time::Instant::now() < deadline, "serve never wrote its port file");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    let url = format!("http://127.0.0.1:{port}");
+    let url = format!("http://127.0.0.1:{}", wait_for_port(&port_file));
 
     let submit = |scenario: &Path, dest: &Path| -> Output {
         libra(&[
@@ -541,6 +547,59 @@ fn serve_and_submit_round_trip_matches_goldens_and_shares_the_store() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("store: 4 hits, 0 staged"), "warm from served cache: {stderr}");
     assert_eq!(std::fs::read(&warm).unwrap(), ci_small_golden);
+}
+
+/// SIGTERM is the one shutdown trigger where nothing connects to the
+/// server, so it pins `Server::join`'s poll: on a wildcard bind the
+/// signal must still wake the blocked accept loop, drain, and exit 0
+/// with the drain sentinel, after serving golden-identical records.
+#[test]
+fn sigterm_drains_a_wildcard_bound_server_and_exits_0() {
+    let golden = std::fs::read(ci_small().with_file_name("ci_small.golden.jsonl")).unwrap();
+    let cache = tmp("sigterm-cache.jsonl");
+    let port_file = tmp("sigterm-port.txt");
+    let _ = std::fs::remove_file(&cache);
+    let _ = std::fs::remove_file(&port_file);
+
+    let mut server = Command::new(LIBRA)
+        .args(["serve", "--addr", "0.0.0.0:0"])
+        .args(["--cache", cache.to_str().unwrap()])
+        .args(["--port-file", port_file.to_str().unwrap()])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve child spawns");
+    let url = format!("http://127.0.0.1:{}", wait_for_port(&port_file));
+
+    let records = tmp("sigterm-out.jsonl");
+    let out = libra(&[
+        "submit",
+        ci_small().to_str().unwrap(),
+        "--url",
+        &url,
+        "--jsonl",
+        records.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(std::fs::read(&records).unwrap(), golden, "served records match the golden");
+
+    let kill = Command::new("kill").args(["-TERM", &server.id().to_string()]).status();
+    assert!(kill.expect("kill runs").success());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("polling the serve child") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = server.kill();
+            let _ = server.wait();
+            panic!("serve did not exit within 10 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    server.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    assert_eq!(status.code(), Some(0), "graceful shutdown exits 0: {stderr}");
+    assert!(stderr.contains("drained and shut down"), "{stderr}");
 }
 
 /// `submit`'s failure modes are exit 1 with pointed messages: missing

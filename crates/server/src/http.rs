@@ -10,7 +10,8 @@
 //! clients are submit/poll loops, not browsers, so keep-alive would buy
 //! nothing but state to get wrong.
 
-use std::io::{self, Read, Write};
+use std::fmt;
+use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -150,57 +151,76 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     }
     body.truncate(content_length);
     let path = target.split(['?', '#']).next().unwrap_or_default().to_string();
-    Ok(Request { method: method.to_string(), path, body: body.to_vec() })
+    Ok(Request { method: method.to_string(), path, body })
 }
 
-/// Writes one complete response with a `Content-Length` body.
-///
-/// # Errors
-/// Propagates socket write failures.
-pub fn respond(
-    stream: &mut TcpStream,
+/// Writes a response head: status line, `Content-Type`, the body's
+/// framing header, `Connection: close`, and the blank line.
+fn write_head(
+    out: &mut impl Write,
     status: u16,
     content_type: &str,
-    body: &[u8],
+    framing: fmt::Arguments<'_>,
 ) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
+    write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n{framing}\r\n\
          Connection: close\r\n\r\n",
         reason(status),
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    )
 }
 
-/// Writes one chunked-transfer response, one HTTP chunk per item —
-/// how `/records` streams a run line by line.
-///
-/// # Errors
-/// Propagates socket write failures.
-pub fn respond_chunked<'b>(
-    stream: &mut TcpStream,
+/// Writes a chunked-transfer head and one chunk per item. Empty items
+/// are skipped: an empty chunk would terminate the stream early.
+fn write_chunks<'b>(
+    out: &mut impl Write,
     status: u16,
     content_type: &str,
     chunks: impl IntoIterator<Item = &'b [u8]>,
 ) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
-         Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-        reason(status),
-    );
-    stream.write_all(head.as_bytes())?;
-    for chunk in chunks {
-        if chunk.is_empty() {
-            continue; // an empty chunk would terminate the stream early
-        }
-        stream.write_all(format!("{:x}\r\n", chunk.len()).as_bytes())?;
-        stream.write_all(chunk)?;
-        stream.write_all(b"\r\n")?;
+    write_head(out, status, content_type, format_args!("Transfer-Encoding: chunked"))?;
+    for chunk in chunks.into_iter().filter(|c| !c.is_empty()) {
+        write!(out, "{:x}\r\n", chunk.len())?;
+        out.write_all(chunk)?;
+        out.write_all(b"\r\n")?;
     }
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+    Ok(())
+}
+
+/// Writes one complete response with a `Content-Length` body, buffered
+/// so a small response leaves in one write.
+///
+/// # Errors
+/// Propagates socket write failures.
+pub fn respond(
+    out: &mut impl Write,
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+) -> io::Result<()> {
+    let mut out = BufWriter::new(out);
+    write_head(&mut out, status, content_type, format_args!("Content-Length: {}", body.len()))?;
+    out.write_all(body)?;
+    out.flush()
+}
+
+/// Writes one chunked-transfer response, one HTTP chunk per item —
+/// how `/records` streams a run line by line. The chunks go through one
+/// buffer, so the socket sees a write per buffer-full, not three per
+/// chunk.
+///
+/// # Errors
+/// Propagates socket write failures.
+pub fn respond_chunked<'b>(
+    out: &mut impl Write,
+    status: u16,
+    content_type: &str,
+    chunks: impl IntoIterator<Item = &'b [u8]>,
+) -> io::Result<()> {
+    let mut out = BufWriter::new(out);
+    write_chunks(&mut out, status, content_type, chunks)?;
+    out.write_all(b"0\r\n\r\n")?;
+    out.flush()
 }
 
 /// Writes a *truncated* chunked-transfer response: a valid head and the
@@ -213,24 +233,20 @@ pub fn respond_chunked<'b>(
 /// # Errors
 /// Propagates socket write failures.
 pub fn respond_chunked_partial<'b>(
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     status: u16,
     content_type: &str,
     chunks: impl IntoIterator<Item = &'b [u8]>,
     keep: usize,
 ) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
-         Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-        reason(status),
-    );
-    stream.write_all(head.as_bytes())?;
-    for chunk in chunks.into_iter().filter(|c| !c.is_empty()).take(keep) {
-        stream.write_all(format!("{:x}\r\n", chunk.len()).as_bytes())?;
-        stream.write_all(chunk)?;
-        stream.write_all(b"\r\n")?;
-    }
-    stream.flush()
+    let mut out = BufWriter::new(out);
+    write_chunks(
+        &mut out,
+        status,
+        content_type,
+        chunks.into_iter().filter(|c| !c.is_empty()).take(keep),
+    )?;
+    out.flush()
 }
 
 /// Whether a client-side error is a connection failure (the server is
@@ -356,4 +372,107 @@ pub fn roundtrip(
         body_bytes
     };
     Ok(Response { status, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call, so a test can count syscalls' worth
+    /// of writes as well as check the bytes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The bytes after a response's head.
+    fn body_of(response: &[u8]) -> &[u8] {
+        let end = response.windows(4).position(|w| w == b"\r\n\r\n").expect("a head");
+        &response[end + 4..]
+    }
+
+    #[test]
+    fn respond_writes_head_and_body_in_one_write() {
+        let mut out = Writes::default();
+        respond(&mut out, 404, "application/json", b"{\"error\": \"x\"}\n").unwrap();
+        assert_eq!(out.0.len(), 1, "one write per small response");
+        assert_eq!(
+            out.0.concat(),
+            b"HTTP/1.1 404 Not Found\r\n\
+              Content-Type: application/json\r\n\
+              Content-Length: 15\r\n\
+              Connection: close\r\n\
+              \r\n\
+              {\"error\": \"x\"}\n"
+        );
+    }
+
+    #[test]
+    fn respond_chunked_frames_each_nonempty_chunk_in_hex() {
+        let mut out = Writes::default();
+        let chunks: [&[u8]; 4] = [b"a\n", b"", b"abcdefghijklmnopqrstuvwxyz", b"\n"];
+        respond_chunked(&mut out, 200, "application/jsonl", chunks).unwrap();
+        assert_eq!(out.0.len(), 1, "one write per response that fits the buffer");
+        assert_eq!(
+            out.0.concat(),
+            b"HTTP/1.1 200 OK\r\n\
+              Content-Type: application/jsonl\r\n\
+              Transfer-Encoding: chunked\r\n\
+              Connection: close\r\n\
+              \r\n\
+              2\r\na\n\r\n\
+              1a\r\nabcdefghijklmnopqrstuvwxyz\r\n\
+              1\r\n\n\r\n\
+              0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn respond_chunked_round_trips_through_decode_chunked() {
+        // Lines of growing length, well past one buffer's worth, so the
+        // stream crosses several buffer flushes.
+        let records: Vec<u8> = (0..400)
+            .flat_map(|k| {
+                let mut line = format!("{{\"k\": {k}, \"pad\": \"{}\"}}", "x".repeat(k % 97));
+                line.push('\n');
+                line.into_bytes()
+            })
+            .collect();
+        let mut out = Vec::new();
+        respond_chunked(
+            &mut out,
+            200,
+            "application/jsonl",
+            records.split_inclusive(|&b| b == b'\n'),
+        )
+        .unwrap();
+        assert_eq!(decode_chunked(body_of(&out)).unwrap(), records);
+    }
+
+    #[test]
+    fn respond_chunked_partial_stops_without_a_terminator() {
+        let mut out = Vec::new();
+        let chunks: [&[u8]; 3] = [b"", b"a\n", b"bcd\n"];
+        respond_chunked_partial(&mut out, 200, "application/jsonl", chunks, 1).unwrap();
+        assert_eq!(
+            out,
+            b"HTTP/1.1 200 OK\r\n\
+              Content-Type: application/jsonl\r\n\
+              Transfer-Encoding: chunked\r\n\
+              Connection: close\r\n\
+              \r\n\
+              2\r\na\n\r\n"
+        );
+        let err = decode_chunked(body_of(&out)).unwrap_err();
+        assert!(err.to_string().contains("truncated chunk header"), "got {err}");
+    }
 }

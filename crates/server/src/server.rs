@@ -16,7 +16,8 @@
 //! the same [`JsonLinesSink`] the CLI does, into a buffer the endpoint
 //! replays verbatim.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -120,9 +121,11 @@ extern "C" fn on_signal(_signum: i32) {
 }
 
 /// Installs SIGINT and SIGTERM handlers that request a graceful
-/// shutdown (observed by every running [`Server`] and by
-/// [`signal_shutdown_requested`]). Raw `signal(2)` FFI — the workspace
-/// is offline and std links libc anyway. No-op off Unix.
+/// shutdown (observed by every running [`Server`]'s [`Server::join`]
+/// poll and by [`signal_shutdown_requested`]). The handler only sets a
+/// flag: the accept loop's blocking `accept` restarts after a signal, so
+/// `join` is what wakes it. Raw `signal(2)` FFI — the workspace is
+/// offline and std links libc anyway. No-op off Unix.
 pub fn install_signal_handlers() {
     #[cfg(unix)]
     {
@@ -139,10 +142,15 @@ pub fn install_signal_handlers() {
     }
 }
 
+/// How often [`Server::join`] checks for a shutdown request and, once
+/// one arrived, connects to wake the accept loop; also the accept loop's
+/// back-off after an accept error it cannot retry at once.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
+
 /// A running sweep server. Dropping it without [`Server::join`] leaks
-/// the threads; the intended lifecycle is start → (work) →
-/// [`Server::shutdown`] (or a signal, or `POST /v1/shutdown`) →
-/// [`Server::join`].
+/// the threads (the accept thread stays blocked in `accept`); the
+/// intended lifecycle is start → (work) → [`Server::shutdown`] (or a
+/// signal, or `POST /v1/shutdown`) → [`Server::join`].
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
@@ -175,9 +183,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| LibraError::BadRequest(format!("cannot read bound address: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| LibraError::BadRequest(format!("cannot set nonblocking: {e}")))?;
         let store = match &config.cache {
             Some(path) => Some(SolveStore::open_shared(path)?),
             None => None,
@@ -235,8 +240,9 @@ impl Server {
     }
 
     /// Requests a graceful shutdown: stop accepting, fail queued jobs
-    /// fast, let running jobs finish, flush the store. Returns
-    /// immediately; [`Server::join`] waits for the drain.
+    /// fast, let running jobs finish, flush the store. Only sets a flag
+    /// and returns; [`Server::join`] notices it within ~10 ms, stops the
+    /// accept loop, and waits for the drain.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
@@ -246,9 +252,29 @@ impl Server {
     /// queued jobs fail fast, running jobs finish and record results,
     /// and the shared store takes a final observable flush.
     ///
+    /// The 10 ms shutdown poll lives here, off the request path: `join`
+    /// checks the flag every 10 ms, and once it is set connects to the
+    /// listener every 10 ms until the accept loop, blocked in `accept`,
+    /// has woken and exited. A wildcard bind (`0.0.0.0`, `[::]`) is
+    /// woken through the loopback address of its family.
+    ///
     /// # Errors
     /// Propagates the final store-flush failure.
     pub fn join(self) -> Result<(), LibraError> {
+        while !self.shared.shutting_down() {
+            std::thread::sleep(SHUTDOWN_POLL);
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        while !self.accept_handle.is_finished() {
+            let _ = TcpStream::connect_timeout(&wake, SHUTDOWN_POLL);
+            std::thread::sleep(SHUTDOWN_POLL);
+        }
         let _ = self.accept_handle.join();
         self.shared.table.close();
         for handle in self.worker_handles {
@@ -265,22 +291,33 @@ impl Server {
     }
 }
 
-/// Polling accept loop: nonblocking accepts with a short sleep, so a
-/// shutdown request is observed within ~10 ms without any extra
-/// machinery (no self-pipe, no poll(2) FFI).
+/// Blocking accept loop: each connection goes to its own handler thread
+/// the moment it arrives, so no request waits on a timer. The shutdown
+/// flag is checked after every accept; [`Server::join`] connects to the
+/// listener once the flag is set, so the blocked `accept` returns and the
+/// loop exits (a signal alone cannot wake it: `accept` restarts after
+/// one).
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for conn in listener.incoming() {
+        match conn {
+            Ok(stream) => {
                 let shared = Arc::clone(shared);
                 let _ = std::thread::Builder::new()
                     .name("http-handler".to_string())
                     .spawn(move || handle_connection(stream, &shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+            Err(e) => {
+                // After a signal, or a peer that reset before it was
+                // accepted, the next accept can succeed at once. Anything
+                // else (e.g. out of file descriptors) would fail again at
+                // once: back off rather than spin a core.
+                if !matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) {
+                    std::thread::sleep(SHUTDOWN_POLL);
+                }
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+        if shared.shutting_down() {
+            break;
         }
     }
 }

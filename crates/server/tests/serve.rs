@@ -352,6 +352,50 @@ fn shutdown_flushes_the_store_for_warm_restarts() {
     let _ = std::fs::remove_file(&cache);
 }
 
+/// Starts a server on the unspecified address, serves one job through
+/// `127.0.0.1`, requests a shutdown with `trigger`, and checks that
+/// `join` wakes the blocked accept loop: it returns within 5 s (run on a
+/// helper thread, so a lost wake fails the test instead of hanging the
+/// suite) and the port refuses connections afterwards.
+fn shut_down_wildcard_server(trigger: impl FnOnce(&Server, &ServiceClient)) {
+    let server = Server::start(
+        ServerConfig { addr: "0.0.0.0:0".to_string(), workers: 1, ..ServerConfig::default() },
+        BackendRegistry::new(),
+        resolver(),
+    )
+    .expect("server start");
+    assert!(server.addr().ip().is_unspecified(), "bound to {}", server.addr());
+    let port = server.addr().port();
+    let client = ServiceClient::new(&format!("http://127.0.0.1:{port}")).unwrap();
+    let (job, _) = client.submit(scenario().to_json().as_bytes()).unwrap();
+    client.wait(&job, POLL, None).unwrap();
+    assert_eq!(client.records(&job).unwrap(), direct_run_bytes(&scenario()));
+
+    trigger(&server, &client);
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.join()));
+    joined
+        .recv_timeout(Duration::from_secs(5))
+        .expect("join must return within 5 s of the shutdown request")
+        .unwrap();
+    assert!(
+        std::net::TcpStream::connect(("127.0.0.1", port)).is_err(),
+        "port {port} still accepts connections after join"
+    );
+}
+
+#[test]
+fn wildcard_bound_server_shuts_down_on_request() {
+    shut_down_wildcard_server(|server, _| server.shutdown());
+}
+
+#[test]
+fn wildcard_bound_server_shuts_down_on_the_shutdown_endpoint() {
+    shut_down_wildcard_server(|_, client| {
+        assert_eq!(client.post("/v1/shutdown", b"").unwrap().status, 200);
+    });
+}
+
 /// A panicking worker (here an injected `server.worker.panic` on job
 /// ordinal 0) fails only its own job: the worker thread survives, the
 /// next job completes with byte-identical records, and `/v1/stats`
