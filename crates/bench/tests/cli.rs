@@ -665,6 +665,28 @@ fn search_streams_a_reparseable_run_and_replays_serially() {
     assert_eq!(stream, std::fs::read_to_string(&jsonl_serial).unwrap(), "parallel ≡ serial bytes");
 }
 
+/// `"refine_radius": 1e20` parses to `usize::MAX`; refining around a
+/// front member saturates at the axis end instead of overflowing (a
+/// debug-build panic, a wrong-side refinement in release), so it streams
+/// what the largest useful radius, the axis length minus one, streams.
+#[test]
+fn huge_refine_radius_streams_what_the_axis_wide_radius_streams() {
+    let scenario = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/search_small.json");
+    let text = std::fs::read_to_string(scenario).unwrap();
+    let stream = |radius: &str| {
+        let edited =
+            text.replacen("\"refine_radius\": 1", &format!("\"refine_radius\": {radius}"), 1);
+        assert_ne!(edited, text, "the radius was edited in");
+        let path = tmp(&format!("search_small_radius_{radius}.json"));
+        std::fs::write(&path, edited).unwrap();
+        let out = libra(&["search", path.to_str().unwrap(), "--jsonl", "-", "--quiet"]);
+        assert!(out.status.success(), "{radius}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    // search_small's budget axis has 25 entries.
+    assert_eq!(stream("1e20"), stream("24"));
+}
+
 #[test]
 fn search_requires_a_search_block_and_rejects_range() {
     let scenario = ci_small();

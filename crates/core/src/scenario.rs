@@ -484,10 +484,12 @@ impl Scenario {
     /// scenario may declare (2²² ≈ 4.2M points). Every grid point costs
     /// a solver run plus a report record, so anything past this bound is
     /// a mis-written scenario (or a hostile request to a sweep server),
-    /// not a workload this exhaustive engine could finish — the adaptive
-    /// search driver on the roadmap is the answer to genuinely huge
-    /// spaces. Enforced by [`ScenarioBuilder::build`], hence everywhere
-    /// scenarios enter (files, the CLI, `POST /v1/sweeps`).
+    /// not a workload this exhaustive engine could finish. Enforced by
+    /// [`ScenarioBuilder::build`], hence everywhere scenarios enter
+    /// (files, the CLI, `POST /v1/sweeps`), except for scenarios with a
+    /// `"search"` block: the adaptive driver ([`crate::search`]) never
+    /// materializes the nominal grid, so their grids may exceed it. A
+    /// budgets ladder's `"count"` is bounded by it in every scenario.
     pub const MAX_GRID_POINTS: usize = 1 << 22;
 
     /// Starts building a scenario named `name`.
@@ -704,6 +706,15 @@ impl Scenario {
                 if count < 2.0 || count.fract() != 0.0 {
                     return Err(bad(format!(
                         "budgets ladder field \"count\" must be an integer >= 2, got {count}"
+                    )));
+                }
+                // Bounded before expanding: a few bytes of JSON must not
+                // ask for terabytes (a failed allocation aborts).
+                if count > Scenario::MAX_GRID_POINTS as f64 {
+                    return Err(bad(format!(
+                        "budgets ladder field \"count\" must be at most {} \
+                         (Scenario::MAX_GRID_POINTS), got {count}",
+                        Scenario::MAX_GRID_POINTS
                     )));
                 }
                 let count = count as usize;
@@ -2456,6 +2467,30 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("\"scale\""), "{err}");
+    }
+
+    /// A ladder's `"count"` is bounded before it is expanded: `1e12`
+    /// once asked for an 8 TB allocation, whose failure aborts.
+    #[test]
+    fn budgets_ladder_count_is_bounded_before_expansion() {
+        let text = |count: &str| {
+            format!(
+                "{{\"name\": \"l\", \"shapes\": [\"RI(4)_SW(8)\"], \
+                 \"budgets\": {{\"from\": 100, \"to\": 1000, \"count\": {count}}}, \
+                 \"objectives\": [\"perf\"], \"workloads\": [\"w\"], \"backends\": [], \
+                 \"search\": {{}}}}"
+            )
+        };
+        let over = Scenario::MAX_GRID_POINTS + 1;
+        for count in ["1e12".to_string(), over.to_string()] {
+            let err = Scenario::from_json(&text(&count)).unwrap_err().to_string();
+            assert!(
+                err.contains("budgets ladder field \"count\" must be at most 4194304"),
+                "{err}"
+            );
+        }
+        let at_cap = Scenario::from_json(&text(&Scenario::MAX_GRID_POINTS.to_string())).unwrap();
+        assert_eq!(at_cap.budgets.len(), Scenario::MAX_GRID_POINTS);
     }
 
     /// Grids above the exhaustive point cap are rejected without a

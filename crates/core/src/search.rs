@@ -38,13 +38,13 @@
 //!   member, never a prune witness — and its budget intervals stay
 //!   live, so chaos never *removes* refinement work.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::LibraError;
 use crate::scenario::{
     DivergenceMatrix, RecordRow, ReportSink, RunMeta, Scenario, Session, SessionReport,
 };
-use crate::sweep::{SweepError, SweepGrid, SweepReport, SweepResult, SweepWorkload};
+use crate::sweep::{GridPoint, SweepError, SweepGrid, SweepReport, SweepResult, SweepWorkload};
 
 /// Knobs of one adaptive search, embedded in a scenario's `"search"`
 /// block (all fields optional in JSON; defaults below).
@@ -260,10 +260,6 @@ fn run_inner<W: SweepWorkload>(
             "search grid is empty (every axis needs at least one entry)".into(),
         ));
     }
-    // Budget values are grid-deduplicated, so bit-pattern lookup is
-    // unambiguous: nominal budget index of an evaluated point.
-    let budget_index: HashMap<u64, usize> =
-        grid.budgets().iter().enumerate().map(|(i, &b)| (b.to_bits(), i)).collect();
 
     let meta = RunMeta { scenario, backends: &[], n_points: nominal, tolerance };
     for sink in sinks.iter_mut() {
@@ -285,8 +281,7 @@ fn run_inner<W: SweepWorkload>(
         if next.is_empty() {
             break;
         }
-        let new_evals =
-            run_round(session, grid, workloads, &axes, &budget_index, &next, sinks, &mut outcomes)?;
+        let new_evals = run_round(session, grid, workloads, &axes, &next, sinks, &mut outcomes)?;
         evals += new_evals;
         evaluated.extend(next.iter().copied());
         let front_size = front_of(&outcomes).len();
@@ -348,49 +343,50 @@ fn seed_indices(n_bud: usize, k: usize) -> Vec<usize> {
 /// seed as its exhaustive twin — this is what makes the adaptive front
 /// bit-identical to the exhaustive one. Anchor duplicates are neither
 /// re-emitted nor re-counted.
-#[allow(clippy::too_many_arguments)] // private fan-in below the two public entry points
 fn run_round<W: SweepWorkload>(
     session: &Session<'_>,
     grid: &SweepGrid,
     workloads: &[W],
     axes: &Axes,
-    budget_index: &HashMap<u64, usize>,
     indices: &[usize],
     sinks: &mut [&mut dyn ReportSink],
     outcomes: &mut BTreeMap<usize, Result<SweepResult, SweepError>>,
 ) -> Result<usize, LibraError> {
     let prepend_anchor = !indices.contains(&0);
-    let mut budgets: Vec<f64> = Vec::with_capacity(indices.len() + 1);
-    if prepend_anchor {
-        budgets.push(grid.budgets()[0]);
-    }
-    budgets.extend(indices.iter().map(|&i| grid.budgets()[i]));
+    // The round's nominal budget indices, anchor first, and the lookup
+    // back from a priced cell to its nominal index, by its budget's bits
+    // (grid budgets are deduplicated, so the bits are unambiguous).
+    let nominal_budgets: Vec<usize> =
+        prepend_anchor.then_some(0).into_iter().chain(indices.iter().copied()).collect();
+    let mut by_bits: Vec<(u64, usize)> =
+        nominal_budgets.iter().map(|&i| (grid.budgets()[i].to_bits(), i)).collect();
+    by_bits.sort_unstable();
+    let nominal_of = |p: &GridPoint| {
+        let at = by_bits.binary_search_by_key(&p.budget.to_bits(), |&(bits, _)| bits);
+        let bud = by_bits[at.expect("a priced budget is one of the round's budgets")].1;
+        axes.nominal_index(p.shape, p.workload, bud, obj_index(grid, p.objective))
+    };
     let sub = SweepGrid::new()
         .with_shapes(grid.shapes().iter().cloned())
-        .with_budgets(budgets)
+        .with_budgets(nominal_budgets.iter().map(|&i| grid.budgets()[i]))
         .with_objectives(grid.objectives().iter().copied());
     // Subgrid enumeration index → nominal index (None = anchor
     // duplicate, already evaluated and emitted in an earlier round).
     let skip = usize::from(prepend_anchor);
-    let n_sub_bud = indices.len() + skip;
     let mut map: Vec<Option<usize>> = Vec::with_capacity(sub.len(workloads.len()));
     for shape in 0..grid.shapes().len() {
         for wl in 0..axes.n_wl {
-            for sb in 0..n_sub_bud {
+            for (sb, &bud) in nominal_budgets.iter().enumerate() {
                 for obj in 0..axes.n_obj {
-                    map.push(if sb < skip {
-                        None
-                    } else {
-                        Some(axes.nominal_index(shape, wl, indices[sb - skip], obj))
-                    });
+                    map.push((sb >= skip).then(|| axes.nominal_index(shape, wl, bud, obj)));
                 }
             }
         }
     }
     let mut forward = RoundForward { map: &map, sinks };
     let sub_len = sub.len(workloads.len());
-    let round_report =
-        session.run_range_with_sinks(&sub, workloads, &[], 0..sub_len, &mut [&mut forward])?;
+    let round =
+        session.run_range_with_sinks(&sub, workloads, &[], 0..sub_len, &mut [&mut forward])?.sweep;
     let mut new_evals = 0usize;
     let mut merge = |nominal: usize, outcome: Result<SweepResult, SweepError>| {
         if let std::collections::btree_map::Entry::Vacant(slot) = outcomes.entry(nominal) {
@@ -398,29 +394,11 @@ fn run_round<W: SweepWorkload>(
             new_evals += 1;
         }
     };
-    for r in round_report.sweep.results {
-        let bud = budget_index[&r.point.budget.to_bits()];
-        merge(
-            axes.nominal_index(
-                r.point.shape,
-                r.point.workload,
-                bud,
-                obj_index(grid, r.point.objective),
-            ),
-            Ok(r),
-        );
+    for r in round.results {
+        merge(nominal_of(&r.point), Ok(r));
     }
-    for e in round_report.sweep.errors {
-        let bud = budget_index[&e.point.budget.to_bits()];
-        merge(
-            axes.nominal_index(
-                e.point.shape,
-                e.point.workload,
-                bud,
-                obj_index(grid, e.point.objective),
-            ),
-            Err(e),
-        );
+    for e in round.errors {
+        merge(nominal_of(&e.point), Err(e));
     }
     Ok(new_evals)
 }
@@ -480,7 +458,7 @@ fn candidates(
     for (nominal, _) in front_of(outcomes) {
         let at = axes.budget_index_of(nominal);
         let lo = at.saturating_sub(radius);
-        let hi = (at + radius).min(axes.n_bud - 1);
+        let hi = at.saturating_add(radius).min(axes.n_bud - 1);
         for j in lo..=hi {
             if !evaluated.contains(&j) {
                 picked.insert(j);
@@ -689,6 +667,51 @@ mod tests {
         indices.dedup();
         assert_eq!(indices.len(), rows.len(), "no cell is emitted twice");
         assert!(*indices.last().unwrap() < grid.len(wls.len()));
+    }
+
+    /// Each round maps its priced cells back to nominal indices through
+    /// its own budgets: on a shuffled axis whose input repeats values,
+    /// every streamed row carries the budget its nominal index names, and
+    /// the report's cells come in nominal-index order.
+    #[test]
+    fn shuffled_repeating_budget_axis_maps_back_to_nominal_indices() {
+        // 17 distinct budgets in a scrambled order (7 is a unit mod 17),
+        // then every third one again.
+        let distinct: Vec<f64> = (0..17).map(|i| 100.0 + 40.0 * ((i * 7) % 17) as f64).collect();
+        let input: Vec<f64> = distinct.iter().chain(distinct.iter().step_by(3)).copied().collect();
+        let grid = SweepGrid::new()
+            .with_shape("RI(4)_SW(8)".parse().unwrap())
+            .with_shape("RI(8)".parse().unwrap())
+            .with_budgets(input)
+            .with_objectives([Objective::Perf, Objective::PerfPerCost]);
+        assert_eq!(grid.budgets(), &distinct[..]);
+        let wls = [allreduce_workload("a", 1.0), allreduce_workload("b", 4.0)];
+        let config = SearchConfig { seed_budgets: 4, ..SearchConfig::default() };
+        let (report, jsonl) = run_search(true, ExecMode::Parallel, &grid, &wls, &config);
+        let (n_bud, n_obj) = (grid.budgets().len(), grid.objectives().len());
+        let rows = records_from_jsonl(&jsonl).expect("stream parses");
+        assert_eq!(rows.len(), report.evals);
+        for row in &rows {
+            assert_eq!(
+                row.budget,
+                grid.budgets()[(row.index / n_obj) % n_bud],
+                "row {}",
+                row.index
+            );
+        }
+        let axes = Axes { n_wl: wls.len(), n_bud, n_obj };
+        let nominal: Vec<usize> = report
+            .sweep
+            .results
+            .iter()
+            .map(|r| {
+                let bud = grid.budgets().iter().position(|&b| b == r.point.budget).unwrap();
+                let obj = obj_index(&grid, r.point.objective);
+                axes.nominal_index(r.point.shape, r.point.workload, bud, obj)
+            })
+            .collect();
+        assert_eq!(nominal.len(), report.evals, "a healthy run has no errors");
+        assert!(nominal.windows(2).all(|w| w[0] < w[1]), "results in nominal order: {nominal:?}");
     }
 
     /// `max_evals` is a hard deterministic cap: the search stops under

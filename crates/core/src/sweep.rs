@@ -252,20 +252,32 @@ impl SweepGrid {
     }
 
     /// Adds total-bandwidth budgets in GB/s (duplicates and non-finite or
-    /// non-positive values ignored). Dedup is by bit pattern behind a
-    /// set, not a linear scan — adaptive-search scenarios legally carry
-    /// budget axes with millions of entries, where `Vec::contains` per
-    /// insert would be quadratic. (Bit equality matches `==` here: the
-    /// kept values are finite, positive, and non-zero.)
+    /// non-positive values ignored), keeping each value's first
+    /// occurrence in insertion order.
+    ///
+    /// Dedup sorts the budget positions by `(bit pattern, position)` and
+    /// keeps the first position of each run of equal bits, rather than
+    /// hashing every budget. Adaptive-search scenarios legally carry
+    /// budget axes with millions of entries: a hash set there costs a
+    /// hash per entry and several times the axis in memory, while
+    /// `sort_unstable` is linear on the monotone axes ladders produce
+    /// (O(n log n) at worst) and needs one position per entry. (Bit
+    /// equality matches `==` here: the kept values are finite, positive,
+    /// and non-zero.)
     #[must_use]
     pub fn with_budgets(mut self, budgets: impl IntoIterator<Item = f64>) -> Self {
-        let mut seen: std::collections::HashSet<u64> =
-            self.budgets.iter().map(|b| b.to_bits()).collect();
-        for b in budgets {
-            if b.is_finite() && b > 0.0 && seen.insert(b.to_bits()) {
-                self.budgets.push(b);
-            }
+        let budgets = budgets.into_iter();
+        self.budgets.reserve(budgets.size_hint().0);
+        self.budgets.extend(budgets.filter(|b| b.is_finite() && *b > 0.0));
+        let bits = |p: usize| self.budgets[p].to_bits();
+        let mut order: Vec<usize> = (0..self.budgets.len()).collect();
+        order.sort_unstable_by_key(|&p| (bits(p), p));
+        let mut first = vec![false; order.len()];
+        for run in order.chunk_by(|&a, &b| bits(a) == bits(b)) {
+            first[run[0]] = true;
         }
+        let mut first = first.into_iter();
+        self.budgets.retain(|_| first.next() == Some(true));
         self
     }
 

@@ -1,6 +1,6 @@
 //! Property tests for the sweep grid and the shape notation it enumerates:
 //! parse/display round-trips, duplicate-free enumeration, deterministic
-//! order.
+//! order, first-occurrence budget dedup.
 
 use std::collections::HashSet;
 
@@ -34,6 +34,38 @@ fn arb_objectives() -> impl Strategy<Value = Vec<Objective>> {
         Just(vec![Objective::Perf, Objective::PerfPerCost]),
         Just(vec![Objective::PerfPerCost, Objective::Perf]),
     ]
+}
+
+/// Budget inputs drawn from a small pool, so duplicates are common, with
+/// the values `with_budgets` must drop (NaN, ±∞, ±0, negatives) mixed in.
+fn arb_budget() -> impl Strategy<Value = f64> {
+    const POOL: [f64; 12] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -100.0,
+        5e-324,
+        100.0,
+        250.5,
+        400.0,
+        1e300,
+        f64::MAX,
+    ];
+    (0..POOL.len()).prop_map(|i| POOL[i])
+}
+
+/// The dedup oracle: each finite, positive value's first occurrence, in
+/// input order, found by a linear scan.
+fn first_occurrences(budgets: &[f64]) -> Vec<f64> {
+    let mut kept: Vec<f64> = Vec::new();
+    for &b in budgets {
+        if b.is_finite() && b > 0.0 && !kept.contains(&b) {
+            kept.push(b);
+        }
+    }
+    kept
 }
 
 /// A hashable identity for a grid point (budgets compared bit-exactly).
@@ -118,6 +150,24 @@ proptest! {
             .with_budgets(budgets)
             .with_objectives(objectives);
         prop_assert_eq!(base.points(2), doubled.points(2));
+    }
+
+    /// `with_budgets` keeps exactly each valid value's first occurrence,
+    /// in input order, whether the list arrives in one call or two.
+    #[test]
+    fn budget_dedup_keeps_first_occurrences_in_order(
+        budgets in prop::collection::vec(arb_budget(), 0..=40),
+        split in 0usize..=40,
+        two_calls in prop::bool::ANY,
+    ) {
+        let split = if two_calls { split.min(budgets.len()) } else { budgets.len() };
+        let (head, tail) = budgets.split_at(split);
+        let mut grid = SweepGrid::new().with_budgets(head.iter().copied());
+        if two_calls {
+            grid = grid.with_budgets(tail.iter().copied());
+        }
+        let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(grid.budgets()), bits(&first_occurrences(&budgets)), "{:?}", budgets);
     }
 }
 

@@ -233,6 +233,29 @@ fn deeply_nested_bodies_are_rejected_and_the_server_keeps_serving() {
     server.join().unwrap();
 }
 
+/// A ~300-byte body whose budgets ladder asks for 10¹² entries is a
+/// 400, not an 8 TB allocation whose failure aborts the server.
+#[test]
+fn huge_budget_ladders_are_rejected_and_the_server_keeps_serving() {
+    let (server, client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let scenario = scenario();
+    let ladder = "\"budgets\": {\"from\": 100, \"to\": 1000, \"count\": 1e12}";
+    let body = scenario.to_json().replacen("\"budgets\": [100, 400]", ladder, 1);
+    assert!(body.contains(ladder), "the ladder replaced the budget list: {body}");
+    let response = client.post("/v1/sweeps", body.as_bytes()).unwrap();
+    assert_eq!(response.status, 400);
+    let text = String::from_utf8(response.body).unwrap();
+    assert!(text.contains("budgets ladder field \\\"count\\\" must be at most"), "{text}");
+
+    assert_eq!(client.get("/v1/stats").unwrap().status, 200);
+    let (job, _) = client.submit(scenario.to_json().as_bytes()).unwrap();
+    assert_eq!(client.wait(&job, POLL, None).unwrap().exit_code(), 0);
+    assert_eq!(client.records(&job).unwrap(), direct_run_bytes(&scenario));
+
+    server.shutdown();
+    server.join().unwrap();
+}
+
 #[test]
 fn queue_is_bounded_and_states_are_observable() {
     // workers: 0 is the test seam: jobs queue forever, so queued-state
