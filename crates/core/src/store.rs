@@ -563,19 +563,7 @@ mod tests {
             0,
             true,
         );
-        assert_eq!(
-            f,
-            Fingerprint::compute(
-                &["RI(4)_SW(8)".into()],
-                &[100.0, 300.0],
-                &["perf"],
-                &["w".into()],
-                None,
-                0,
-                true,
-            )
-        );
-        assert_eq!(format!("{f}").len(), 16);
+        assert_eq!(format!("{f}"), "76974a25c087e289");
         assert_eq!(Fingerprint::from_hex(&format!("{f}")), Some(f));
         assert_eq!(Fingerprint::KEY_HASH_VERSION, "fnv1a64/v1");
         // Every hashed field is load-bearing.
