@@ -19,7 +19,8 @@
 //!    ([`opt::Objective::PerfPerCost`]) under designer
 //!    [`opt::Constraint`]s, using the convex interior-point solver from
 //!    `libra-solver` in place of the paper's Gurobi.
-//! 5. [`sweep::SweepEngine`] scales step 4 into a full design-space
+//! 5. [`sweep::SweepEngine`], owned and configured by a
+//!    [`scenario::Session`], scales step 4 into a full design-space
 //!    exploration: a deterministic shape × workload × budget × objective
 //!    grid evaluated in parallel, memoized, and ranked into a
 //!    perf-vs-cost Pareto front.
@@ -31,7 +32,7 @@
 //!    per-point relative errors in a [`scenario::DivergenceMatrix`].
 //! 7. [`scenario::Scenario`] makes the whole problem description **data**:
 //!    a JSON-serializable scenario (grid, workload names, backend names
-//!    from a [`scenario::BackendRegistry`], link parameters, policies)
+//!    from a [`scenario::BackendRegistry`], link parameters, tolerance)
 //!    executed by [`scenario::Session::run_scenario`], with per-point
 //!    records streamed to [`scenario::ReportSink`]s.
 //!

@@ -10,8 +10,8 @@
 //!
 //! * [`Scenario`] (built by [`ScenarioBuilder`]) is the declarative
 //!   description: shapes × budgets × objectives, workload names, optional
-//!   α-β link parameters, backend names, chunking, tolerance, and
-//!   warm-start policy. Scenarios are **data**: they round-trip through a
+//!   α-β link parameters, backend names, chunking, and tolerance.
+//!   Scenarios are **data**: they round-trip through a
 //!   hand-rolled JSON file format ([`Scenario::to_json`] /
 //!   [`Scenario::from_json`]), which is what makes grids shardable across
 //!   processes.
@@ -466,9 +466,6 @@ pub struct Scenario {
     pub chunks: usize,
     /// Pairwise relative-error tolerance for the divergence verdicts.
     pub tolerance: f64,
-    /// Warm-start design solves along the budget axis
-    /// (see [`SweepEngine::with_warm_start`]).
-    pub warm_start: bool,
     /// Optional adaptive-search block (see [`crate::search`]). When
     /// present the scenario runs through the Pareto-guided driver, and
     /// grids above [`Scenario::MAX_GRID_POINTS`] become legal — search
@@ -505,7 +502,6 @@ impl Scenario {
                 backends: Vec::new(),
                 chunks: 64,
                 tolerance: DEFAULT_TOLERANCE,
-                warm_start: true,
                 search: None,
             },
         }
@@ -519,12 +515,10 @@ impl Scenario {
             .with_objectives(self.objectives.iter().copied())
     }
 
-    /// A [`Session`] configured the way the scenario asks (warm-start
-    /// policy on the engine, scenario tolerance). Pair with
+    /// A [`Session`] at the scenario's tolerance. Pair with
     /// [`Session::run_scenario`].
     pub fn session<'a>(&self, cost_model: &'a CostModel) -> Session<'a> {
-        Session::from_engine(SweepEngine::new(cost_model).with_warm_start(self.warm_start))
-            .with_tolerance(self.tolerance)
+        Session::new(cost_model).with_tolerance(self.tolerance)
     }
 
     /// Instantiates the scenario's backends through `registry` (in
@@ -580,8 +574,7 @@ impl Scenario {
         }
         field(&mut o, "backends", str_arr(&self.backends), false);
         field(&mut o, "chunks", self.chunks.to_string(), false);
-        field(&mut o, "tolerance", json_f64(self.tolerance), false);
-        field(&mut o, "warm_start", self.warm_start.to_string(), self.search.is_none());
+        field(&mut o, "tolerance", json_f64(self.tolerance), self.search.is_none());
         if let Some(search) = &self.search {
             let mut s = String::from("{");
             s.push_str(&format!("\"seed_budgets\": {}", search.seed_budgets));
@@ -792,10 +785,12 @@ impl Scenario {
             }
             b = b.with_tolerance(t);
         }
-        if let Some(v) = root.get("warm_start") {
-            let w =
-                v.as_bool().ok_or_else(|| bad("field \"warm_start\" must be a boolean".into()))?;
-            b = b.with_warm_start(w);
+        // Warm-started solves are the only policy; scenario files may
+        // still say so.
+        if root.get("warm_start").is_some_and(|v| v.as_bool() != Some(true)) {
+            return Err(bad("field \"warm_start\" must be true: warm-started solves are \
+                            the only policy"
+                .into()));
         }
         match root.get("search") {
             None | Some(Json::Null) => {}
@@ -991,13 +986,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.scenario.tolerance = tolerance;
-        self
-    }
-
-    /// Enables or disables warm-started design solves.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.scenario.warm_start = warm_start;
         self
     }
 
@@ -1583,15 +1571,14 @@ pub fn records_from_jsonl(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
 }
 
 /// The persistent-store fingerprint of one run configuration: the grid's
-/// shapes/budgets/objectives, the workload names, link parameters and
-/// chunk count (zero/none for plain non-scenario runs), and the engine's
-/// warm-start policy. See [`Fingerprint::compute`] for the hash.
+/// shapes/budgets/objectives, the workload names, and the link parameters
+/// and chunk count (zero/none for plain non-scenario runs). See
+/// [`Fingerprint::compute`] for the hash.
 pub(crate) fn run_fingerprint<W: SweepWorkload>(
     grid: &SweepGrid,
     workloads: &[W],
     link: Option<LinkParams>,
     chunks: usize,
-    warm_start: bool,
 ) -> Fingerprint {
     let shapes: Vec<String> = grid.shapes().iter().map(|s| s.to_string()).collect();
     let objectives: Vec<&str> = grid.objectives().iter().map(|&o| objective_name(o)).collect();
@@ -1603,7 +1590,6 @@ pub(crate) fn run_fingerprint<W: SweepWorkload>(
         &names,
         link.map(|l| (l.alpha_ps, l.switch_ps)),
         chunks,
-        warm_start,
     )
 }
 
@@ -1863,50 +1849,27 @@ impl<F: FnMut(usize, usize)> ReportSink for ProgressSink<F> {
 // Session: the executor.
 // ---------------------------------------------------------------------------
 
-/// Owned-or-borrowed engine handle, so `Session` can either stand alone
-/// or front an existing engine's memo cache.
-#[allow(clippy::large_enum_variant)] // one handle per session; boxing buys nothing
-enum EngineHandle<'a> {
-    Owned(SweepEngine<'a>),
-    Borrowed(&'a SweepEngine<'a>),
-}
-
 /// The scenario executor: one front door for plain, two-way, three-way —
-/// any-`N`-way — sweeps.
+/// any-`N`-way — sweeps, and the one place a run is configured.
 ///
-/// A session wraps a [`SweepEngine`] (owned via [`Session::new`] /
-/// [`Session::from_engine`], or borrowed via [`Session::over`] to reuse
-/// a warm memo cache), a pairwise divergence tolerance, and an execution
-/// mode. [`Session::run`] prices every grid point under each backend in
-/// the slice within one rayon fan-out; [`Session::run_with_sinks`]
-/// additionally streams per-point [`RecordRow`]s to [`ReportSink`]s.
+/// A session owns its [`SweepEngine`] (whose memo cache its runs share)
+/// and carries the run's four settings: a pairwise divergence tolerance,
+/// an execution mode, an optional persistent store, and an optional
+/// fault plan. [`Session::run`] prices every grid point under each
+/// backend in the slice within one rayon fan-out;
+/// [`Session::run_with_sinks`] additionally streams per-point
+/// [`RecordRow`]s to [`ReportSink`]s.
 pub struct Session<'a> {
-    engine: EngineHandle<'a>,
+    engine: SweepEngine<'a>,
     tolerance: f64,
     mode: ExecMode,
 }
 
 impl<'a> Session<'a> {
-    /// A session over a fresh default engine pricing with `cost_model`.
+    /// A session over a fresh engine pricing with `cost_model`.
     pub fn new(cost_model: &'a CostModel) -> Self {
-        Session::from_engine(SweepEngine::new(cost_model))
-    }
-
-    /// A session taking ownership of a pre-configured engine (constraints,
-    /// warm-start policy).
-    pub fn from_engine(engine: SweepEngine<'a>) -> Self {
         Session {
-            engine: EngineHandle::Owned(engine),
-            tolerance: DEFAULT_TOLERANCE,
-            mode: ExecMode::Parallel,
-        }
-    }
-
-    /// A session borrowing an existing engine — runs share (and warm) that
-    /// engine's memo cache.
-    pub fn over(engine: &'a SweepEngine<'a>) -> Self {
-        Session {
-            engine: EngineHandle::Borrowed(engine),
+            engine: SweepEngine::new(cost_model),
             tolerance: DEFAULT_TOLERANCE,
             mode: ExecMode::Parallel,
         }
@@ -1933,76 +1896,46 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Attaches the persistent solve cache at `path` to this session's
-    /// **owned** engine (see [`SweepEngine::with_store`]): stored solves
-    /// preload before each run, fresh solves append after it, and the
-    /// streamed output stays byte-identical with or without the store.
+    /// Attaches the persistent solve cache at `path`
+    /// ([`crate::store::SolveStore`]): existing records load now, every
+    /// run preloads matching points into the memo cache before solving,
+    /// and freshly solved points are appended after each run (and on
+    /// drop). The streamed output stays **byte-identical** with or
+    /// without the store — stored designs round-trip bit-exactly, and
+    /// warm-start seeds are republished from preloaded anchor designs
+    /// exactly as an uninterrupted run would publish them.
     ///
     /// # Errors
-    /// Propagates store-open failures; rejects sessions over a borrowed
-    /// engine ([`Session::over`]) — attach the store to that engine
-    /// instead.
-    pub fn with_store(mut self, path: impl AsRef<std::path::Path>) -> Result<Self, LibraError> {
-        match self.engine {
-            EngineHandle::Owned(engine) => {
-                self.engine = EngineHandle::Owned(engine.with_store(path)?);
-                Ok(self)
-            }
-            EngineHandle::Borrowed(_) => Err(LibraError::BadRequest(
-                "cannot attach a persistent store to a session over a borrowed engine; \
-                 attach it with SweepEngine::with_store before Session::over"
-                    .to_string(),
-            )),
-        }
+    /// Propagates [`crate::store::SolveStore::open`] failures (unreadable
+    /// file, incompatible schema or key-hash version).
+    pub fn with_store(self, path: impl AsRef<std::path::Path>) -> Result<Self, LibraError> {
+        Ok(self.with_shared_store(crate::store::SolveStore::open_shared(path)?))
     }
 
     /// Attaches an already-open shared store
-    /// ([`crate::store::SolveStore::open_shared`]) to this session's
-    /// **owned** engine — the multi-client path: a server opens the
-    /// cache once and every job's fresh session attaches here, so
-    /// concurrent clients hit each other's solves in memory (see
-    /// [`SweepEngine::with_shared_store`]).
-    ///
-    /// # Errors
-    /// Rejects sessions over a borrowed engine ([`Session::over`]) —
-    /// attach the store to that engine instead.
-    pub fn with_shared_store(
-        mut self,
-        store: crate::store::SharedSolveStore,
-    ) -> Result<Self, LibraError> {
-        match self.engine {
-            EngineHandle::Owned(engine) => {
-                self.engine = EngineHandle::Owned(engine.with_shared_store(store));
-                Ok(self)
-            }
-            EngineHandle::Borrowed(_) => Err(LibraError::BadRequest(
-                "cannot attach a persistent store to a session over a borrowed engine; \
-                 attach it with SweepEngine::with_shared_store before Session::over"
-                    .to_string(),
-            )),
-        }
+    /// ([`crate::store::SolveStore::open_shared`]) instead of opening a
+    /// file — the multi-client path: a server opens the cache once and
+    /// every job's fresh session attaches here, so concurrent clients
+    /// hit each other's solves in memory, while flushes still append to
+    /// the backing file for the next process. Byte-identity guarantees
+    /// are exactly [`Session::with_store`]'s.
+    #[must_use]
+    pub fn with_shared_store(mut self, store: crate::store::SharedSolveStore) -> Self {
+        self.engine.store = Some(store);
+        self
     }
 
-    /// Arms deterministic fault injection ([`crate::fault`]) on this
-    /// session's **owned** engine — how a host holding a parsed plan
-    /// (the sweep server foremost) threads it into per-job sessions
-    /// without touching the process environment.
+    /// Arms deterministic fault injection ([`crate::fault`]): per-point
+    /// injected errors, panics, and slow solves. Production runs arm it
+    /// through the `LIBRA_FAULT_PLAN` environment variable; this is the
+    /// seam for a host holding a parsed plan (the sweep server foremost).
     ///
     /// # Errors
-    /// Rejects sessions over a borrowed engine ([`Session::over`]) —
-    /// arm the injector with [`SweepEngine::with_fault`] instead.
+    /// Never fails today; the `Result` is kept for callers that chain it
+    /// with `?`.
     pub fn with_fault(mut self, injector: crate::fault::FaultInjector) -> Result<Self, LibraError> {
-        match self.engine {
-            EngineHandle::Owned(engine) => {
-                self.engine = EngineHandle::Owned(engine.with_fault(injector));
-                Ok(self)
-            }
-            EngineHandle::Borrowed(_) => Err(LibraError::BadRequest(
-                "cannot arm fault injection on a session over a borrowed engine; \
-                 arm it with SweepEngine::with_fault before Session::over"
-                    .to_string(),
-            )),
-        }
+        self.engine.fault = Some(injector);
+        Ok(self)
     }
 
     /// The configured tolerance.
@@ -2010,12 +1943,11 @@ impl<'a> Session<'a> {
         self.tolerance
     }
 
-    /// The underlying engine (e.g. for [`SweepEngine::cache_stats`]).
+    /// The session's engine, for its counters
+    /// ([`SweepEngine::cache_stats`], [`SweepEngine::store_stats`]) and
+    /// [`SweepEngine::flush_store`].
     pub fn engine(&self) -> &SweepEngine<'a> {
-        match &self.engine {
-            EngineHandle::Owned(e) => e,
-            EngineHandle::Borrowed(e) => e,
-        }
+        &self.engine
     }
 
     /// Evaluates the grid, pricing every point's [`crate::eval::CommPlan`]
@@ -2078,9 +2010,7 @@ impl<'a> Session<'a> {
     ///
     /// The run is judged at **the scenario's tolerance** (overriding the
     /// session's), so a scenario file's verdicts do not depend on which
-    /// session executes it. The scenario's `warm_start` policy is an
-    /// engine-construction knob: [`Scenario::session`] applies it, while
-    /// a session over a pre-built engine keeps that engine's policy.
+    /// session executes it.
     ///
     /// # Errors
     /// Propagates unknown-backend-name errors.
@@ -2157,14 +2087,14 @@ impl<'a> Session<'a> {
     ) -> SessionReport {
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
         let pair_indices = DivergenceMatrix::pair_indices(backends.len());
-        let fp = run_fingerprint(grid, workloads, link, chunks, self.engine().warm_start());
+        let fp = run_fingerprint(grid, workloads, link, chunks);
         if !sinks.is_empty() {
             let meta = RunMeta { scenario, backends: &names, n_points: range.len(), tolerance };
             for sink in sinks.iter_mut() {
                 sink.on_run_start(&meta);
             }
         }
-        let (sweep, pairs) = self.engine().run_priced(
+        let (sweep, pairs) = self.engine.run_priced(
             grid,
             workloads,
             backends,
@@ -2197,14 +2127,7 @@ impl std::fmt::Debug for Session<'_> {
         f.debug_struct("Session")
             .field("tolerance", &self.tolerance)
             .field("mode", &self.mode)
-            .field(
-                "engine",
-                &match self.engine {
-                    EngineHandle::Owned(_) => "owned",
-                    EngineHandle::Borrowed(_) => "borrowed",
-                },
-            )
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -2344,7 +2267,6 @@ mod tests {
             .with_backends(["analytical", "event-sim", "net-sim"])
             .with_chunks(32)
             .with_tolerance(0.145)
-            .with_warm_start(false)
             .build()
             .unwrap();
         let text = s.to_json();
@@ -2531,6 +2453,28 @@ mod tests {
             .with_objectives([Objective::Perf])
             .with_workload("w");
         assert!(no_shapes.build().is_err());
+    }
+
+    /// Warm start is the only solve policy: scenario files may still say
+    /// `"warm_start": true`; anything else is an error naming the field.
+    #[test]
+    fn warm_start_parses_only_as_true() {
+        let base = Scenario::builder("w")
+            .with_shape("RI(4)_SW(8)".parse().unwrap())
+            .with_budgets([100.0])
+            .with_objectives([Objective::Perf])
+            .with_workload("w")
+            .build()
+            .unwrap();
+        let with = |v: &str| {
+            let field = format!("\"warm_start\": {v}, \"tolerance\"");
+            Scenario::from_json(&base.to_json().replacen("\"tolerance\"", &field, 1))
+        };
+        assert_eq!(with("true").unwrap(), base);
+        for v in ["false", "1", "null"] {
+            let err = with(v).unwrap_err().to_string();
+            assert!(err.contains("field \"warm_start\" must be true"), "{v}: {err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Adaptive Pareto-guided design-space search.
 //!
-//! The exhaustive [`crate::sweep::SweepEngine`] caps out at
+//! The exhaustive [`Session`] run caps out at
 //! [`Scenario::MAX_GRID_POINTS`]; production questions ("the best
 //! topology under $X for this workload") live in spaces orders of
 //! magnitude larger. This module is the adaptive driver on top of
@@ -528,7 +528,7 @@ mod tests {
     use crate::network::NetworkShape;
     use crate::opt::Objective;
     use crate::scenario::{records_from_jsonl, JsonLinesSink};
-    use crate::sweep::{ExecMode, FnWorkload, SweepEngine};
+    use crate::sweep::{ExecMode, FnWorkload};
 
     fn allreduce_workload(name: &str, gb: f64) -> FnWorkload {
         FnWorkload::new(name, move |shape: &NetworkShape| {
@@ -553,15 +553,13 @@ mod tests {
     }
 
     fn run_search(
-        warm: bool,
         mode: ExecMode,
         grid: &SweepGrid,
         workloads: &[FnWorkload],
         config: &SearchConfig,
     ) -> (SearchReport, String) {
         let cm = CostModel::default();
-        let engine = SweepEngine::new(&cm).with_warm_start(warm);
-        let session = Session::from_engine(engine).with_mode(mode);
+        let session = Session::new(&cm).with_mode(mode);
         let mut out = Vec::new();
         let report = {
             let mut sink = JsonLinesSink::new(&mut out);
@@ -605,33 +603,26 @@ mod tests {
     /// exhaustively, the adaptive front equals the exhaustive
     /// [`SweepReport::pareto_front`] exactly (same designs, same order),
     /// and every evaluated cell's design is bit-identical to the
-    /// exhaustive run's — warm-started or not.
+    /// exhaustive run's.
     #[test]
     fn search_front_matches_exhaustive_exactly() {
         let grid = search_grid(11);
         let wls = [allreduce_workload("a", 1.0), allreduce_workload("b", 4.0)];
-        for warm in [true, false] {
-            let cm = CostModel::default();
-            let engine = SweepEngine::new(&cm).with_warm_start(warm);
-            let exhaustive = Session::from_engine(engine).run(&grid, &wls, &[]).sweep;
-            let (report, _) =
-                run_search(warm, ExecMode::Parallel, &grid, &wls, &SearchConfig::default());
-            assert!(report.evals <= grid.len(wls.len()));
-            let expected: Vec<_> = exhaustive.pareto_front().into_iter().cloned().collect();
-            let got: Vec<_> = report.front().into_iter().cloned().collect();
-            assert_eq!(
-                got, expected,
-                "adaptive front must equal the exhaustive front (warm={warm})"
-            );
-            // Every evaluated cell is bit-identical to its exhaustive twin.
-            for r in &report.sweep.results {
-                let twin = exhaustive
-                    .results
-                    .iter()
-                    .find(|e| e.point == r.point && e.workload == r.workload)
-                    .expect("evaluated cell exists in the exhaustive run");
-                assert_eq!(r, twin);
-            }
+        let cm = CostModel::default();
+        let exhaustive = Session::new(&cm).run(&grid, &wls, &[]).sweep;
+        let (report, _) = run_search(ExecMode::Parallel, &grid, &wls, &SearchConfig::default());
+        assert!(report.evals <= grid.len(wls.len()));
+        let expected: Vec<_> = exhaustive.pareto_front().into_iter().cloned().collect();
+        let got: Vec<_> = report.front().into_iter().cloned().collect();
+        assert_eq!(got, expected, "adaptive front must equal the exhaustive front");
+        // Every evaluated cell is bit-identical to its exhaustive twin.
+        for r in &report.sweep.results {
+            let twin = exhaustive
+                .results
+                .iter()
+                .find(|e| e.point == r.point && e.workload == r.workload)
+                .expect("evaluated cell exists in the exhaustive run");
+            assert_eq!(r, twin);
         }
     }
 
@@ -642,8 +633,8 @@ mod tests {
         let grid = search_grid(13);
         let wls = [allreduce_workload("a", 2.0)];
         let config = SearchConfig { seed_budgets: 4, ..SearchConfig::default() };
-        let (serial, serial_jsonl) = run_search(true, ExecMode::Serial, &grid, &wls, &config);
-        let (parallel, parallel_jsonl) = run_search(true, ExecMode::Parallel, &grid, &wls, &config);
+        let (serial, serial_jsonl) = run_search(ExecMode::Serial, &grid, &wls, &config);
+        let (parallel, parallel_jsonl) = run_search(ExecMode::Parallel, &grid, &wls, &config);
         assert_eq!(serial.sweep.results, parallel.sweep.results);
         assert_eq!(serial.rounds, parallel.rounds);
         assert_eq!(serial.evals, parallel.evals);
@@ -658,8 +649,7 @@ mod tests {
     fn search_streams_one_reparseable_run() {
         let grid = search_grid(11);
         let wls = [allreduce_workload("a", 1.0)];
-        let (report, jsonl) =
-            run_search(true, ExecMode::Parallel, &grid, &wls, &SearchConfig::default());
+        let (report, jsonl) = run_search(ExecMode::Parallel, &grid, &wls, &SearchConfig::default());
         let rows = records_from_jsonl(&jsonl).expect("stream parses");
         assert_eq!(rows.len(), report.evals);
         let mut indices: Vec<usize> = rows.iter().map(|r| r.index).collect();
@@ -687,7 +677,7 @@ mod tests {
         assert_eq!(grid.budgets(), &distinct[..]);
         let wls = [allreduce_workload("a", 1.0), allreduce_workload("b", 4.0)];
         let config = SearchConfig { seed_budgets: 4, ..SearchConfig::default() };
-        let (report, jsonl) = run_search(true, ExecMode::Parallel, &grid, &wls, &config);
+        let (report, jsonl) = run_search(ExecMode::Parallel, &grid, &wls, &config);
         let (n_bud, n_obj) = (grid.budgets().len(), grid.objectives().len());
         let rows = records_from_jsonl(&jsonl).expect("stream parses");
         assert_eq!(rows.len(), report.evals);
@@ -723,7 +713,7 @@ mod tests {
         let groups = 2 * wls.len() * 2; // shapes × workloads × objectives
         let config =
             SearchConfig { seed_budgets: 4, max_evals: 6 * groups, ..SearchConfig::default() };
-        let (report, _) = run_search(true, ExecMode::Parallel, &grid, &wls, &config);
+        let (report, _) = run_search(ExecMode::Parallel, &grid, &wls, &config);
         assert!(report.evals <= config.max_evals, "{} > {}", report.evals, config.max_evals);
         assert!(report.evals < grid.len(wls.len()));
         assert!(!report.front().is_empty());
@@ -736,7 +726,7 @@ mod tests {
         let grid = search_grid(32);
         let wls = [allreduce_workload("a", 1.0)];
         let config = SearchConfig { seed_budgets: 5, max_rounds: 1, ..SearchConfig::default() };
-        let (report, _) = run_search(true, ExecMode::Parallel, &grid, &wls, &config);
+        let (report, _) = run_search(ExecMode::Parallel, &grid, &wls, &config);
         assert_eq!(report.rounds.len(), 1);
         assert_eq!(report.rounds[0].budgets_added, 5);
         assert_eq!(report.evals, 5 * 2 * 2);
@@ -757,8 +747,7 @@ mod tests {
         let config = SearchConfig { seed_budgets: 5, ..SearchConfig::default() };
         let run = |fault: Option<&str>| {
             let cm = CostModel::default();
-            let mut session = Session::from_engine(SweepEngine::new(&cm).with_warm_start(false))
-                .with_mode(ExecMode::Parallel);
+            let mut session = Session::new(&cm);
             if let Some(spec) = fault {
                 session = session.with_fault(FaultInjector::from_spec(spec).unwrap()).unwrap();
             }
@@ -770,20 +759,29 @@ mod tests {
             (report, String::from_utf8(out).unwrap())
         };
         let (clean, clean_jsonl) = run(None);
-        let (chaos, chaos_jsonl) = run(Some("seed=3;sweep.point.error=#2"));
+        // The plan fires at instances 2 and 3 of each round's subgrid and
+        // spares instance 0, the warm-start anchor the rest of the round
+        // seeds from (a poisoned anchor publishes no seed, so its group's
+        // survivors would solve unseeded and drift from the clean run).
+        let plan = "seed=10;sweep.point.error=0.3";
+        let injector = FaultInjector::from_spec(plan).unwrap();
+        let fired: Vec<u64> =
+            (0..8).filter(|&i| injector.fires(crate::fault::SWEEP_POINT_ERROR, i)).collect();
+        assert_eq!(fired, [2, 3]);
+        let (chaos, chaos_jsonl) = run(Some(plan));
         // Same refinement trajectory: same evaluated cells per round.
         assert_eq!(
             clean.rounds.iter().map(|r| (r.budgets_added, r.new_evals)).collect::<Vec<_>>(),
             chaos.rounds.iter().map(|r| (r.budgets_added, r.new_evals)).collect::<Vec<_>>(),
         );
         assert_eq!(clean.evals, chaos.evals);
-        // The fault poisoned the first two cells of each round's subgrid:
-        // nominal budget indices 0 and 2 (seed round), then 1 (the first
-        // refinement candidate; the re-run anchor's poisoning is merged
-        // away since round 0 already owns that cell).
-        assert_eq!(chaos.sweep.errors.len(), 3);
+        // The fault poisoned the third and fourth cells of each round's
+        // subgrid: nominal budget indices 4 and 6 in the seed round
+        // (subgrid 0, 2, 4, 6, 8), then 3 and 5 in the refinement round
+        // (the anchor 0 prepended to 1, 3, 5, 7).
+        assert_eq!(chaos.sweep.errors.len(), 4);
         assert!(clean.sweep.errors.is_empty());
-        assert_eq!(chaos.sweep.results.len() + 3, clean.sweep.results.len());
+        assert_eq!(chaos.sweep.results.len() + 4, clean.sweep.results.len());
         // Healthy JSONL lines are bit-identical to the fault-free run's.
         let healthy: Vec<&str> =
             chaos_jsonl.lines().filter(|l| l.contains("\"error\": null")).collect();
@@ -794,9 +792,9 @@ mod tests {
                 "healthy line must appear verbatim in the fault-free stream: {line}"
             );
         }
-        // And the poisoned cells are exactly budget indices {0, 1, 2}.
+        // And the poisoned cells are exactly budget indices {3, 4, 5, 6}.
         let err_budgets: Vec<f64> = chaos.sweep.errors.iter().map(|e| e.point.budget).collect();
-        let expect: Vec<f64> = (0..3).map(|i| grid.budgets()[i]).collect();
+        let expect: Vec<f64> = (3..7).map(|i| grid.budgets()[i]).collect();
         let mut sorted = err_budgets.clone();
         sorted.sort_by(f64::total_cmp);
         assert_eq!(sorted, expect);
@@ -830,7 +828,7 @@ mod tests {
             .with_objectives([Objective::Perf]);
         let wls = [allreduce_workload("a", 1.0)];
         let config = SearchConfig { seed_budgets: 8, max_evals: 40, ..SearchConfig::default() };
-        let (report, _) = run_search(true, ExecMode::Parallel, &grid, &wls, &config);
+        let (report, _) = run_search(ExecMode::Parallel, &grid, &wls, &config);
         assert_eq!(report.nominal_points, 6000);
         assert!(report.evals <= 40);
         assert!(report.coverage() <= 0.01);

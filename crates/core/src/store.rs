@@ -43,16 +43,10 @@
 //! The fingerprint is a **stable, explicitly versioned** 64-bit FNV-1a
 //! hash ([`Fingerprint::KEY_HASH_VERSION`]) over the run's semantic
 //! identity: shape display strings, budget bits, objective names,
-//! workload names, link parameters, chunk count, and the warm-start
-//! policy. `std`'s `DefaultHasher` is deliberately **not** used — its
-//! output is not guaranteed stable across Rust releases, and a cache
-//! keyed by it would silently go cold (or worse) on a toolchain bump.
-//!
-//! Warm-start on/off is part of the fingerprint even though the ISSUE's
-//! field list stops at chunks: warm and cold solves of the same point
-//! differ in their low bits (the solver converges from different
-//! starts), so sharing records across the two policies would break the
-//! byte-identity contract for resumed runs.
+//! workload names, link parameters, and chunk count. `std`'s
+//! `DefaultHasher` is deliberately **not** used — its output is not
+//! guaranteed stable across Rust releases, and a cache keyed by it
+//! would silently go cold (or worse) on a toolchain bump.
 //!
 //! Warm-start *seeds* need no separate record kind: an anchor point's
 //! record already carries `design.bw`, which is exactly the vector the
@@ -98,7 +92,6 @@ impl Fingerprint {
         workloads: &[String],
         link: Option<(f64, f64)>,
         chunks: usize,
-        warm_start: bool,
     ) -> Self {
         let mut h = Fnv1a::new();
         h.str(Self::KEY_HASH_VERSION);
@@ -129,8 +122,10 @@ impl Fingerprint {
         }
         h.section("chunks");
         h.u64(chunks as u64);
+        // The retired warm-start on/off flag, hashed as "on" — the only
+        // policy left — so existing caches keep their keys.
         h.section("warm_start");
-        h.u64(u64::from(warm_start));
+        h.u64(1);
         Fingerprint(h.finish())
     }
 
@@ -279,11 +274,11 @@ impl SolveStore {
         Ok(store)
     }
 
-    /// Opens the cache at `path` wrapped for sharing across engines
+    /// Opens the cache at `path` wrapped for sharing across sessions
     /// (see [`SharedSolveStore`]): a long-lived process — the sweep
     /// server foremost — opens the file once and attaches every
-    /// per-job engine to the same in-memory store via
-    /// [`crate::sweep::SweepEngine::with_shared_store`], so hits,
+    /// per-job session to the same in-memory store via
+    /// [`crate::scenario::Session::with_shared_store`], so hits,
     /// staged records, and preloads accumulate across jobs instead of
     /// re-reading the file per run.
     ///
@@ -561,24 +556,11 @@ mod tests {
             &["w".into()],
             None,
             0,
-            true,
         );
         assert_eq!(format!("{f}"), "76974a25c087e289");
         assert_eq!(Fingerprint::from_hex(&format!("{f}")), Some(f));
         assert_eq!(Fingerprint::KEY_HASH_VERSION, "fnv1a64/v1");
         // Every hashed field is load-bearing.
-        let base = |warm| {
-            Fingerprint::compute(
-                &["RI(4)_SW(8)".into()],
-                &[100.0, 300.0],
-                &["perf"],
-                &["w".into()],
-                None,
-                0,
-                warm,
-            )
-        };
-        assert_ne!(base(true), base(false), "warm-start must be keyed");
         let linked = Fingerprint::compute(
             &["RI(4)_SW(8)".into()],
             &[100.0, 300.0],
@@ -586,13 +568,12 @@ mod tests {
             &["w".into()],
             Some((20_000.0, 0.0)),
             0,
-            true,
         );
-        assert_ne!(base(true), linked, "link parameters must be keyed");
+        assert_ne!(f, linked, "link parameters must be keyed");
         // Field boundaries are length-prefixed: moving a character
         // across a boundary changes the hash.
-        let ab_c = Fingerprint::compute(&["ab".into(), "c".into()], &[], &[], &[], None, 0, true);
-        let a_bc = Fingerprint::compute(&["a".into(), "bc".into()], &[], &[], &[], None, 0, true);
+        let ab_c = Fingerprint::compute(&["ab".into(), "c".into()], &[], &[], &[], None, 0);
+        let a_bc = Fingerprint::compute(&["a".into(), "bc".into()], &[], &[], &[], None, 0);
         assert_ne!(ab_c, a_bc);
     }
 

@@ -23,7 +23,7 @@
 //!   budget per shape × workload × objective group solves cold, every
 //!   other budget seeds its interior-point solve from the nearest anchor's
 //!   optimum ([`opt::optimize_seeded`]) — phase-barriered so parallel and
-//!   serial runs stay bit-identical ([`SweepEngine::with_warm_start`]).
+//!   serial runs stay bit-identical.
 //!
 //! Every session run funnels into the same internal
 //! [`ExecMode`]-parameterized drive, so the serial-vs-parallel
@@ -71,7 +71,7 @@ use crate::expr::BwExpr;
 use crate::fault::{self, FaultInjector};
 use crate::network::NetworkShape;
 use crate::opt::{self, Constraint, Design, DesignRequest, Objective};
-use crate::store::{Fingerprint, SharedSolveStore, SolveStore, StoreStats, StoredPoint};
+use crate::store::{Fingerprint, SharedSolveStore, StoreStats, StoredPoint};
 
 /// One grid point's priced outcome: the design solve plus (when the
 /// workload exposes a plan and backends were supplied) the per-backend
@@ -171,7 +171,8 @@ impl FnWorkload {
     }
 
     /// Attaches a communication-plan builder, making the workload eligible
-    /// for cross-validation ([`SweepEngine::run_cross_validated`]).
+    /// for cross-validation (a [`crate::scenario::Session`] run with two or
+    /// more backends).
     #[must_use]
     pub fn with_plan<P>(mut self, plan: P) -> Self
     where
@@ -222,7 +223,8 @@ pub struct SweepGrid {
 pub struct GridPoint {
     /// Index into [`SweepGrid::shapes`].
     pub shape: usize,
-    /// Index into the workload slice passed to [`SweepEngine::run`].
+    /// Index into the workload slice passed to
+    /// [`crate::scenario::Session::run`].
     pub workload: usize,
     /// Total per-NPU bandwidth budget (GB/s).
     pub budget: f64,
@@ -410,19 +412,6 @@ impl SweepCache {
         }
     }
 
-    /// Drops every memoized design **and** warm-start seed (used when the
-    /// engine's constraint set changes: cached designs and seeds were
-    /// solved under the old constraints). Target expressions and EqualBW
-    /// baselines are constraint-independent and survive.
-    fn clear_designs(&self) {
-        for shard in &self.designs {
-            shard.write().unwrap().clear();
-        }
-        for shard in &self.seeds {
-            shard.write().unwrap().clear();
-        }
-    }
-
     /// The memoized targets of `workload` on `shape`.
     fn targets<W: SweepWorkload>(&self, shape: &NetworkShape, workload: &W) -> TargetsEntry {
         let key: ExprKey = (shape.clone(), workload.name().to_string());
@@ -464,8 +453,9 @@ impl SweepCache {
     }
 
     /// Seeds the design map with a solve loaded from a persistent
-    /// [`SolveStore`] (no counter is touched: a preloaded entry shows up
-    /// as an ordinary `design_hits` when the drive reaches it).
+    /// [`crate::store::SolveStore`] (no counter is touched: a preloaded
+    /// entry shows up as an ordinary `design_hits` when the drive reaches
+    /// it).
     fn preload_design(&self, key: DesignKey, design: Design) {
         let shard = &self.designs[shard_of(&key)];
         shard.write().unwrap().entry(key).or_insert(Ok(design));
@@ -559,8 +549,6 @@ pub enum ExecMode {
 /// the same seed state at every solve, so results stay bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SeedMode {
-    /// Warm-start disabled: solve cold, publish nothing.
-    Cold,
     /// Phase 1: solve cold, publish the optimum to the seed index.
     Anchor,
     /// Phase 2: consume the nearest anchor seed (cold if none exists).
@@ -825,103 +813,38 @@ impl DivergenceReport {
     }
 }
 
-/// The sweep engine: a cost model, optional extra designer constraints, and
+/// The sweep engine behind a [`crate::scenario::Session`]: a cost model,
 /// a concurrent memo cache (plus warm-start seed index) that persists
-/// across `run` calls.
+/// across the session's runs, an optional persistent store, and an
+/// optional fault injector. Every session owns exactly one engine and is
+/// the only place it is configured; the engine itself exposes counters
+/// and the store flush ([`crate::scenario::Session::engine`]).
 pub struct SweepEngine<'a> {
     cost_model: &'a CostModel,
-    extra_constraints: Vec<Constraint>,
     cache: SweepCache,
-    warm_start: bool,
-    /// Optional persistent solve cache (see [`SweepEngine::with_store`]
-    /// and [`SweepEngine::with_shared_store`]). A mutex, not a shard:
+    /// Optional persistent solve cache (see
+    /// [`crate::scenario::Session::with_store`]). A mutex, not a shard:
     /// the store is touched only at run boundaries (preload before the
     /// drive, stage + flush after), never on the per-point hot path.
     /// An `Arc` so a long-lived host (the sweep server) can attach many
-    /// short-lived engines to one store.
-    store: Option<SharedSolveStore>,
+    /// short-lived sessions to one store.
+    pub(crate) store: Option<SharedSolveStore>,
     /// Deterministic fault injection ([`crate::fault`]); `None` — one
     /// branch per point — unless `LIBRA_FAULT_PLAN` (or
-    /// [`SweepEngine::with_fault`]) armed a plan.
-    fault: Option<FaultInjector>,
+    /// [`crate::scenario::Session::with_fault`]) armed a plan.
+    pub(crate) fault: Option<FaultInjector>,
 }
 
 impl<'a> SweepEngine<'a> {
-    /// An engine pricing designs with `cost_model`. Warm-start seeding is
-    /// on by default (see [`SweepEngine::with_warm_start`]).
-    pub fn new(cost_model: &'a CostModel) -> Self {
+    /// An engine pricing designs with `cost_model`, armed from
+    /// `LIBRA_FAULT_PLAN` when it is set.
+    pub(crate) fn new(cost_model: &'a CostModel) -> Self {
         SweepEngine {
             cost_model,
-            extra_constraints: Vec::new(),
             cache: SweepCache::new(),
-            warm_start: true,
             store: None,
             fault: FaultInjector::from_env(),
         }
-    }
-
-    /// Arms deterministic fault injection on this engine (the in-process
-    /// seam; production runs arm it via the `LIBRA_FAULT_PLAN`
-    /// environment variable instead). See [`crate::fault`] for the
-    /// sweep sites: per-point injected errors, panics, and slow solves.
-    #[must_use]
-    pub fn with_fault(mut self, injector: FaultInjector) -> Self {
-        self.fault = Some(injector);
-        self
-    }
-
-    /// Enables or disables warm-start seeding of design solves.
-    ///
-    /// When enabled (the default), every run is driven in two
-    /// barrier-separated phases: one **anchor** budget per
-    /// shape × workload × objective group solves cold and publishes its
-    /// optimal bandwidth vector; every other budget then seeds its
-    /// interior-point solve from the nearest published anchor
-    /// ([`opt::optimize_seeded`]), which typically cuts solver iterations
-    /// severalfold on budget ladders. Seeding is deterministic — parallel
-    /// and serial runs remain bit-identical — and warm solves converge to
-    /// the cold optimum within solver tolerance.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-
-    /// Whether warm-start seeding is enabled (part of the persistent
-    /// store's fingerprint: warm and cold solves differ in their low
-    /// bits, so the two policies must never share stored records).
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
-    }
-
-    /// Attaches the persistent solve cache at `path`
-    /// ([`crate::store::SolveStore`]): existing records load now, every
-    /// run preloads matching points into the in-memory cache before
-    /// solving, and freshly solved points are appended after each run
-    /// (and on drop). Results stay **byte-identical** with or without a
-    /// store — stored designs round-trip bit-exactly, and warm-start
-    /// seeds are republished from preloaded anchor designs exactly as an
-    /// uninterrupted run would publish them.
-    ///
-    /// # Errors
-    /// Propagates [`SolveStore::open`] failures (unreadable file,
-    /// incompatible schema or key-hash version).
-    pub fn with_store(mut self, path: impl AsRef<std::path::Path>) -> Result<Self, LibraError> {
-        self.store = Some(SolveStore::open_shared(path)?);
-        Ok(self)
-    }
-
-    /// Attaches an already-open shared store
-    /// ([`SolveStore::open_shared`]) instead of opening a file. This is
-    /// the multi-client seam: every engine attached to the same
-    /// [`SharedSolveStore`] preloads the records its siblings staged —
-    /// no file round-trip between them — while flushes still append to
-    /// the backing file for the next process. Byte-identity guarantees
-    /// are exactly [`SweepEngine::with_store`]'s.
-    #[must_use]
-    pub fn with_shared_store(mut self, store: SharedSolveStore) -> Self {
-        self.store = Some(store);
-        self
     }
 
     /// Persistent-store counters since the store was opened (`None`
@@ -935,31 +858,12 @@ impl<'a> SweepEngine<'a> {
     /// drop, where errors are swallowed — call this to observe them).
     ///
     /// # Errors
-    /// Propagates [`SolveStore::flush`] I/O failures.
+    /// Propagates [`crate::store::SolveStore::flush`] I/O failures.
     pub fn flush_store(&self) -> Result<(), LibraError> {
         match &self.store {
             Some(s) => s.lock().unwrap().flush(),
             None => Ok(()),
         }
-    }
-
-    /// Adds designer constraints applied to **every** grid point on top of
-    /// the per-point [`Constraint::TotalBw`] budget (e.g.
-    /// [`Constraint::Ordered`]).
-    ///
-    /// Memoized designs (and warm-start seeds) were solved under the
-    /// previous constraint set, so both are cleared; target expressions
-    /// and EqualBW baselines are constraint-independent and stay cached.
-    #[must_use]
-    pub fn with_constraints(mut self, constraints: impl IntoIterator<Item = Constraint>) -> Self {
-        self.extra_constraints.extend(constraints);
-        self.cache.clear_designs();
-        // Constraints are not part of the store fingerprint, so a
-        // constrained engine must not read or write the persistent
-        // cache: detach it (staged records from earlier runs flush on
-        // the dropped store's way out).
-        self.store = None;
-        self
     }
 
     /// Cache counters accumulated so far.
@@ -974,25 +878,24 @@ impl<'a> SweepEngine<'a> {
     /// this one function, so the serial-vs-parallel bit-identity contract
     /// is enforced in exactly one place.
     ///
-    /// With warm-start enabled the points are processed in two
-    /// barrier-separated phases (anchors first — the grid's first budget —
-    /// then everything else, seeded), so the seed state visible to any
-    /// solve is a pure function of the engine's history, never of worker
-    /// scheduling. Serial runs use the same phase order, keeping the
-    /// bit-identical parallel ≡ serial contract.
+    /// The points are processed in two barrier-separated phases (anchors
+    /// first — the grid's first budget — then everything else, seeded),
+    /// so the seed state visible to any solve is a pure function of the
+    /// engine's history, never of worker scheduling. Serial runs use the
+    /// same phase order, keeping the bit-identical parallel ≡ serial
+    /// contract.
     ///
     /// The restriction is the shard dispatcher's half of the determinism
     /// contract: **a ranged drive's results are bit-identical to the
     /// corresponding slice of the full drive's.**
     ///
-    /// With warm-start enabled, an in-range seeded point's group anchor
-    /// (its shape × workload × objective at the grid's first budget) may
-    /// fall outside the range. Those out-of-range anchors are handed to
-    /// `prepare` in phase 1 — the caller solves them for their published
-    /// seed and discards the result — so every seed an in-range solve
-    /// consumes is exactly the seed the full run would have published.
+    /// An in-range seeded point's group anchor (its shape × workload ×
+    /// objective at the grid's first budget) may fall outside the range.
+    /// Those out-of-range anchors are handed to `prepare` in phase 1 —
+    /// the caller solves them for their published seed and discards the
+    /// result — so every seed an in-range solve consumes is exactly the
+    /// seed the full run would have published.
     fn drive_range<T: Send>(
-        &self,
         grid: &SweepGrid,
         points: &[GridPoint],
         range: std::ops::Range<usize>,
@@ -1006,10 +909,6 @@ impl<'a> SweepEngine<'a> {
                 ExecMode::Serial => idx.iter().map(|&i| (i, f(points[i], mode))).collect(),
             }
         };
-        if !self.warm_start {
-            let all: Vec<usize> = range.collect();
-            return apply(&all, SeedMode::Cold).into_iter().map(|(_, t)| t).collect();
-        }
         let anchor_budget = grid.budgets().first().copied();
         let (anchors, rest): (Vec<usize>, Vec<usize>) =
             range.clone().partition(|&i| Some(points[i].budget) == anchor_budget);
@@ -1067,8 +966,7 @@ impl<'a> SweepEngine<'a> {
             Ok(t) => t,
             Err(e) => return Err(fail(e.clone())),
         };
-        let mut constraints = vec![Constraint::TotalBw(point.budget)];
-        constraints.extend(self.extra_constraints.iter().cloned());
+        let constraints = vec![Constraint::TotalBw(point.budget)];
         let key: DesignKey =
             (shape.clone(), workload.name().to_string(), point.budget.to_bits(), point.objective);
         let seed_key: SeedKey = (shape.clone(), workload.name().to_string(), point.objective);
@@ -1077,7 +975,7 @@ impl<'a> SweepEngine<'a> {
             .design(key, || {
                 let seed = match mode {
                     SeedMode::Seeded => self.cache.seed_for(&seed_key, point.budget),
-                    SeedMode::Anchor | SeedMode::Cold => None,
+                    SeedMode::Anchor => None,
                 };
                 if seed.is_some() {
                     self.cache.warm_seeded.fetch_add(1, Ordering::Relaxed);
@@ -1360,7 +1258,7 @@ impl<'a> SweepEngine<'a> {
         // no times, JSONL-representable — instead of tearing down the
         // whole rayon fan-out. `catch_unwind` costs nothing on the
         // non-panicking path.
-        let outcomes = self.drive_range(
+        let outcomes = Self::drive_range(
             grid,
             &points,
             range.clone(),
@@ -1468,11 +1366,11 @@ mod tests {
         let grid = small_grid().with_objectives([Objective::PerfPerCost]);
         let wls = [allreduce_workload("a", 1.0), allreduce_workload("b", 4.0)];
         let cm = CostModel::default();
-        let engine = SweepEngine::new(&cm);
         // Serial first run: exact cache counters (under a parallel cold run
         // two workers may race past a cold key's first lookup and both
         // build it — by design, so exact counts only hold serially).
-        let report = Session::over(&engine).with_mode(ExecMode::Serial).run(&grid, &wls, &[]).sweep;
+        let session = Session::new(&cm).with_mode(ExecMode::Serial);
+        let report = session.run(&grid, &wls, &[]).sweep;
         assert_eq!(report.results.len(), 2 * 2 * 2 * 2);
         assert!(report.errors.is_empty());
         // Expressions are built once per (shape, workload)...
@@ -1481,7 +1379,7 @@ mod tests {
         // ...and every distinct design is solved exactly once.
         assert_eq!(report.cache.design_misses, 16);
         // A parallel re-run over the same grid is served entirely from cache.
-        let again = Session::over(&engine).run(&grid, &wls, &[]).sweep;
+        let again = session.with_mode(ExecMode::Parallel).run(&grid, &wls, &[]).sweep;
         assert_eq!(again.results, report.results);
         assert_eq!(again.cache.design_misses, 16);
         assert_eq!(again.cache.design_hits, 16);
@@ -1577,32 +1475,12 @@ mod tests {
     }
 
     #[test]
-    fn extra_constraints_apply_to_every_point() {
-        let grid = SweepGrid::new()
-            .with_shape("SW(4)_SW(4)_SW(4)".parse().unwrap())
-            .with_budgets([90.0])
-            .with_objectives([Objective::Perf]);
-        // All traffic on the outer dim wants an inverted allocation; Ordered
-        // forces the equal split (see opt::tests::ordered_constraint_enforced).
-        let wl = FnWorkload::new("outer", |_: &NetworkShape| {
-            Ok(vec![(1.0, BwExpr::Ratio { coeff: 10.0, dim: 2 })])
-        });
-        let cm = CostModel::default();
-        let engine = SweepEngine::new(&cm).with_constraints([Constraint::Ordered]);
-        let report = Session::from_engine(engine).run(&grid, &[wl], &[]).sweep;
-        assert_eq!(report.results.len(), 1);
-        let bw = &report.results[0].design.bw;
-        assert!(bw[0] >= bw[1] - 1e-6 && bw[1] >= bw[2] - 1e-6, "bw = {bw:?}");
-    }
-
-    #[test]
     fn cross_validation_of_identical_backends_is_exact() {
         let grid = small_grid().with_objectives([Objective::PerfPerCost]);
         let wls = [planned_workload("a", 1.0), planned_workload("b", 4.0)];
         let cm = CostModel::default();
-        let engine = SweepEngine::new(&cm);
         let a = Analytical::new();
-        let session = Session::over(&engine).with_tolerance(0.0);
+        let session = Session::new(&cm).with_tolerance(0.0);
         let report = session.run(&grid, &wls, &[&a, &a]);
         let n_points = grid.len(wls.len());
         assert_eq!(report.sweep.results.len(), n_points);
@@ -1613,7 +1491,7 @@ mod tests {
         assert_eq!(report.divergence.max_rel_error(), 0.0);
         assert!(report.divergence.within_tolerance());
         // The sweep half is identical to a plain run over the same engine.
-        let plain = Session::over(&engine).run(&grid, &wls, &[]).sweep;
+        let plain = session.run(&grid, &wls, &[]).sweep;
         assert_eq!(plain.results, report.sweep.results);
         // Parallel and serial cross-validated folds agree bit-for-bit.
         let serial = session.with_mode(ExecMode::Serial).run(&grid, &wls, &[&a, &a]);
@@ -1682,9 +1560,8 @@ mod tests {
         let grid = small_grid();
         let wls = [planned_workload("a", 1.0), planned_workload("b", 4.0)];
         let cm = CostModel::default();
-        let engine = SweepEngine::new(&cm);
         let a = Analytical::new();
-        let session = Session::over(&engine).with_tolerance(0.0);
+        let session = Session::new(&cm).with_tolerance(0.0);
         let report = session.run(&grid, &wls, &[&a, &a, &a]);
         let n_points = grid.len(wls.len());
         assert_eq!(report.sweep.results.len(), n_points);
@@ -1697,16 +1574,12 @@ mod tests {
         }
         assert_eq!(report.divergence.max_rel_error(), 0.0);
         assert!(report.divergence.within_tolerance());
-        // Parallel and serial folds agree bit-for-bit (cache counters
-        // accumulate across runs, so compare the semantic halves); the
-        // sweep half is a plain run.
+        // The sweep half is a plain run; parallel and serial folds agree
+        // bit-for-bit.
+        assert_eq!(session.run(&grid, &wls, &[]).sweep.results, report.sweep.results);
         let serial = session.with_mode(ExecMode::Serial).run(&grid, &wls, &[&a, &a, &a]);
         assert_eq!(serial.sweep.results, report.sweep.results);
         assert_eq!(serial.divergence, report.divergence);
-        assert_eq!(
-            Session::over(&engine).run(&grid, &wls, &[]).sweep.results,
-            report.sweep.results
-        );
     }
 
     #[test]
@@ -1778,9 +1651,9 @@ mod tests {
         assert!(!report.divergence.within_tolerance());
     }
 
-    /// Warm-started budget-ladder sweeps agree with cold sweeps to within
-    /// solver tolerance, actually seed the non-anchor budgets, and keep
-    /// the parallel ≡ serial bit-identity.
+    /// Warm-started budget-ladder sweeps agree with cold solves
+    /// ([`opt::optimize`]) to within solver tolerance, actually seed the
+    /// non-anchor budgets, and keep the parallel ≡ serial bit-identity.
     #[test]
     fn warm_start_agrees_with_cold_and_seeds_the_ladder() {
         let grid = SweepGrid::new()
@@ -1789,57 +1662,37 @@ mod tests {
             .with_objectives([Objective::Perf, Objective::PerfPerCost]);
         let wls = [allreduce_workload("a", 10.0)];
         let cm = CostModel::default();
-        let warm_engine = SweepEngine::new(&cm);
-        let warm = Session::over(&warm_engine).run(&grid, &wls, &[]).sweep;
-        let cold = Session::from_engine(SweepEngine::new(&cm).with_warm_start(false))
-            .run(&grid, &wls, &[])
-            .sweep;
-        assert!(warm.errors.is_empty() && cold.errors.is_empty());
+        let warm = Session::new(&cm).run(&grid, &wls, &[]).sweep;
+        assert!(warm.errors.is_empty());
         // Per objective, 3 of the 4 budgets are non-anchor and found a
         // published seed.
         assert_eq!(warm.cache.warm_seeded, 6);
-        assert_eq!(cold.cache.warm_seeded, 0);
-        // Each point agrees on the metric it optimizes. PerfPerCost optima
-        // are a plateau in `weighted_time × cost`, so only the product is
-        // determined, and a seeded PerfPerCost search stops at a coarser
-        // cost tolerance than the cold one.
-        for (w, c) in warm.results.iter().zip(&cold.results) {
+        // Each point agrees with a cold solve on the metric it optimizes.
+        // PerfPerCost optima are a plateau in `weighted_time × cost`, so
+        // only the product is determined, and a seeded PerfPerCost search
+        // stops at a coarser cost tolerance than the cold one.
+        let shape = &grid.shapes()[0];
+        let targets = wls[0].targets(shape).unwrap();
+        for w in &warm.results {
+            let cold = opt::optimize(&DesignRequest {
+                shape,
+                targets: targets.clone(),
+                objective: w.point.objective,
+                constraints: vec![Constraint::TotalBw(w.point.budget)],
+                cost_model: &cm,
+            })
+            .unwrap();
             let (metric, bound): (fn(&Design) -> f64, f64) = match w.point.objective {
                 Objective::Perf => (|d| d.weighted_time, 1e-4),
                 Objective::PerfPerCost => (|d| d.weighted_time * d.cost, 1e-3),
             };
-            let (mw, mc) = (metric(&w.design), metric(&c.design));
+            let (mw, mc) = (metric(&w.design), metric(&cold));
             let rel = (mw - mc).abs() / mc;
             assert!(rel < bound, "warm vs cold diverged: {rel} at {:?}", w.point);
         }
         // Parallel and serial warm runs are bit-identical on fresh engines.
         let serial = Session::new(&cm).with_mode(ExecMode::Serial).run(&grid, &wls, &[]).sweep;
         assert_eq!(warm.results, serial.results);
-    }
-
-    #[test]
-    fn with_constraints_invalidates_cached_designs() {
-        let grid = SweepGrid::new()
-            .with_shape("SW(4)_SW(4)_SW(4)".parse().unwrap())
-            .with_budgets([90.0])
-            .with_objectives([Objective::Perf]);
-        let wl = [FnWorkload::new("outer", |_: &NetworkShape| {
-            Ok(vec![(1.0, BwExpr::Ratio { coeff: 10.0, dim: 2 })])
-        })];
-        let cm = CostModel::default();
-        // Warm the engine unconstrained: the optimum pours bandwidth into
-        // the outer dimension.
-        let engine = SweepEngine::new(&cm);
-        let unconstrained = Session::over(&engine).run(&grid, &wl, &[]).sweep;
-        assert!(unconstrained.results[0].design.bw[2] > 80.0);
-        // Adding Ordered must drop the memoized design, not serve it stale.
-        let engine = engine.with_constraints([Constraint::Ordered]);
-        let constrained = Session::over(&engine).run(&grid, &wl, &[]).sweep;
-        let bw = &constrained.results[0].design.bw;
-        assert!(
-            bw[0] >= bw[1] - 1e-6 && bw[1] >= bw[2] - 1e-6,
-            "stale unconstrained design served from cache: bw = {bw:?}"
-        );
     }
 
     /// An armed `sweep.point.error` site poisons exactly its grid
@@ -1854,9 +1707,14 @@ mod tests {
         let grid = small_grid();
         let wls = [allreduce_workload("a", 1.0)];
         let cm = CostModel::default();
-        let chaos = FaultInjector::from_spec("seed=3;sweep.point.error=#2").unwrap();
-        let engine = SweepEngine::new(&cm).with_fault(chaos.clone());
-        let report = Session::over(&engine).run(&grid, &wls, &[]).sweep;
+        let run = |spec: Option<&str>| {
+            let mut session = Session::new(&cm);
+            if let Some(spec) = spec {
+                session = session.with_fault(FaultInjector::from_spec(spec).unwrap()).unwrap();
+            }
+            session.run(&grid, &wls, &[]).sweep
+        };
+        let report = run(Some("seed=3;sweep.point.error=#2"));
         assert_eq!(report.errors.len(), 2);
         assert_eq!(report.results.len(), 2);
         for e in &report.errors {
@@ -1869,31 +1727,22 @@ mod tests {
         }
         // Chaos is deterministic: a fresh engine with the same plan
         // produces the same surviving results and the same failures.
-        let again =
-            Session::from_engine(SweepEngine::new(&cm).with_fault(chaos)).run(&grid, &wls, &[]);
-        assert_eq!(again.sweep.results, report.results);
+        let again = run(Some("seed=3;sweep.point.error=#2"));
+        assert_eq!(again.results, report.results);
         assert_eq!(
-            again.sweep.errors.iter().map(|e| e.point).collect::<Vec<_>>(),
+            again.errors.iter().map(|e| e.point).collect::<Vec<_>>(),
             report.errors.iter().map(|e| e.point).collect::<Vec<_>>()
         );
         // Disarmed, the same grid is clean — injection is opt-in only.
-        // These runs solve cold: a poisoned point publishes no warm-start
-        // seed, so under warm start a survivor in its group could
-        // legitimately re-seed and drift by ulps from the clean run.
-        let cold = |spec: Option<&str>| {
-            let mut engine = SweepEngine::new(&cm).with_warm_start(false);
-            if let Some(spec) = spec {
-                engine = engine.with_fault(FaultInjector::from_spec(spec).unwrap());
-            }
-            Session::from_engine(engine).run(&grid, &wls, &[]).sweep
-        };
-        let clean = cold(None);
+        let clean = run(None);
         assert!(clean.errors.is_empty());
         assert_eq!(clean.results.len(), 4);
-        assert_eq!(cold(Some("seed=3;sweep.point.error=0")), clean, "a silent site perturbed");
-        let poisoned = cold(Some("seed=3;sweep.point.error=#2"));
-        assert_eq!(poisoned.results.len(), 2);
-        for r in &poisoned.results {
+        assert_eq!(run(Some("seed=3;sweep.point.error=0")), clean, "a silent site perturbed");
+        // A poisoned point publishes no warm-start seed, so a survivor
+        // matches the clean run only while its group's anchor survives.
+        // `#2` poisons all of shape 0's group, anchor included; shape 1's
+        // survivors seed from the same anchor as in the clean run.
+        for r in &report.results {
             let c = clean.results.iter().find(|c| c.point == r.point).unwrap();
             assert_eq!(r, c, "survivor at {:?} differs from the clean run", r.point);
         }
@@ -1909,14 +1758,16 @@ mod tests {
         let wls = [allreduce_workload("a", 1.0)];
         let cm = CostModel::default();
         let chaos = FaultInjector::from_spec("sweep.point.panic=#1").unwrap();
-        let engine = SweepEngine::new(&cm).with_fault(chaos.clone());
-        let report = Session::over(&engine).run(&grid, &wls, &[]).sweep;
+        let report = Session::new(&cm).with_fault(chaos.clone()).unwrap().run(&grid, &wls, &[]);
+        let report = report.sweep;
         assert_eq!(report.results.len(), 3, "the other three points survive");
         assert_eq!(report.errors.len(), 1);
         let message = report.errors[0].error.to_string();
         assert!(message.contains("point evaluation panicked"), "got {message:?}");
         assert!(message.contains("injected fault: sweep.point.panic"), "got {message:?}");
-        let serial = Session::from_engine(SweepEngine::new(&cm).with_fault(chaos))
+        let serial = Session::new(&cm)
+            .with_fault(chaos)
+            .unwrap()
             .with_mode(ExecMode::Serial)
             .run(&grid, &wls, &[])
             .sweep;

@@ -1,9 +1,9 @@
 //! Property test of the shard dispatcher's headline contract: for random
 //! grids and random shard counts K ∈ 1..=8, shard-then-merge equals the
 //! unsharded `Session::run` **bit for bit** — every record and the
-//! summary line — including with warm-start enabled, whose range-
-//! restricted drives must re-solve out-of-range group anchors to publish
-//! exactly the seeds the full run would have.
+//! summary line — even though warm-started range-restricted drives must
+//! re-solve out-of-range group anchors to publish exactly the seeds the
+//! full run would have.
 
 use libra_core::comm::{Collective, CommModel, GroupSpan};
 use libra_core::cost::CostModel;
@@ -35,34 +35,30 @@ fn planned_workload(name: String, gb: f64) -> FnWorkload {
 /// Small random scenarios: 1–2 shapes from a fixed pool, 1–3 budgets,
 /// 1–2 objectives, 1–2 workloads — grids of 1..=24 points, enough to
 /// exercise shard boundaries everywhere while keeping solve counts sane.
-fn arb_scenario() -> impl Strategy<Value = (Scenario, Vec<f64>, bool)> {
+fn arb_scenario() -> impl Strategy<Value = (Scenario, Vec<f64>)> {
     let shapes = prop::collection::vec(0usize..3, 1..=2);
     let budgets = prop::collection::vec(1u64..=40, 1..=3);
     let objectives = 0usize..3;
     let workloads = prop::collection::vec(1u64..=6, 1..=2);
-    let warm = prop::bool::ANY;
-    (shapes, budgets, objectives, workloads, warm).prop_map(
-        |(shapes, budgets, objectives, workloads, warm)| {
-            let pool = ["RI(4)_SW(8)", "FC(8)_SW(4)", "SW(16)_SW(4)"];
-            let objs: &[Objective] = match objectives {
-                0 => &[Objective::Perf],
-                1 => &[Objective::PerfPerCost],
-                _ => &[Objective::Perf, Objective::PerfPerCost],
-            };
-            let gbs: Vec<f64> = workloads.iter().map(|&g| g as f64).collect();
-            let scenario = Scenario::builder("prop-dispatch")
-                .with_shapes(shapes.iter().map(|&i| pool[i].parse().unwrap()))
-                .with_budgets(budgets.iter().map(|&b| 50.0 * b as f64))
-                .with_objectives(objs.iter().copied())
-                .with_workloads(gbs.iter().map(|g| format!("wl-{g}")))
-                .with_backends(["analytical", "analytical-offload"])
-                .with_tolerance(0.25)
-                .with_warm_start(warm)
-                .build()
-                .unwrap();
-            (scenario, gbs, warm)
-        },
-    )
+    (shapes, budgets, objectives, workloads).prop_map(|(shapes, budgets, objectives, workloads)| {
+        let pool = ["RI(4)_SW(8)", "FC(8)_SW(4)", "SW(16)_SW(4)"];
+        let objs: &[Objective] = match objectives {
+            0 => &[Objective::Perf],
+            1 => &[Objective::PerfPerCost],
+            _ => &[Objective::Perf, Objective::PerfPerCost],
+        };
+        let gbs: Vec<f64> = workloads.iter().map(|&g| g as f64).collect();
+        let scenario = Scenario::builder("prop-dispatch")
+            .with_shapes(shapes.iter().map(|&i| pool[i].parse().unwrap()))
+            .with_budgets(budgets.iter().map(|&b| 50.0 * b as f64))
+            .with_objectives(objs.iter().copied())
+            .with_workloads(gbs.iter().map(|g| format!("wl-{g}")))
+            .with_backends(["analytical", "analytical-offload"])
+            .with_tolerance(0.25)
+            .build()
+            .unwrap();
+        (scenario, gbs)
+    })
 }
 
 proptest! {
@@ -73,7 +69,7 @@ proptest! {
         case in arb_scenario(),
         shards in 1usize..=8,
     ) {
-        let (scenario, gbs, warm) = case;
+        let (scenario, gbs) = case;
         let wls: Vec<FnWorkload> =
             gbs.iter().map(|&g| planned_workload(format!("wl-{g}"), g)).collect();
         let cm = CostModel::default();
@@ -93,9 +89,9 @@ proptest! {
             .unwrap();
 
         // Records: bit-for-bit, in grid order (indices are global).
-        prop_assert_eq!(&merged.rows, &collector.rows, "warm_start={} K={}", warm, shards);
+        prop_assert_eq!(&merged.rows, &collector.rows, "K={}", shards);
         // The whole stream — header, records, summary — byte-identical.
-        prop_assert_eq!(&merged.to_jsonl(), &single, "warm_start={} K={}", warm, shards);
+        prop_assert_eq!(&merged.to_jsonl(), &single, "K={}", shards);
         // And the re-judged verdict agrees with the single run's.
         prop_assert_eq!(merged.within_tolerance(), report.divergence.within_tolerance());
         prop_assert_eq!(merged.exit_code(), i32::from(!report.divergence.within_tolerance()) * 2);

@@ -3,8 +3,8 @@
 //! stream (optionally mid-line, the way a killed writer tears its last
 //! record) and resuming via [`resume_scenario`] reproduces the
 //! uninterrupted run **bit for bit** — every record, the summary line,
-//! and the exit verdict — with warm start on and off, and with or
-//! without the persistent solve store backing the re-priced ranges.
+//! and the exit verdict — with or without the persistent solve store
+//! backing the re-priced ranges.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,34 +39,30 @@ fn planned_workload(name: String, gb: f64) -> FnWorkload {
 /// 1–2 objectives, 1–2 workloads — grids of 1..=24 points, so the
 /// interrupt lands on every kind of boundary (before the header's first
 /// record, mid-grid, on the last record) across cases.
-fn arb_scenario() -> impl Strategy<Value = (Scenario, Vec<f64>, bool)> {
+fn arb_scenario() -> impl Strategy<Value = (Scenario, Vec<f64>)> {
     let shapes = prop::collection::vec(0usize..3, 1..=2);
     let budgets = prop::collection::vec(1u64..=40, 1..=3);
     let objectives = 0usize..3;
     let workloads = prop::collection::vec(1u64..=6, 1..=2);
-    let warm = prop::bool::ANY;
-    (shapes, budgets, objectives, workloads, warm).prop_map(
-        |(shapes, budgets, objectives, workloads, warm)| {
-            let pool = ["RI(4)_SW(8)", "FC(8)_SW(4)", "SW(16)_SW(4)"];
-            let objs: &[Objective] = match objectives {
-                0 => &[Objective::Perf],
-                1 => &[Objective::PerfPerCost],
-                _ => &[Objective::Perf, Objective::PerfPerCost],
-            };
-            let gbs: Vec<f64> = workloads.iter().map(|&g| g as f64).collect();
-            let scenario = Scenario::builder("prop-resume")
-                .with_shapes(shapes.iter().map(|&i| pool[i].parse().unwrap()))
-                .with_budgets(budgets.iter().map(|&b| 50.0 * b as f64))
-                .with_objectives(objs.iter().copied())
-                .with_workloads(gbs.iter().map(|g| format!("wl-{g}")))
-                .with_backends(["analytical", "analytical-offload"])
-                .with_tolerance(0.25)
-                .with_warm_start(warm)
-                .build()
-                .unwrap();
-            (scenario, gbs, warm)
-        },
-    )
+    (shapes, budgets, objectives, workloads).prop_map(|(shapes, budgets, objectives, workloads)| {
+        let pool = ["RI(4)_SW(8)", "FC(8)_SW(4)", "SW(16)_SW(4)"];
+        let objs: &[Objective] = match objectives {
+            0 => &[Objective::Perf],
+            1 => &[Objective::PerfPerCost],
+            _ => &[Objective::Perf, Objective::PerfPerCost],
+        };
+        let gbs: Vec<f64> = workloads.iter().map(|&g| g as f64).collect();
+        let scenario = Scenario::builder("prop-resume")
+            .with_shapes(shapes.iter().map(|&i| pool[i].parse().unwrap()))
+            .with_budgets(budgets.iter().map(|&b| 50.0 * b as f64))
+            .with_objectives(objs.iter().copied())
+            .with_workloads(gbs.iter().map(|g| format!("wl-{g}")))
+            .with_backends(["analytical", "analytical-offload"])
+            .with_tolerance(0.25)
+            .build()
+            .unwrap();
+        (scenario, gbs)
+    })
 }
 
 /// A unique throwaway store path per invocation (proptest cases run
@@ -87,7 +83,7 @@ proptest! {
         tear in prop::bool::ANY,
         with_store in prop::bool::ANY,
     ) {
-        let (scenario, gbs, warm) = case;
+        let (scenario, gbs) = case;
         let wls: Vec<FnWorkload> =
             gbs.iter().map(|&g| planned_workload(format!("wl-{g}"), g)).collect();
         let cm = CostModel::default();
@@ -132,8 +128,8 @@ proptest! {
         prop_assert_eq!(
             &merged.to_jsonl(),
             &full,
-            "warm_start={} keep={}/{} tear={} store={}",
-            warm, keep, lines.len(), tear, with_store
+            "keep={}/{} tear={} store={}",
+            keep, lines.len(), tear, with_store
         );
         prop_assert_eq!(merged.within_tolerance(), report.divergence.within_tolerance());
         prop_assert_eq!(merged.exit_code(), i32::from(!report.divergence.within_tolerance()) * 2);

@@ -16,7 +16,7 @@ use libra_core::network::NetworkShape;
 use libra_core::opt::Objective;
 use libra_core::scenario::{JsonLinesSink, Session};
 use libra_core::search::{run_grid, SearchConfig, SearchReport};
-use libra_core::sweep::{ExecMode, FnWorkload, SweepEngine, SweepGrid};
+use libra_core::sweep::{ExecMode, FnWorkload, SweepGrid};
 use proptest::prelude::*;
 
 fn allreduce_workload(name: String, gb: f64) -> FnWorkload {
@@ -87,7 +87,7 @@ fn run_search(
     config: &SearchConfig,
 ) -> (SearchReport, String) {
     let cm = CostModel::default();
-    let mut session = Session::from_engine(SweepEngine::new(&cm)).with_mode(mode);
+    let mut session = Session::new(&cm).with_mode(mode);
     if let Some(path) = store {
         session = session.with_store(path).expect("store attaches");
     }
@@ -111,7 +111,7 @@ proptest! {
     ) {
         let (grid, wls) = case;
         let cm = CostModel::default();
-        let exhaustive = Session::from_engine(SweepEngine::new(&cm)).run(&grid, &wls, &[]).sweep;
+        let exhaustive = Session::new(&cm).run(&grid, &wls, &[]).sweep;
         let (report, _) = run_search(ExecMode::Parallel, None, &grid, &wls, &config);
 
         prop_assert!(report.evals <= grid.len(wls.len()));

@@ -13,7 +13,7 @@ use libra_core::network::NetworkShape;
 use libra_core::opt::Objective;
 use libra_core::scenario::Session;
 use libra_core::search::{run_grid, SearchConfig};
-use libra_core::sweep::{ExecMode, FnWorkload, SweepEngine, SweepGrid};
+use libra_core::sweep::{ExecMode, FnWorkload, SweepGrid};
 
 thread_local! {
     /// Bytes this thread allocated minus bytes it freed. `const`-
@@ -72,7 +72,7 @@ fn search_peak(n_budgets: usize) -> usize {
     })];
     let config = SearchConfig { seed_budgets: 6, max_evals: 12, ..SearchConfig::default() };
     let cost_model = CostModel::default();
-    let session = Session::from_engine(SweepEngine::new(&cost_model)).with_mode(ExecMode::Serial);
+    let session = Session::new(&cost_model).with_mode(ExecMode::Serial);
     let (report, peak) =
         peak_growth(|| run_grid(&session, &grid, &workloads, &config, &mut []).unwrap());
     assert_eq!(report.evals, 12);

@@ -360,7 +360,7 @@ fn run_job(
     let cost_model = CostModel::default();
     let mut session = scenario.session(&cost_model);
     if let Some(store) = &shared.store {
-        session = session.with_shared_store(Arc::clone(store))?;
+        session = session.with_shared_store(Arc::clone(store));
     }
     if let Some(fault) = &shared.fault {
         session = session.with_fault(fault.clone())?;

@@ -6,7 +6,7 @@ use libra::core::cost::CostModel;
 use libra::core::opt::Objective;
 use libra::core::presets;
 use libra::core::scenario::Session;
-use libra::core::sweep::{ExecMode, SweepEngine, SweepGrid};
+use libra::core::sweep::{ExecMode, SweepGrid};
 use libra::{Analytical, EventSimBackend, ScaledBackend};
 use libra_bench::sweep_workloads;
 use libra_workloads::zoo::PaperModel;
@@ -103,16 +103,12 @@ fn cross_validation_is_deterministic_and_cache_stable() {
     let analytical = Analytical::new();
     let event_sim = EventSimBackend::default();
 
-    let engine = SweepEngine::new(&cm);
-    let session = Session::over(&engine);
+    let session = Session::new(&cm);
     let cold = session.run(&grid, &workloads, &[&analytical, &event_sim]);
     let warm = session.run(&grid, &workloads, &[&analytical, &event_sim]);
     assert_eq!(cold.sweep.results, warm.sweep.results);
     assert_eq!(cold.divergence, warm.divergence);
-    let serial = Session::over(&engine).with_mode(ExecMode::Serial).run(
-        &grid,
-        &workloads,
-        &[&analytical, &event_sim],
-    );
+    let serial =
+        session.with_mode(ExecMode::Serial).run(&grid, &workloads, &[&analytical, &event_sim]);
     assert_eq!(cold.divergence, serial.divergence);
 }

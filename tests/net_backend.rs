@@ -8,7 +8,7 @@ use libra::core::cost::CostModel;
 use libra::core::opt::Objective;
 use libra::core::presets;
 use libra::core::scenario::Session;
-use libra::core::sweep::{SweepEngine, SweepGrid};
+use libra::core::sweep::SweepGrid;
 use libra::{Analytical, EventSimBackend, LinkParams, NetSimBackend};
 use libra_bench::{sweep_workload_with_link, sweep_workloads_with_link};
 use libra_workloads::zoo::PaperModel;
@@ -133,8 +133,7 @@ fn three_way_sweep_agrees_with_two_way_runs() {
     let net_sim = NetSimBackend::default();
     let bound = event_sim.agreement_bound(3);
 
-    let engine = SweepEngine::new(&cm);
-    let session = Session::over(&engine).with_tolerance(bound);
+    let session = Session::new(&cm).with_tolerance(bound);
     let report3 = session.run(&grid, &workloads, &[&analytical, &event_sim, &net_sim]);
     assert!(report3.divergence.within_tolerance(), "{}", report3.divergence.summary());
 

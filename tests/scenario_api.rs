@@ -9,8 +9,7 @@ use libra::core::opt::Objective;
 use libra::core::presets;
 use libra::{
     default_registry, records_from_jsonl, Analytical, BackendConfig, CollectorSink,
-    DivergenceMatrix, EvalBackend, JsonLinesSink, ScaledBackend, Scenario, Session, SweepEngine,
-    SweepGrid,
+    DivergenceMatrix, EvalBackend, JsonLinesSink, ScaledBackend, Scenario, Session, SweepGrid,
 };
 use libra_bench::{scenario_workloads, sweep_workloads};
 use libra_workloads::zoo::PaperModel;
@@ -39,8 +38,7 @@ fn divergence_matrix_matches_legacy_reports_on_the_seed_grids() {
     let max_ndims = grid.shapes().iter().map(|s| s.ndims()).max().unwrap();
     let tol = event_sim.agreement_bound(max_ndims);
 
-    let engine = SweepEngine::new(&cm);
-    let session = Session::over(&engine).with_tolerance(tol);
+    let session = Session::new(&cm).with_tolerance(tol);
     let n2 = session.run(&grid, &wls, &[&analytical, &event_sim]);
     assert_eq!(n2.divergence.pairs.len(), 1);
     assert_eq!(n2.divergence.pairs[0].points.len(), 40);

@@ -7,7 +7,7 @@ use libra::core::cost::CostModel;
 use libra::core::network::NetworkShape;
 use libra::core::opt::Objective;
 use libra::core::scenario::Session;
-use libra::core::sweep::{ExecMode, FnWorkload, SweepEngine, SweepGrid};
+use libra::core::sweep::{ExecMode, FnWorkload, SweepGrid};
 
 /// Force ≥ 4 workers even on single-core CI runners: the shimmed (and real)
 /// rayon reads this env var at pool construction.
@@ -67,8 +67,7 @@ fn parallel_sweep_is_reproducible_across_runs_and_cache_states() {
 
     // Cold engine vs warm engine (second run served from the memo cache)
     // vs an entirely fresh engine: all bit-identical.
-    let engine = SweepEngine::new(&cm);
-    let session = Session::over(&engine);
+    let session = Session::new(&cm);
     let cold = session.run(&grid, &wls, &[]).sweep;
     let warm = session.run(&grid, &wls, &[]).sweep;
     let fresh = Session::new(&cm).run(&grid, &wls, &[]).sweep;
