@@ -489,6 +489,13 @@ impl Scenario {
     /// budgets ladder's `"count"` is bounded by it in every scenario.
     pub const MAX_GRID_POINTS: usize = 1 << 22;
 
+    /// Largest `"chunks"` a scenario may ask for (1,024× the paper's 64).
+    /// Chunk-pipelined backends keep per-chunk state for every
+    /// collective, so an unbounded count is an allocation a few bytes of
+    /// JSON can make fail, and a failed allocation aborts the process.
+    /// Enforced by [`ScenarioBuilder::build`].
+    pub const MAX_CHUNKS: usize = 1 << 16;
+
     /// Starts building a scenario named `name`.
     pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
         ScenarioBuilder {
@@ -1002,8 +1009,8 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     /// [`LibraError::BadRequest`] when the name is empty, the grid or
-    /// workload list is empty, `chunks == 0`, or the tolerance is
-    /// negative/non-finite.
+    /// workload list is empty, `chunks` is 0 or above
+    /// [`Scenario::MAX_CHUNKS`], or the tolerance is negative/non-finite.
     pub fn build(self) -> Result<Scenario, LibraError> {
         let s = self.scenario;
         let bad =
@@ -1028,6 +1035,13 @@ impl ScenarioBuilder {
         }
         if s.chunks == 0 {
             return bad("chunks must be >= 1");
+        }
+        if s.chunks > Scenario::MAX_CHUNKS {
+            return bad(&format!(
+                "field \"chunks\" must be at most {} (Scenario::MAX_CHUNKS), got {}",
+                Scenario::MAX_CHUNKS,
+                s.chunks
+            ));
         }
         if !s.tolerance.is_finite() || s.tolerance < 0.0 {
             return bad("tolerance must be finite and >= 0");
@@ -2446,6 +2460,7 @@ mod tests {
         assert!(base().build().is_ok());
         assert!(Scenario::builder("").build().is_err());
         assert!(base().with_chunks(0).build().is_err());
+        assert!(base().with_chunks(Scenario::MAX_CHUNKS).build().is_ok());
         assert!(base().with_tolerance(-1.0).build().is_err());
         assert!(base().with_tolerance(f64::NAN).build().is_err());
         let no_shapes = Scenario::builder("x")
@@ -2453,6 +2468,30 @@ mod tests {
             .with_objectives([Objective::Perf])
             .with_workload("w");
         assert!(no_shapes.build().is_err());
+    }
+
+    /// A few bytes of `"chunks"` must not ask a chunk-pipelined backend
+    /// for per-chunk state it cannot allocate: counts above
+    /// [`Scenario::MAX_CHUNKS`] are rejected with the field named.
+    #[test]
+    fn chunks_are_bounded() {
+        let base = Scenario::builder("c")
+            .with_shape("RI(4)_SW(8)".parse().unwrap())
+            .with_budgets([100.0])
+            .with_objectives([Objective::Perf])
+            .with_workload("w")
+            .build()
+            .unwrap();
+        let with = |n: &str| {
+            let text = base.to_json().replacen("\"chunks\": 64", &format!("\"chunks\": {n}"), 1);
+            assert!(text.contains(n));
+            Scenario::from_json(&text)
+        };
+        for n in ["1e12", "65537"] {
+            let err = with(n).unwrap_err().to_string();
+            assert!(err.contains("field \"chunks\" must be at most 65536"), "{n}: {err}");
+        }
+        assert_eq!(with("65536").unwrap().chunks, Scenario::MAX_CHUNKS);
     }
 
     /// Warm start is the only solve policy: scenario files may still say

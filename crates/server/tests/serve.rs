@@ -212,16 +212,15 @@ fn submissions_are_validated_before_queueing() {
     server.join().unwrap();
 }
 
-/// A body of 200 KB of `[` is a 400, not a stack overflow in its
-/// handler thread (an abort no `catch_unwind` contains): the server
-/// keeps answering and still runs the next job.
-#[test]
-fn deeply_nested_bodies_are_rejected_and_the_server_keeps_serving() {
+/// Posts a hostile `body` to a fresh one-worker server and checks that
+/// it is a 400 whose message contains `needle`, and that the server then
+/// still answers `/v1/stats` and runs the next job byte-identically.
+fn assert_rejected_and_still_serving(body: &[u8], needle: &str) {
     let (server, client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
-    let response = client.post("/v1/sweeps", "[".repeat(200 * 1024).as_bytes()).unwrap();
+    let response = client.post("/v1/sweeps", body).unwrap();
     assert_eq!(response.status, 400);
     let text = String::from_utf8(response.body).unwrap();
-    assert!(text.contains("nesting deeper"), "{text}");
+    assert!(text.contains(needle), "{text}");
 
     assert_eq!(client.get("/v1/stats").unwrap().status, 200);
     let scenario = scenario();
@@ -233,27 +232,34 @@ fn deeply_nested_bodies_are_rejected_and_the_server_keeps_serving() {
     server.join().unwrap();
 }
 
+/// A body of 200 KB of `[` is a 400, not a stack overflow in its
+/// handler thread (an abort no `catch_unwind` contains): the server
+/// keeps answering and still runs the next job.
+#[test]
+fn deeply_nested_bodies_are_rejected_and_the_server_keeps_serving() {
+    assert_rejected_and_still_serving("[".repeat(200 * 1024).as_bytes(), "nesting deeper");
+}
+
 /// A ~300-byte body whose budgets ladder asks for 10¹² entries is a
 /// 400, not an 8 TB allocation whose failure aborts the server.
 #[test]
 fn huge_budget_ladders_are_rejected_and_the_server_keeps_serving() {
-    let (server, client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
-    let scenario = scenario();
     let ladder = "\"budgets\": {\"from\": 100, \"to\": 1000, \"count\": 1e12}";
-    let body = scenario.to_json().replacen("\"budgets\": [100, 400]", ladder, 1);
+    let body = scenario().to_json().replacen("\"budgets\": [100, 400]", ladder, 1);
     assert!(body.contains(ladder), "the ladder replaced the budget list: {body}");
-    let response = client.post("/v1/sweeps", body.as_bytes()).unwrap();
-    assert_eq!(response.status, 400);
-    let text = String::from_utf8(response.body).unwrap();
-    assert!(text.contains("budgets ladder field \\\"count\\\" must be at most"), "{text}");
+    assert_rejected_and_still_serving(
+        body.as_bytes(),
+        "budgets ladder field \\\"count\\\" must be at most",
+    );
+}
 
-    assert_eq!(client.get("/v1/stats").unwrap().status, 200);
-    let (job, _) = client.submit(scenario.to_json().as_bytes()).unwrap();
-    assert_eq!(client.wait(&job, POLL, None).unwrap().exit_code(), 0);
-    assert_eq!(client.records(&job).unwrap(), direct_run_bytes(&scenario));
-
-    server.shutdown();
-    server.join().unwrap();
+/// A ~300-byte body asking for 10¹² chunks per collective is a 400, not
+/// per-chunk backend state whose failed allocation aborts the server.
+#[test]
+fn huge_chunk_counts_are_rejected_and_the_server_keeps_serving() {
+    let body = scenario().to_json().replacen("\"chunks\": 64", "\"chunks\": 1e12", 1);
+    assert!(body.contains("\"chunks\": 1e12"), "the chunk count was replaced: {body}");
+    assert_rejected_and_still_serving(body.as_bytes(), "field \\\"chunks\\\" must be at most");
 }
 
 #[test]
