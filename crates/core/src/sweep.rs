@@ -1493,8 +1493,11 @@ mod tests {
         // The sweep half is identical to a plain run over the same engine.
         let plain = session.run(&grid, &wls, &[]).sweep;
         assert_eq!(plain.results, report.sweep.results);
-        // Parallel and serial cross-validated folds agree bit-for-bit.
-        let serial = session.with_mode(ExecMode::Serial).run(&grid, &wls, &[&a, &a]);
+        // Parallel and serial cross-validated folds agree bit-for-bit (the
+        // serial fold solves on a fresh engine, not from the memo cache).
+        let serial = Session::new(&cm).with_tolerance(0.0).with_mode(ExecMode::Serial);
+        let serial = serial.run(&grid, &wls, &[&a, &a]);
+        assert_eq!(serial.sweep.cache.design_hits, 0, "the serial fold solves every point");
         assert_eq!(serial.sweep.results, report.sweep.results);
         assert_eq!(serial.divergence, report.divergence);
     }
@@ -1575,9 +1578,11 @@ mod tests {
         assert_eq!(report.divergence.max_rel_error(), 0.0);
         assert!(report.divergence.within_tolerance());
         // The sweep half is a plain run; parallel and serial folds agree
-        // bit-for-bit.
+        // bit-for-bit (the serial fold solves on a fresh engine).
         assert_eq!(session.run(&grid, &wls, &[]).sweep.results, report.sweep.results);
-        let serial = session.with_mode(ExecMode::Serial).run(&grid, &wls, &[&a, &a, &a]);
+        let serial = Session::new(&cm).with_tolerance(0.0).with_mode(ExecMode::Serial);
+        let serial = serial.run(&grid, &wls, &[&a, &a, &a]);
+        assert_eq!(serial.sweep.cache.design_hits, 0, "the serial fold solves every point");
         assert_eq!(serial.sweep.results, report.sweep.results);
         assert_eq!(serial.divergence, report.divergence);
     }

@@ -108,7 +108,12 @@ fn cross_validation_is_deterministic_and_cache_stable() {
     let warm = session.run(&grid, &workloads, &[&analytical, &event_sim]);
     assert_eq!(cold.sweep.results, warm.sweep.results);
     assert_eq!(cold.divergence, warm.divergence);
-    let serial =
-        session.with_mode(ExecMode::Serial).run(&grid, &workloads, &[&analytical, &event_sim]);
+    // The serial fold solves on a fresh engine, not from the memo cache.
+    let serial = Session::new(&cm).with_mode(ExecMode::Serial).run(
+        &grid,
+        &workloads,
+        &[&analytical, &event_sim],
+    );
+    assert_eq!(serial.sweep.cache.design_hits, 0, "the serial fold solves every point");
     assert_eq!(cold.divergence, serial.divergence);
 }
