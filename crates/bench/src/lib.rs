@@ -126,8 +126,8 @@ pub fn cosearch_workloads(cs: &Cosearch) -> Result<Vec<sweep::FnWorkload>, Libra
 /// (no-overlap training loop, default comm model — the paper's setup).
 ///
 /// The workload carries its communication plan, so it is eligible for
-/// cross-validated sweeps ([`sweep::SweepEngine::run_cross_validated`])
-/// out of the box.
+/// cross-validated sweeps (a [`libra_core::scenario::Session`] run with
+/// two or more backends) out of the box.
 pub fn sweep_workload(model: PaperModel) -> sweep::FnWorkload {
     sweep::FnWorkload::new(model.name(), move |shape: &NetworkShape| {
         Ok(vec![(1.0, time_expr_for(model, shape)?)])
@@ -147,8 +147,8 @@ pub fn sweep_workloads(models: &[PaperModel]) -> Vec<sweep::FnWorkload> {
 /// [`NetSpec`] derived from each candidate shape's per-dimension unit
 /// topologies with the given α-β link parameters — the input
 /// `libra_net::NetSimBackend` needs to price hop latency and switch
-/// traversal in a three-way cross-validated sweep
-/// ([`sweep::SweepEngine::run_cross_validated3`]).
+/// traversal in a three-way cross-validated sweep (a
+/// [`libra_core::scenario::Session`] run with three backends).
 pub fn sweep_workload_with_link(model: PaperModel, link: LinkParams) -> sweep::FnWorkload {
     sweep::FnWorkload::new(model.name(), move |shape: &NetworkShape| {
         Ok(vec![(1.0, time_expr_for(model, shape)?)])

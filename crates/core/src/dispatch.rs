@@ -1,5 +1,5 @@
-//! Shard dispatcher: one [`Scenario`](crate::scenario::Scenario) sweep
-//! split across many independent workers.
+//! Shard dispatcher: one [`Scenario`] sweep split across many
+//! independent workers.
 //!
 //! The grid's deterministic enumeration (shape → workload → budget →
 //! objective) makes a sweep trivially partitionable: [`shard_ranges`]
@@ -8,13 +8,10 @@
 //! [`Session`](crate::scenario::Session)s here, or
 //! `libra crossval --range a..b` child processes forked by the CLI's
 //! `dispatch --spawn`), and the shards' JSON-lines streams are merged
-//! back: concatenated, re-parsed with
-//! [`records_from_jsonl`](crate::scenario::records_from_jsonl),
-//! re-sorted by grid index, coverage-checked against the grid
-//! ([`verify_coverage`] — exactly `0..grid_len`, no gaps, no
-//! duplicates), and re-judged into a fresh
-//! [`DivergenceMatrix`](crate::scenario::DivergenceMatrix) at the
-//! scenario's own tolerance.
+//! back: concatenated, re-parsed with [`records_from_jsonl`], re-sorted
+//! by grid index, coverage-checked against the grid ([`verify_coverage`]
+//! — exactly `0..grid_len`, no gaps, no duplicates), and re-judged into
+//! a fresh [`DivergenceMatrix`] at the scenario's own tolerance.
 //!
 //! The headline contract, pinned by `prop_dispatch` and the CI golden
 //! diff: **the K-shard merged output is bit-identical to the

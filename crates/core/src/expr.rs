@@ -4,7 +4,7 @@
 //! LIBRA models every communication delay as `coeff / B_dim` (traffic over
 //! bandwidth) and combines delays with sums (sequential phases) and maxes
 //! (bottlenecks / overlap), producing a convex function of `B` that the
-//! interior-point solver optimizes directly. [`BwExpr::compile`] lowers an
+//! interior-point solver optimizes directly. [`compile`] lowers an
 //! expression into the epigraph form consumed by `libra-solver`.
 
 use libra_solver::convex::{ConvexProblem, RatioTerm};

@@ -227,7 +227,7 @@ pub fn respond_chunked<'b>(
 /// first `keep` chunks, then stops without the `0\r\n\r\n` terminator —
 /// the wire image of a server dying mid-stream. Exists solely for the
 /// `server.response.drop` fault-injection site; a client must report
-/// the truncation (see [`decode_chunked`]'s "truncated chunk" errors),
+/// the truncation (see `decode_chunked`'s "truncated chunk" errors),
 /// never silently accept the partial record set.
 ///
 /// # Errors

@@ -7,8 +7,8 @@
 //! the CLI uses, then enqueues it on the bounded [`JobTable`]; sweep
 //! workers drain the queue, each running a fresh
 //! [`Session`](libra_core::scenario::Session) attached to the one shared
-//! [`SolveStore`](libra_core::store::SolveStore), so concurrent clients
-//! pricing overlapping scenarios hit each other's solves in memory.
+//! [`SolveStore`], so concurrent clients pricing overlapping scenarios
+//! hit each other's solves in memory.
 //!
 //! The headline contract: the bytes `GET /v1/sweeps/{id}/records`
 //! streams are **byte-identical** to a single-process

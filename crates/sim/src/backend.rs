@@ -5,11 +5,11 @@
 //! [`crate::collective`] machinery: every network dimension becomes a FIFO
 //! bandwidth server sized from the bandwidth vector under evaluation
 //! (i.e. from a `Design`'s `bw`), each phase's operations become a batch of
-//! concurrently released [`CollectiveJob`]s split into pipelined chunks,
-//! and the phase's makespan is measured on the integer-picosecond event
-//! timeline. Sequential phases sum; [`CommPhase::repeat`] multiplies a
-//! phase's makespan (the fabric drains between phases, so a repeated phase
-//! is exactly periodic).
+//! concurrently released [`CollectiveJob`](crate::collective::CollectiveJob)s
+//! split into pipelined chunks, and the phase's makespan is measured on the
+//! integer-picosecond event timeline. Sequential phases sum;
+//! [`CommPhase::repeat`] multiplies a phase's makespan (the fabric drains
+//! between phases, so a repeated phase is exactly periodic).
 //!
 //! # Agreement with the analytical backend
 //!

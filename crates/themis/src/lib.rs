@@ -7,7 +7,7 @@
 //! chunks over the dimensions of a multi-dimensional network in a greedy
 //! manner, so that over-loaded dimensions shed work to under-utilized ones
 //! at runtime. This crate implements that policy as a
-//! [`ChunkScheduler`](libra_sim::collective::ChunkScheduler) for the
+//! [`ChunkScheduler`] for the
 //! `libra-sim` engine: each time a chunk finishes a stage, it picks the
 //! *unvisited* dimension with the earliest estimated finish time
 //! (current backlog + its own service time).

@@ -17,7 +17,7 @@
 //! * [`transformer`] — Megatron-style transformer LLMs with ZeRO-2.
 //! * [`vision`] — ResNet-50 (data parallel).
 //! * [`dlrm`] — DLRM with all-NPU embedding All-to-All.
-//! * [`format`] — the `.wl` text serialization of workloads.
+//! * [`format`](mod@format) — the `.wl` text serialization of workloads.
 //! * [`zoo`] — the Table II presets, sized for a given network.
 
 pub mod compute;

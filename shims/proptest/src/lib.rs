@@ -223,7 +223,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
