@@ -2460,7 +2460,6 @@ mod tests {
         assert!(base().build().is_ok());
         assert!(Scenario::builder("").build().is_err());
         assert!(base().with_chunks(0).build().is_err());
-        assert!(base().with_chunks(Scenario::MAX_CHUNKS).build().is_ok());
         assert!(base().with_tolerance(-1.0).build().is_err());
         assert!(base().with_tolerance(f64::NAN).build().is_err());
         let no_shapes = Scenario::builder("x")
