@@ -11,10 +11,9 @@
 //! * [`Scenario`] (built by [`ScenarioBuilder`]) is the declarative
 //!   description: shapes × budgets × objectives, workload names, optional
 //!   α-β link parameters, backend names, chunking, and tolerance.
-//!   Scenarios are **data**: they round-trip through a
-//!   hand-rolled JSON file format ([`Scenario::to_json`] /
-//!   [`Scenario::from_json`]), which is what makes grids shardable across
-//!   processes.
+//!   Scenarios are **data**: they round-trip through a hand-rolled JSON
+//!   file format ([`Scenario::to_json`] / [`Scenario::from_json`]), which
+//!   is what makes grids shardable across processes.
 //! * [`BackendRegistry`] maps backend *names* (`"analytical"`,
 //!   `"analytical-offload"`, plus `"event-sim"` / `"net-sim"` registered
 //!   by `libra-sim` / `libra-net`, plus user registrations) to
@@ -792,12 +791,9 @@ impl Scenario {
             }
             b = b.with_tolerance(t);
         }
-        // Warm-started solves are the only policy; scenario files may
-        // still say so.
+        // Warm-started solves are the only policy; files may still say so.
         if root.get("warm_start").is_some_and(|v| v.as_bool() != Some(true)) {
-            return Err(bad("field \"warm_start\" must be true: warm-started solves are \
-                            the only policy"
-                .into()));
+            return Err(bad("field \"warm_start\" must be true (the only solve policy)".into()));
         }
         match root.get("search") {
             None | Some(Json::Null) => {}
