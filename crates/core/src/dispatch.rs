@@ -30,14 +30,11 @@ use std::path::{Path, PathBuf};
 
 use crate::cost::CostModel;
 use crate::error::LibraError;
-use crate::eval::rel_error;
 use crate::scenario::{
     jsonl_header_line, jsonl_summary_line, records_from_jsonl, BackendRegistry, CollectorSink,
     DivergenceMatrix, JsonLinesSink, JsonParser, RecordRow, RunMeta, Scenario,
 };
-use crate::sweep::{
-    DivergenceReport, ExecMode, GridPoint, PointDivergence, SweepError, SweepWorkload,
-};
+use crate::sweep::{ExecMode, SweepWorkload};
 
 /// Splits `0..n_points` into `shards` contiguous ranges whose lengths
 /// differ by at most one (earlier ranges take the remainder). With more
@@ -316,9 +313,12 @@ fn merge_rows(
 }
 
 /// Rebuilds the pairwise divergence matrix from merged records,
-/// judging at the scenario's tolerance. Relative errors are
-/// recomputed from the round-tripped (bit-identical) backend times,
-/// so the rebuilt matrix reaches exactly the single run's verdict.
+/// judging at the scenario's tolerance with the judge a live run uses
+/// ([`DivergenceMatrix::judge`]). Relative errors are recomputed from
+/// the round-tripped (bit-identical) backend times, so the rebuilt
+/// matrix equals the single run's. Each record is first checked against
+/// the scenario's grid, so a stream from some other scenario cannot
+/// merge quietly.
 fn rejudge(
     scenario: &Scenario,
     rows: &[RecordRow],
@@ -326,92 +326,32 @@ fn rejudge(
     names: Vec<String>,
 ) -> Result<DivergenceMatrix, LibraError> {
     let grid = scenario.grid();
-    let pair_indices = DivergenceMatrix::pair_indices(names.len());
-    let mut pairs: Vec<DivergenceReport> = pair_indices
-        .iter()
-        .map(|&(i, j)| DivergenceReport {
-            baseline: names[i].clone(),
-            reference: names[j].clone(),
-            tolerance: scenario.tolerance,
-            points: Vec::new(),
-            skipped: 0,
-            backend_errors: Vec::new(),
-        })
-        .collect();
-    let n_obj = grid.objectives().len().max(1);
-    let n_bud = grid.budgets().len().max(1);
-    {
-        for row in rows {
-            // Decompose the grid index along the shape-major enumeration
-            // and cross-check the record against the scenario's grid, so
-            // a stream from some other scenario cannot merge quietly.
-            let o = row.index % n_obj;
-            let b = (row.index / n_obj) % n_bud;
-            let w = (row.index / (n_obj * n_bud)) % n_workloads.max(1);
-            let s = row.index / (n_obj * n_bud * n_workloads.max(1));
-            let shape = &grid.shapes()[s];
-            let point = GridPoint {
-                shape: s,
-                workload: w,
-                budget: grid.budgets()[b],
-                objective: grid.objectives()[o],
-            };
-            if row.shape != shape.to_string()
-                || row.budget.to_bits() != point.budget.to_bits()
-                || row.objective != point.objective
-            {
-                return Err(LibraError::BadRequest(format!(
-                    "record at grid index {} ({}, {}, budget {}) does not match \
-                     the scenario's grid — merged streams from a different run?",
-                    row.index, row.shape, row.workload, row.budget
-                )));
-            }
-            if row.weighted_time.is_none() {
-                // Design-solve failure: lives in the sweep errors, not
-                // in any pair (exactly as the single-process fold).
-                continue;
-            }
-            if !row.secs.is_empty() {
-                if row.secs.len() != names.len() {
-                    return Err(LibraError::BadRequest(format!(
-                        "record at grid index {} carries {} backend times, \
-                         but the scenario names {} backends",
-                        row.index,
-                        row.secs.len(),
-                        names.len()
-                    )));
-                }
-                for (pair, &(i, j)) in pairs.iter_mut().zip(&pair_indices) {
-                    pair.points.push(PointDivergence {
-                        point,
-                        shape: shape.clone(),
-                        workload: row.workload.clone(),
-                        baseline_secs: row.secs[i],
-                        reference_secs: row.secs[j],
-                        rel_error: rel_error(row.secs[i], row.secs[j]),
-                    });
-                }
-            } else if let Some(msg) = &row.error {
-                // A backend rejected the plan: reconstruct the failure
-                // (the message survives; the original error variant is
-                // not serialized).
-                for pair in &mut pairs {
-                    pair.backend_errors.push(SweepError {
-                        point,
-                        shape: shape.clone(),
-                        workload: row.workload.clone(),
-                        error: LibraError::BadRequest(msg.clone()),
-                    });
-                }
-            } else {
-                // Designed but planless (or a plain sweep): skipped.
-                for pair in &mut pairs {
-                    pair.skipped += 1;
-                }
-            }
+    let mut divergence = DivergenceMatrix::new(names, scenario.tolerance);
+    for row in rows {
+        let point = grid.point(row.index, n_workloads);
+        let shape = &grid.shapes()[point.shape];
+        if row.shape != shape.to_string()
+            || row.budget.to_bits() != point.budget.to_bits()
+            || row.objective != point.objective
+        {
+            return Err(LibraError::BadRequest(format!(
+                "record at grid index {} ({}, {}, budget {}) does not match \
+                 the scenario's grid — merged streams from a different run?",
+                row.index, row.shape, row.workload, row.budget
+            )));
         }
-        Ok(DivergenceMatrix { backends: names, pairs })
+        let n = divergence.n_backends();
+        if row.weighted_time.is_some() && !row.secs.is_empty() && row.secs.len() != n {
+            return Err(LibraError::BadRequest(format!(
+                "record at grid index {} carries {} backend times, \
+                 but the scenario names {n} backends",
+                row.index,
+                row.secs.len(),
+            )));
+        }
+        divergence.judge(point, shape, row);
     }
+    Ok(divergence)
 }
 
 /// Leniently reads the valid prefix of a partial (interrupted)

@@ -62,14 +62,14 @@ use std::io::Write;
 
 use crate::cost::CostModel;
 use crate::error::LibraError;
-use crate::eval::{EvalBackend, LinkParams};
+use crate::eval::{rel_error, EvalBackend, LinkParams};
 use crate::network::NetworkShape;
 use crate::opt::Objective;
 use crate::search::{Cosearch, SearchConfig};
 use crate::store::Fingerprint;
 use crate::sweep::{
-    DivergenceReport, ExecMode, SweepEngine, SweepError, SweepGrid, SweepReport, SweepResult,
-    SweepWorkload,
+    DivergenceReport, ExecMode, GridPoint, PointDivergence, SweepEngine, SweepError, SweepGrid,
+    SweepReport, SweepResult, SweepWorkload,
 };
 
 // ---------------------------------------------------------------------------
@@ -1291,6 +1291,59 @@ impl DivergenceMatrix {
         (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect()
     }
 
+    /// A matrix over `backends` that has judged nothing yet, judging at
+    /// `tolerance`.
+    pub(crate) fn new(backends: Vec<String>, tolerance: f64) -> Self {
+        let pairs = Self::pair_indices(backends.len())
+            .into_iter()
+            .map(|(i, j)| DivergenceReport {
+                baseline: backends[i].clone(),
+                reference: backends[j].clone(),
+                tolerance,
+                points: Vec::new(),
+                skipped: 0,
+                backend_errors: Vec::new(),
+            })
+            .collect();
+        DivergenceMatrix { backends, pairs }
+    }
+
+    /// Judges one record — streamed by a live run, or parsed back from a
+    /// shard or partial stream — at grid cell `point` on `shape`, so a
+    /// live run and a merged one reach the same matrix. A record whose
+    /// design solve failed lives in the sweep errors, not in any pair; a
+    /// priced record is compared pair by pair; an unpriced one with an
+    /// error is a backend error (the record keeps only the message); the
+    /// rest (planless workloads) are skipped. `row.secs` must be empty or
+    /// hold one time per backend.
+    pub(crate) fn judge(&mut self, point: GridPoint, shape: &NetworkShape, row: &RecordRow) {
+        if row.weighted_time.is_none() {
+            return;
+        }
+        let pairs = self.pairs.iter_mut().zip(Self::pair_indices(self.backends.len()));
+        for (pair, (i, j)) in pairs {
+            if !row.secs.is_empty() {
+                pair.points.push(PointDivergence {
+                    point,
+                    shape: shape.clone(),
+                    workload: row.workload.clone(),
+                    baseline_secs: row.secs[i],
+                    reference_secs: row.secs[j],
+                    rel_error: rel_error(row.secs[i], row.secs[j]),
+                });
+            } else if let Some(message) = &row.error {
+                pair.backend_errors.push(SweepError {
+                    point,
+                    shape: shape.clone(),
+                    workload: row.workload.clone(),
+                    error: LibraError::BadRequest(message.clone()),
+                });
+            } else {
+                pair.skipped += 1;
+            }
+        }
+    }
+
     /// Number of backends priced per point.
     pub fn n_backends(&self) -> usize {
         self.backends.len()
@@ -1580,29 +1633,6 @@ pub fn records_from_jsonl(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
     Ok(rows)
 }
 
-/// The persistent-store fingerprint of one run configuration: the grid's
-/// shapes/budgets/objectives, the workload names, and the link parameters
-/// and chunk count (zero/none for plain non-scenario runs). See
-/// [`Fingerprint::compute`] for the hash.
-pub(crate) fn run_fingerprint<W: SweepWorkload>(
-    grid: &SweepGrid,
-    workloads: &[W],
-    link: Option<LinkParams>,
-    chunks: usize,
-) -> Fingerprint {
-    let shapes: Vec<String> = grid.shapes().iter().map(|s| s.to_string()).collect();
-    let objectives: Vec<&str> = grid.objectives().iter().map(|&o| objective_name(o)).collect();
-    let names: Vec<String> = workloads.iter().map(|w| w.name().to_string()).collect();
-    Fingerprint::compute(
-        &shapes,
-        grid.budgets(),
-        &objectives,
-        &names,
-        link.map(|l| (l.alpha_ps, l.switch_ps)),
-        chunks,
-    )
-}
-
 /// Validates a contiguous grid-index range against a grid of `len` points.
 pub(crate) fn check_range(range: &std::ops::Range<usize>, len: usize) -> Result<(), LibraError> {
     if range.start > range.end || range.end > len {
@@ -1872,7 +1902,7 @@ impl<F: FnMut(usize, usize)> ReportSink for ProgressSink<F> {
 pub struct Session<'a> {
     engine: SweepEngine<'a>,
     tolerance: f64,
-    mode: ExecMode,
+    pub(crate) mode: ExecMode,
 }
 
 impl<'a> Session<'a> {
@@ -1992,28 +2022,6 @@ impl<'a> Session<'a> {
         self.run_inner(None, self.tolerance, grid, workloads, backends, full, None, 0, sinks)
     }
 
-    /// [`Session::run_with_sinks`] restricted to the contiguous grid-index
-    /// `range` — one shard of a distributed sweep. Emitted record indices
-    /// stay **global**, and warm-start seeding solves any out-of-range
-    /// group anchors the shard depends on, so for every partition of the
-    /// grid the concatenation of shard outputs is bit-identical to the
-    /// unsharded run (see [`crate::dispatch`]).
-    ///
-    /// # Errors
-    /// [`LibraError::BadRequest`] when `range` is inverted or extends past
-    /// the grid's length.
-    pub fn run_range_with_sinks<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        backends: &[&dyn EvalBackend],
-        range: std::ops::Range<usize>,
-        sinks: &mut [&mut dyn ReportSink],
-    ) -> Result<SessionReport, LibraError> {
-        check_range(&range, grid.len(workloads.len()))?;
-        Ok(self.run_inner(None, self.tolerance, grid, workloads, backends, range, None, 0, sinks))
-    }
-
     /// Runs a [`Scenario`]'s grid with backends built from `registry`.
     /// `workloads` are the resolved implementations of
     /// [`Scenario::workloads`] (e.g. from `libra-bench`'s name resolver).
@@ -2049,10 +2057,13 @@ impl<'a> Session<'a> {
     }
 
     /// [`Session::run_scenario_with_sinks`] restricted to the contiguous
-    /// grid-index `range` — one shard of a distributed scenario run, with
-    /// the same global-index and warm-start-determinism guarantees as
-    /// [`Session::run_range_with_sinks`]. This is what
-    /// `libra crossval --range a..b` executes in a spawned worker.
+    /// grid-index `range` — one shard of a distributed scenario run.
+    /// Emitted record indices stay **global**, and warm-start seeding
+    /// solves any out-of-range group anchors the shard depends on, so for
+    /// every partition of the grid the concatenation of shard outputs is
+    /// bit-identical to the unsharded run (see [`crate::dispatch`]). This
+    /// is what `libra crossval --range a..b` executes in a spawned
+    /// worker.
     ///
     /// # Errors
     /// Propagates unknown-backend-name errors; [`LibraError::BadRequest`]
@@ -2082,6 +2093,33 @@ impl<'a> Session<'a> {
         ))
     }
 
+    /// The attached store's key for runs over `grid`: the fingerprint of
+    /// the run configuration — the grid's shapes/budgets/objectives, the
+    /// workload names, and the link parameters and chunk count (zero/none
+    /// for plain non-scenario runs; see [`Fingerprint::compute`] for the
+    /// hash). `None` without a store, so a store-less run never hashes
+    /// the grid's axes.
+    pub(crate) fn store_key<W: SweepWorkload>(
+        &self,
+        grid: &SweepGrid,
+        workloads: &[W],
+        link: Option<LinkParams>,
+        chunks: usize,
+    ) -> Option<Fingerprint> {
+        self.engine.store.as_ref()?;
+        let shapes: Vec<String> = grid.shapes().iter().map(|s| s.to_string()).collect();
+        let objectives: Vec<&str> = grid.objectives().iter().map(|&o| objective_name(o)).collect();
+        let names: Vec<String> = workloads.iter().map(|w| w.name().to_string()).collect();
+        Some(Fingerprint::compute(
+            &shapes,
+            grid.budgets(),
+            &objectives,
+            &names,
+            link.map(|l| (l.alpha_ps, l.switch_ps)),
+            chunks,
+        ))
+    }
+
     #[allow(clippy::too_many_arguments)] // private fan-in behind the public run entry points
     fn run_inner<W: SweepWorkload>(
         &self,
@@ -2096,35 +2134,30 @@ impl<'a> Session<'a> {
         sinks: &mut [&mut dyn ReportSink],
     ) -> SessionReport {
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
-        let pair_indices = DivergenceMatrix::pair_indices(backends.len());
-        let fp = run_fingerprint(grid, workloads, link, chunks);
-        if !sinks.is_empty() {
-            let meta = RunMeta { scenario, backends: &names, n_points: range.len(), tolerance };
-            for sink in sinks.iter_mut() {
-                sink.on_run_start(&meta);
-            }
+        let meta = RunMeta { scenario, backends: &names, n_points: range.len(), tolerance };
+        for sink in sinks.iter_mut() {
+            sink.on_run_start(&meta);
         }
-        let (sweep, pairs) = self.engine.run_priced(
+        let mut divergence = DivergenceMatrix::new(names, tolerance);
+        let fp = self.store_key(grid, workloads, link, chunks);
+        let cells: Vec<usize> = range.collect();
+        let sweep = self.engine.run_priced(
             grid,
             workloads,
             backends,
-            &pair_indices,
-            tolerance,
-            range,
+            &cells,
             self.mode,
             fp,
             &mut |index, outcome, priced| {
-                if sinks.is_empty() {
-                    return;
-                }
                 let row = RecordRow::from_outcome(index, outcome, priced);
+                let point = grid.point(index, workloads.len());
+                divergence.judge(point, &grid.shapes()[point.shape], &row);
                 for sink in sinks.iter_mut() {
                     sink.on_record(&row);
                 }
             },
         );
-        let report =
-            SessionReport { sweep, divergence: DivergenceMatrix { backends: names, pairs } };
+        let report = SessionReport { sweep, divergence };
         for sink in sinks.iter_mut() {
             sink.on_run_end(&report);
         }
@@ -2867,19 +2900,41 @@ mod tests {
         assert!(report.divergence.pair("analytical", "nonexistent").is_none());
     }
 
+    /// [`small_grid`] as a scenario of one planned workload `"a"`, priced
+    /// by `analytical` and a 2 % `skewed` copy (see [`skewed_registry`]).
+    fn small_scenario() -> Scenario {
+        Scenario::builder("small")
+            .with_shapes(small_grid().shapes().iter().cloned())
+            .with_budgets(small_grid().budgets().iter().copied())
+            .with_objectives([Objective::Perf])
+            .with_workload("a")
+            .with_backends(["analytical", "skewed"])
+            .build()
+            .unwrap()
+    }
+
+    fn skewed_registry() -> BackendRegistry {
+        let mut registry = BackendRegistry::new();
+        registry
+            .register("skewed", |_| Box::new(ScaledBackend::new(Analytical::new(), 1.02, "skewed")))
+            .unwrap();
+        registry
+    }
+
     /// A ranged run's records are bit-identical to the corresponding
     /// slice of the full run's — including seeded points whose warm-start
     /// group anchor lies outside the range — and its indices stay global.
     #[test]
     fn ranged_session_runs_match_the_full_run_slice() {
-        let grid = small_grid();
+        let scenario = small_scenario();
+        let registry = skewed_registry();
         let wls = [planned_workload("a", 2.0)];
         let cm = CostModel::default();
-        let a = Analytical::new();
-        let skew = ScaledBackend::new(Analytical::new(), 1.02, "skewed");
 
         let mut full = CollectorSink::new();
-        Session::new(&cm).run_with_sinks(&grid, &wls, &[&a, &skew], &mut [&mut full]);
+        Session::new(&cm)
+            .run_scenario_with_sinks(&scenario, &wls, &registry, &mut [&mut full])
+            .unwrap();
         assert_eq!(full.rows.len(), 4);
 
         // 1..3 straddles the two shapes; index 1 (first shape's second
@@ -2888,14 +2943,46 @@ mod tests {
         for range in [0..1, 1..3, 3..4] {
             let mut shard = CollectorSink::new();
             Session::new(&cm)
-                .run_range_with_sinks(&grid, &wls, &[&a, &skew], range, &mut [&mut shard])
+                .run_scenario_range_with_sinks(&scenario, &wls, &registry, range, &mut [&mut shard])
                 .unwrap();
             sharded.extend(shard.rows);
         }
         assert_eq!(sharded, full.rows, "shard concatenation must be bit-identical");
 
-        let bad = Session::new(&cm).run_range_with_sinks(&grid, &wls, &[&a], 2..9, &mut []);
+        let bad = Session::new(&cm).run_scenario_range_with_sinks(
+            &scenario,
+            &wls,
+            &registry,
+            2..9,
+            &mut [],
+        );
         assert!(bad.unwrap_err().to_string().contains("does not fit"));
+    }
+
+    /// A ranged run reads only its cells and their group anchors from
+    /// the store: with every point stored, the 1..3 shard makes three
+    /// lookups (indices 1 and 2, and index 1's anchor at 0), not one per
+    /// grid point, and solves nothing.
+    #[test]
+    fn ranged_runs_read_only_their_cells_and_anchors_from_the_store() {
+        let scenario = small_scenario();
+        let registry = skewed_registry();
+        let wls = [planned_workload("a", 2.0)];
+        let cm = CostModel::default();
+        let path = std::env::temp_dir()
+            .join(format!("libra-scenario-test-{}-ranged-store.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let full = Session::new(&cm).with_store(&path).unwrap();
+        full.run_scenario(&scenario, &wls, &registry).unwrap();
+        assert_eq!(full.engine().store_stats().unwrap().staged, 4);
+
+        let shard = Session::new(&cm).with_store(&path).unwrap();
+        let report =
+            shard.run_scenario_range_with_sinks(&scenario, &wls, &registry, 1..3, &mut []).unwrap();
+        assert_eq!(report.sweep.results.len(), 2);
+        assert_eq!(shard.engine().store_stats().unwrap().hits, 3);
+        assert_eq!(shard.engine().cache_stats().design_misses, 0);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

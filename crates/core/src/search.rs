@@ -44,7 +44,8 @@ use crate::error::LibraError;
 use crate::scenario::{
     DivergenceMatrix, RecordRow, ReportSink, RunMeta, Scenario, Session, SessionReport,
 };
-use crate::sweep::{GridPoint, SweepError, SweepGrid, SweepReport, SweepResult, SweepWorkload};
+use crate::store::Fingerprint;
+use crate::sweep::{SweepError, SweepGrid, SweepReport, SweepResult, SweepWorkload};
 
 /// Knobs of one adaptive search, embedded in a scenario's `"search"`
 /// block (all fields optional in JSON; defaults below).
@@ -211,13 +212,16 @@ pub fn run_scenario<W: SweepWorkload>(
             scenario.name
         ))
     })?;
+    let grid = scenario.grid();
+    let fp = session.store_key(&grid, workloads, scenario.link, scenario.chunks);
     run_inner(
         session,
         Some(&scenario.name),
         scenario.tolerance,
-        &scenario.grid(),
+        &grid,
         workloads,
         config,
+        fp,
         sinks,
     )
 }
@@ -236,9 +240,13 @@ pub fn run_grid<W: SweepWorkload>(
     config: &SearchConfig,
     sinks: &mut [&mut dyn ReportSink],
 ) -> Result<SearchReport, LibraError> {
-    run_inner(session, None, session.tolerance(), grid, workloads, config, sinks)
+    let fp = session.store_key(grid, workloads, None, 0);
+    run_inner(session, None, session.tolerance(), grid, workloads, config, fp, sinks)
 }
 
+/// The search loop behind [`run_scenario`] and [`run_grid`]; `fp` keys
+/// an attached store's records, exactly as a sweep of `grid` keys them.
+#[allow(clippy::too_many_arguments)] // private fan-in behind the two public entry points
 fn run_inner<W: SweepWorkload>(
     session: &Session<'_>,
     scenario: Option<&str>,
@@ -246,6 +254,7 @@ fn run_inner<W: SweepWorkload>(
     grid: &SweepGrid,
     workloads: &[W],
     config: &SearchConfig,
+    fp: Option<Fingerprint>,
     sinks: &mut [&mut dyn ReportSink],
 ) -> Result<SearchReport, LibraError> {
     config.validate()?;
@@ -281,7 +290,33 @@ fn run_inner<W: SweepWorkload>(
         if next.is_empty() {
             break;
         }
-        let new_evals = run_round(session, grid, workloads, &axes, &next, sinks, &mut outcomes)?;
+        // The round's cells of the nominal grid, ascending: every group
+        // at the round's budget indices. The drive solves each group's
+        // anchor first when the round lacks it, so every cell solves from
+        // the seed its exhaustive twin solves from.
+        let mut cells = Vec::with_capacity(groups * next.len());
+        for group in 0..grid.shapes().len() * axes.n_wl {
+            for &bud in &next {
+                let first = (group * axes.n_bud + bud) * axes.n_obj;
+                cells.extend(first..first + axes.n_obj);
+            }
+        }
+        session.engine().run_priced(
+            grid,
+            workloads,
+            &[],
+            &cells,
+            session.mode,
+            fp,
+            &mut |index, outcome, _| {
+                let row = RecordRow::from_outcome(index, outcome, None);
+                for sink in sinks.iter_mut() {
+                    sink.on_record(&row);
+                }
+                outcomes.insert(index, outcome.clone());
+            },
+        );
+        let new_evals = cells.len();
         evals += new_evals;
         evaluated.extend(next.iter().copied());
         let front_size = front_of(&outcomes).len();
@@ -312,7 +347,7 @@ fn run_inner<W: SweepWorkload>(
     let report = SearchReport { sweep, rounds, evals, nominal_points: nominal };
     let session_report = SessionReport {
         sweep: report.sweep.clone(),
-        divergence: DivergenceMatrix { backends: Vec::new(), pairs: Vec::new() },
+        divergence: DivergenceMatrix::new(Vec::new(), tolerance),
     };
     for sink in sinks.iter_mut() {
         sink.on_run_end(&session_report);
@@ -330,81 +365,6 @@ fn seed_indices(n_bud: usize, k: usize) -> Vec<usize> {
     let mut out: Vec<usize> = (0..k).map(|i| i * (n_bud - 1) / (k - 1)).collect();
     out.dedup();
     out
-}
-
-/// Prices one round's subgrid through the session, forwarding newly
-/// evaluated cells to `sinks` with nominal indices and merging their
-/// outcomes; returns the number of cells newly evaluated.
-///
-/// Refinement rounds **prepend the nominal anchor budget** (the grid's
-/// first) to the subgrid: its cells are memo-cache hits, and solving
-/// them in anchor mode republishes exactly the warm-start seeds the
-/// exhaustive run publishes, so every candidate solves from the same
-/// seed as its exhaustive twin — this is what makes the adaptive front
-/// bit-identical to the exhaustive one. Anchor duplicates are neither
-/// re-emitted nor re-counted.
-fn run_round<W: SweepWorkload>(
-    session: &Session<'_>,
-    grid: &SweepGrid,
-    workloads: &[W],
-    axes: &Axes,
-    indices: &[usize],
-    sinks: &mut [&mut dyn ReportSink],
-    outcomes: &mut BTreeMap<usize, Result<SweepResult, SweepError>>,
-) -> Result<usize, LibraError> {
-    let prepend_anchor = !indices.contains(&0);
-    // The round's nominal budget indices, anchor first, and the lookup
-    // back from a priced cell to its nominal index, by its budget's bits
-    // (grid budgets are deduplicated, so the bits are unambiguous).
-    let nominal_budgets: Vec<usize> =
-        prepend_anchor.then_some(0).into_iter().chain(indices.iter().copied()).collect();
-    let mut by_bits: Vec<(u64, usize)> =
-        nominal_budgets.iter().map(|&i| (grid.budgets()[i].to_bits(), i)).collect();
-    by_bits.sort_unstable();
-    let nominal_of = |p: &GridPoint| {
-        let at = by_bits.binary_search_by_key(&p.budget.to_bits(), |&(bits, _)| bits);
-        let bud = by_bits[at.expect("a priced budget is one of the round's budgets")].1;
-        axes.nominal_index(p.shape, p.workload, bud, obj_index(grid, p.objective))
-    };
-    let sub = SweepGrid::new()
-        .with_shapes(grid.shapes().iter().cloned())
-        .with_budgets(nominal_budgets.iter().map(|&i| grid.budgets()[i]))
-        .with_objectives(grid.objectives().iter().copied());
-    // Subgrid enumeration index → nominal index (None = anchor
-    // duplicate, already evaluated and emitted in an earlier round).
-    let skip = usize::from(prepend_anchor);
-    let mut map: Vec<Option<usize>> = Vec::with_capacity(sub.len(workloads.len()));
-    for shape in 0..grid.shapes().len() {
-        for wl in 0..axes.n_wl {
-            for (sb, &bud) in nominal_budgets.iter().enumerate() {
-                for obj in 0..axes.n_obj {
-                    map.push((sb >= skip).then(|| axes.nominal_index(shape, wl, bud, obj)));
-                }
-            }
-        }
-    }
-    let mut forward = RoundForward { map: &map, sinks };
-    let sub_len = sub.len(workloads.len());
-    let round =
-        session.run_range_with_sinks(&sub, workloads, &[], 0..sub_len, &mut [&mut forward])?.sweep;
-    let mut new_evals = 0usize;
-    let mut merge = |nominal: usize, outcome: Result<SweepResult, SweepError>| {
-        if let std::collections::btree_map::Entry::Vacant(slot) = outcomes.entry(nominal) {
-            slot.insert(outcome);
-            new_evals += 1;
-        }
-    };
-    for r in round.results {
-        merge(nominal_of(&r.point), Ok(r));
-    }
-    for e in round.errors {
-        merge(nominal_of(&e.point), Err(e));
-    }
-    Ok(new_evals)
-}
-
-fn obj_index(grid: &SweepGrid, obj: crate::opt::Objective) -> usize {
-    grid.objectives().iter().position(|&o| o == obj).unwrap_or(0)
 }
 
 /// The healthy evaluated cells currently on the global perf-vs-cost
@@ -497,26 +457,6 @@ fn candidates(
         }
     }
     picked.into_iter().collect()
-}
-
-/// The per-round sink adapter: remaps subgrid record indices to nominal
-/// ones and drops anchor duplicates, so the caller's sinks observe one
-/// continuous stream of first evaluations across all rounds.
-struct RoundForward<'a, 'b> {
-    map: &'a [Option<usize>],
-    sinks: &'a mut [&'b mut dyn ReportSink],
-}
-
-impl ReportSink for RoundForward<'_, '_> {
-    fn on_record(&mut self, row: &RecordRow) {
-        if let Some(nominal) = self.map.get(row.index).copied().flatten() {
-            let mut forwarded = row.clone();
-            forwarded.index = nominal;
-            for sink in self.sinks.iter_mut() {
-                sink.on_record(&forwarded);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -659,10 +599,10 @@ mod tests {
         assert!(*indices.last().unwrap() < grid.len(wls.len()));
     }
 
-    /// Each round maps its priced cells back to nominal indices through
-    /// its own budgets: on a shuffled axis whose input repeats values,
-    /// every streamed row carries the budget its nominal index names, and
-    /// the report's cells come in nominal-index order.
+    /// Each round prices its cells by nominal index: on a shuffled axis
+    /// whose input repeats values, every streamed row carries the budget
+    /// its nominal index names, and the report's cells come in
+    /// nominal-index order.
     #[test]
     fn shuffled_repeating_budget_axis_maps_back_to_nominal_indices() {
         // 17 distinct budgets in a scrambled order (7 is a unit mod 17),
@@ -696,7 +636,7 @@ mod tests {
             .iter()
             .map(|r| {
                 let bud = grid.budgets().iter().position(|&b| b == r.point.budget).unwrap();
-                let obj = obj_index(&grid, r.point.objective);
+                let obj = grid.objectives().iter().position(|&o| o == r.point.objective).unwrap();
                 axes.nominal_index(r.point.shape, r.point.workload, bud, obj)
             })
             .collect();
@@ -759,15 +699,16 @@ mod tests {
             (report, String::from_utf8(out).unwrap())
         };
         let (clean, clean_jsonl) = run(None);
-        // The plan fires at instances 2 and 3 of each round's subgrid and
-        // spares instance 0, the warm-start anchor the rest of the round
-        // seeds from (a poisoned anchor publishes no seed, so its group's
-        // survivors would solve unseeded and drift from the clean run).
+        // Point faults key on the nominal grid index, here the budget
+        // index. The plan fires at 2, 3 and 8 of 0..9 and spares 0, the
+        // warm-start anchor every other cell seeds from (a poisoned anchor
+        // publishes no seed, so its group's survivors would solve
+        // unseeded and drift from the clean run).
         let plan = "seed=10;sweep.point.error=0.3";
         let injector = FaultInjector::from_spec(plan).unwrap();
         let fired: Vec<u64> =
-            (0..8).filter(|&i| injector.fires(crate::fault::SWEEP_POINT_ERROR, i)).collect();
-        assert_eq!(fired, [2, 3]);
+            (0..9).filter(|&i| injector.fires(crate::fault::SWEEP_POINT_ERROR, i)).collect();
+        assert_eq!(fired, [2, 3, 8]);
         let (chaos, chaos_jsonl) = run(Some(plan));
         // Same refinement trajectory: same evaluated cells per round.
         assert_eq!(
@@ -775,13 +716,11 @@ mod tests {
             chaos.rounds.iter().map(|r| (r.budgets_added, r.new_evals)).collect::<Vec<_>>(),
         );
         assert_eq!(clean.evals, chaos.evals);
-        // The fault poisoned the third and fourth cells of each round's
-        // subgrid: nominal budget indices 4 and 6 in the seed round
-        // (subgrid 0, 2, 4, 6, 8), then 3 and 5 in the refinement round
-        // (the anchor 0 prepended to 1, 3, 5, 7).
-        assert_eq!(chaos.sweep.errors.len(), 4);
+        // The fault poisoned budget indices 2 and 8 in the seed round
+        // (0, 2, 4, 6, 8), then 3 in the refinement round (1, 3, 5, 7).
+        assert_eq!(chaos.sweep.errors.len(), 3);
         assert!(clean.sweep.errors.is_empty());
-        assert_eq!(chaos.sweep.results.len() + 4, clean.sweep.results.len());
+        assert_eq!(chaos.sweep.results.len() + 3, clean.sweep.results.len());
         // Healthy JSONL lines are bit-identical to the fault-free run's.
         let healthy: Vec<&str> =
             chaos_jsonl.lines().filter(|l| l.contains("\"error\": null")).collect();
@@ -792,9 +731,9 @@ mod tests {
                 "healthy line must appear verbatim in the fault-free stream: {line}"
             );
         }
-        // And the poisoned cells are exactly budget indices {3, 4, 5, 6}.
+        // And the poisoned cells are exactly budget indices {2, 3, 8}.
         let err_budgets: Vec<f64> = chaos.sweep.errors.iter().map(|e| e.point.budget).collect();
-        let expect: Vec<f64> = (3..7).map(|i| grid.budgets()[i]).collect();
+        let expect: Vec<f64> = [2, 3, 8].map(|i| grid.budgets()[i]).to_vec();
         let mut sorted = err_budgets.clone();
         sorted.sort_by(f64::total_cmp);
         assert_eq!(sorted, expect);

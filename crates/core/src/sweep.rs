@@ -66,7 +66,7 @@ use rayon::prelude::*;
 
 use crate::cost::CostModel;
 use crate::error::LibraError;
-use crate::eval::{rel_error, CommPlan, EvalBackend};
+use crate::eval::{CommPlan, EvalBackend};
 use crate::expr::BwExpr;
 use crate::fault::{self, FaultInjector};
 use crate::network::NetworkShape;
@@ -79,8 +79,9 @@ use crate::store::{Fingerprint, SharedSolveStore, StoreStats, StoredPoint};
 pub(crate) type PricedOutcome =
     (Result<SweepResult, SweepError>, Option<Result<Vec<f64>, SweepError>>);
 
-/// The streaming hook [`SweepEngine::run_priced`] calls once per grid
-/// point, in grid-enumeration order, as the fold assembles the report.
+/// The streaming hook [`SweepEngine::run_priced`] calls once per priced
+/// cell, with its global grid index, in cell order, as the fold
+/// assembles the report.
 pub(crate) type PointEmit<'f> = &'f mut dyn FnMut(
     usize,
     &Result<SweepResult, SweepError>,
@@ -322,17 +323,26 @@ impl SweepGrid {
     /// Enumerates the grid in deterministic shape-major order:
     /// shape → workload → budget → objective, each axis in insertion order.
     pub fn points(&self, n_workloads: usize) -> Vec<GridPoint> {
-        let mut pts = Vec::with_capacity(self.len(n_workloads));
-        for shape in 0..self.shapes.len() {
-            for workload in 0..n_workloads {
-                for &budget in &self.budgets {
-                    for &objective in &self.objectives {
-                        pts.push(GridPoint { shape, workload, budget, objective });
-                    }
-                }
-            }
+        (0..self.len(n_workloads)).map(|i| self.point(i, n_workloads)).collect()
+    }
+
+    /// The point at global enumeration `index` (`< len(n_workloads)`),
+    /// computed without enumerating the grid.
+    pub(crate) fn point(&self, index: usize, n_workloads: usize) -> GridPoint {
+        let (n_bud, n_obj) = (self.budgets.len(), self.objectives.len());
+        GridPoint {
+            shape: index / (n_obj * n_bud * n_workloads),
+            workload: index / (n_obj * n_bud) % n_workloads,
+            budget: self.budgets[index / n_obj % n_bud],
+            objective: self.objectives[index % n_obj],
         }
-        pts
+    }
+
+    /// The global index of `index`'s warm-start group anchor: the same
+    /// shape, workload and objective at the grid's first budget.
+    pub(crate) fn anchor_of(&self, index: usize) -> usize {
+        let n_obj = self.objectives.len();
+        index - index / n_obj % self.budgets.len() * n_obj
     }
 }
 
@@ -871,74 +881,70 @@ impl<'a> SweepEngine<'a> {
         self.cache.stats()
     }
 
-    /// Drives `f` over the contiguous index `range` of grid points (the
-    /// full range for ordinary runs), parallel or serial, returning
-    /// results in grid-enumeration order. **Every** public run path —
-    /// plain or cross-validated, whole-grid or ranged — funnels through
-    /// this one function, so the serial-vs-parallel bit-identity contract
-    /// is enforced in exactly one place.
+    /// The group anchors that `cells`' seeded cells depend on but that
+    /// are not themselves among `cells` (ascending, deduplicated).
+    fn outside_anchors(grid: &SweepGrid, cells: &[usize]) -> Vec<usize> {
+        let mut out: Vec<usize> = cells
+            .iter()
+            .map(|&i| grid.anchor_of(i))
+            .filter(|a| cells.binary_search(a).is_err())
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Drives `f` over `cells` — ascending global grid indices: a
+    /// session's range, or one search round's cells of the nominal grid —
+    /// parallel or serial, returning the results in `cells` order.
+    /// **Every** run path funnels through this one function, so the
+    /// serial-vs-parallel bit-identity contract is enforced in exactly
+    /// one place.
     ///
-    /// The points are processed in two barrier-separated phases (anchors
-    /// first — the grid's first budget — then everything else, seeded),
-    /// so the seed state visible to any solve is a pure function of the
-    /// engine's history, never of worker scheduling. Serial runs use the
-    /// same phase order, keeping the bit-identical parallel ≡ serial
-    /// contract.
+    /// The cells are processed in two barrier-separated phases (anchors
+    /// first — the cells at the grid's first budget — then everything
+    /// else, seeded), so the seed state visible to any solve is a pure
+    /// function of the engine's history, never of worker scheduling.
+    /// Serial runs use the same phase order, keeping the bit-identical
+    /// parallel ≡ serial contract.
     ///
-    /// The restriction is the shard dispatcher's half of the determinism
-    /// contract: **a ranged drive's results are bit-identical to the
-    /// corresponding slice of the full drive's.**
-    ///
-    /// An in-range seeded point's group anchor (its shape × workload ×
-    /// objective at the grid's first budget) may fall outside the range.
-    /// Those out-of-range anchors are handed to `prepare` in phase 1 —
-    /// the caller solves them for their published seed and discards the
-    /// result — so every seed an in-range solve consumes is exactly the
-    /// seed the full run would have published.
-    fn drive_range<T: Send>(
+    /// A seeded cell's group anchor (its shape × workload × objective at
+    /// the grid's first budget) may lie `outside` the cells. Those
+    /// anchors are handed to `prepare` in phase 1 — the caller solves
+    /// them for their published seed and discards the result — so every
+    /// seed a cell consumes is exactly the seed the full run publishes:
+    /// **a partial drive's results are bit-identical to the same cells
+    /// of the full drive's.**
+    fn drive<T: Send>(
         grid: &SweepGrid,
-        points: &[GridPoint],
-        range: std::ops::Range<usize>,
+        cells: &[usize],
+        outside: &[usize],
         exec: ExecMode,
-        f: impl Fn(GridPoint, SeedMode) -> T + Sync,
-        prepare: impl Fn(GridPoint) + Sync,
+        f: impl Fn(usize, SeedMode) -> T + Sync,
+        prepare: impl Fn(usize) + Sync,
     ) -> Vec<T> {
-        let apply = |idx: &[usize], mode: SeedMode| -> Vec<(usize, T)> {
+        let apply = |ks: &[usize], mode: SeedMode| -> Vec<(usize, T)> {
             match exec {
-                ExecMode::Parallel => idx.par_iter().map(|&i| (i, f(points[i], mode))).collect(),
-                ExecMode::Serial => idx.iter().map(|&i| (i, f(points[i], mode))).collect(),
+                ExecMode::Parallel => ks.par_iter().map(|&k| (k, f(cells[k], mode))).collect(),
+                ExecMode::Serial => ks.iter().map(|&k| (k, f(cells[k], mode))).collect(),
             }
         };
-        let anchor_budget = grid.budgets().first().copied();
         let (anchors, rest): (Vec<usize>, Vec<usize>) =
-            range.clone().partition(|&i| Some(points[i].budget) == anchor_budget);
-        // Group anchors of in-range seeded points that lie outside the
-        // range. Enumeration is shape-major (shape → workload → budget →
-        // objective), so a point at global index i with budget index b
-        // has its group's anchor (budget index 0) at i − b·n_objectives.
-        let n_obj = grid.objectives().len().max(1);
-        let n_bud = grid.budgets().len().max(1);
-        let mut extra: Vec<usize> = rest
-            .iter()
-            .map(|&i| i - ((i / n_obj) % n_bud) * n_obj)
-            .filter(|a| !range.contains(a))
-            .collect();
-        extra.sort_unstable();
-        extra.dedup();
-        let mut out: Vec<Option<T>> = Vec::with_capacity(range.len());
-        out.resize_with(range.len(), || None);
-        // Phase 1: anchors (in-range kept, out-of-range seed-only)...
+            (0..cells.len()).partition(|&k| grid.anchor_of(cells[k]) == cells[k]);
+        let mut out: Vec<Option<T>> = Vec::with_capacity(cells.len());
+        out.resize_with(cells.len(), || None);
+        // Phase 1: anchors (outside ones seed-only)...
         match exec {
-            ExecMode::Parallel => extra.par_iter().for_each(|&i| prepare(points[i])),
-            ExecMode::Serial => extra.iter().for_each(|&i| prepare(points[i])),
+            ExecMode::Parallel => outside.par_iter().for_each(|&i| prepare(i)),
+            ExecMode::Serial => outside.iter().for_each(|&i| prepare(i)),
         }
-        for (idx, mode) in [(&anchors, SeedMode::Anchor), (&rest, SeedMode::Seeded)] {
+        for (ks, mode) in [(&anchors, SeedMode::Anchor), (&rest, SeedMode::Seeded)] {
             // ...then the barrier, then phase 2: everything else, seeded.
-            for (i, t) in apply(idx, mode) {
-                out[i - range.start] = Some(t);
+            for (k, t) in apply(ks, mode) {
+                out[k] = Some(t);
             }
         }
-        out.into_iter().map(|t| t.expect("every in-range point driven exactly once")).collect()
+        out.into_iter().map(|t| t.expect("every cell driven exactly once")).collect()
     }
 
     /// Evaluates one grid point (memoized; `mode` controls warm-start
@@ -1016,56 +1022,29 @@ impl<'a> SweepEngine<'a> {
         })
     }
 
-    fn report(
-        &self,
-        outcomes: impl IntoIterator<Item = Result<SweepResult, SweepError>>,
-    ) -> SweepReport {
-        let mut results = Vec::new();
-        let mut errors = Vec::new();
-        for o in outcomes {
-            match o {
-                Ok(r) => results.push(r),
-                Err(e) => errors.push(e),
-            }
-        }
-        SweepReport { results, errors, cache: self.cache.stats() }
-    }
-
-    /// Global grid-enumeration index of `point` (shape-major:
-    /// shape → workload → budget → objective), the instance key for
-    /// per-point fault decisions. Off the hot path: called only with an
-    /// armed injector.
-    fn grid_index_of<W: SweepWorkload>(grid: &SweepGrid, workloads: &[W], point: GridPoint) -> u64 {
-        let n_obj = grid.objectives().len().max(1);
-        let n_bud = grid.budgets().len().max(1);
-        let b =
-            grid.budgets().iter().position(|x| x.to_bits() == point.budget.to_bits()).unwrap_or(0);
-        let o = grid.objectives().iter().position(|&x| x == point.objective).unwrap_or(0);
-        (((point.shape * workloads.len().max(1) + point.workload) * n_bud + b) * n_obj + o) as u64
-    }
-
-    /// Runs the armed per-point fault sites for `point`: a slow solve
-    /// sleeps here, a panic site panics (isolated by the per-point
-    /// `catch_unwind` in [`SweepEngine::run_priced`]'s drive), and an
-    /// error site returns the injected [`SweepError`] the caller turns
-    /// into a poisoned record. `None` on the release path.
+    /// Runs the armed per-point fault sites for the point at global grid
+    /// `index`: a slow solve sleeps here, a panic site panics (isolated by
+    /// the per-point `catch_unwind` in [`SweepEngine::run_priced`]'s
+    /// drive), and an error site returns the injected [`SweepError`] the
+    /// caller turns into a poisoned record. `None` on the release path.
     fn injected_point_fault<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
         workloads: &[W],
+        index: usize,
         point: GridPoint,
     ) -> Option<SweepError> {
         let injector = self.fault.as_ref()?;
-        let index = Self::grid_index_of(grid, workloads, point);
-        if injector.fires(fault::SWEEP_POINT_SLOW, index) {
+        let instance = index as u64;
+        if injector.fires(fault::SWEEP_POINT_SLOW, instance) {
             std::thread::sleep(std::time::Duration::from_millis(
                 injector.millis(fault::SWEEP_POINT_SLOW),
             ));
         }
-        if injector.fires(fault::SWEEP_POINT_PANIC, index) {
+        if injector.fires(fault::SWEEP_POINT_PANIC, instance) {
             panic!("injected fault: {} at grid index {index}", fault::SWEEP_POINT_PANIC);
         }
-        if injector.fires(fault::SWEEP_POINT_ERROR, index) {
+        if injector.fires(fault::SWEEP_POINT_ERROR, instance) {
             return Some(SweepError {
                 point,
                 shape: grid.shapes()[point.shape].clone(),
@@ -1101,21 +1080,23 @@ impl<'a> SweepEngine<'a> {
         }
     }
 
-    /// Evaluates one grid point and, when its workload exposes a
-    /// [`CommPlan`], prices that plan **once under each backend** at the
-    /// optimized design's bandwidth vector — the shared body of every
-    /// priced sweep, so warm-start seeding and op-eligibility rules live
-    /// in exactly one place. An empty backend slice skips pricing
-    /// entirely (a plain sweep never touches the plan cache).
+    /// Evaluates one grid point (`point`, at global grid `index`) and,
+    /// when its workload exposes a [`CommPlan`], prices that plan **once
+    /// under each backend** at the optimized design's bandwidth vector —
+    /// the shared body of every priced sweep, so warm-start seeding and
+    /// op-eligibility rules live in exactly one place. An empty backend
+    /// slice skips pricing entirely (a plain sweep never touches the plan
+    /// cache).
     fn eval_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
         workloads: &[W],
+        index: usize,
         point: GridPoint,
         backends: &[&dyn EvalBackend],
         mode: SeedMode,
     ) -> PricedOutcome {
-        if let Some(error) = self.injected_point_fault(grid, workloads, point) {
+        if let Some(error) = self.injected_point_fault(grid, workloads, index, point) {
             return (Err(error), None);
         }
         let outcome = self.eval(grid, workloads, point, mode);
@@ -1146,103 +1127,36 @@ impl<'a> SweepEngine<'a> {
         (outcome, priced)
     }
 
-    /// Folds per-point `N`-backend outcomes into the sweep report plus one
-    /// [`DivergenceReport`] per requested backend pair, emitting each
-    /// point's outcome to `emit` (the streaming-sink hook) in grid order.
-    /// `index_base` is the global grid index of `points[0]` — non-zero for
-    /// range-restricted (shard) runs, whose emitted indices must stay
-    /// global so shard streams merge back into one grid.
-    #[allow(clippy::too_many_arguments)] // internal fold plumbing shared by every priced driver
-    fn fold_pairwise<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        points: &[GridPoint],
-        index_base: usize,
-        outcomes: Vec<PricedOutcome>,
-        backends: &[&dyn EvalBackend],
-        pair_indices: &[(usize, usize)],
-        tolerance: f64,
-        emit: PointEmit<'_>,
-    ) -> (SweepReport, Vec<DivergenceReport>) {
-        let mut pairs: Vec<DivergenceReport> = pair_indices
-            .iter()
-            .map(|&(i, j)| DivergenceReport {
-                baseline: backends[i].name().to_string(),
-                reference: backends[j].name().to_string(),
-                tolerance,
-                points: Vec::new(),
-                skipped: 0,
-                backend_errors: Vec::new(),
-            })
-            .collect();
-        let mut sweep_outcomes = Vec::with_capacity(outcomes.len());
-        for (idx, (&point, (o, priced))) in points.iter().zip(outcomes).enumerate() {
-            emit(index_base + idx, &o, priced.as_ref());
-            match priced {
-                Some(Ok(secs)) => {
-                    let shape = &grid.shapes()[point.shape];
-                    let workload = workloads[point.workload].name().to_string();
-                    for (pair, &(i, j)) in pairs.iter_mut().zip(pair_indices) {
-                        pair.points.push(PointDivergence {
-                            point,
-                            shape: shape.clone(),
-                            workload: workload.clone(),
-                            baseline_secs: secs[i],
-                            reference_secs: secs[j],
-                            rel_error: rel_error(secs[i], secs[j]),
-                        });
-                    }
-                }
-                Some(Err(e)) => {
-                    for pair in &mut pairs {
-                        pair.backend_errors.push(e.clone());
-                    }
-                }
-                // A designed-but-planless point is skipped; a failed design
-                // is already reported in the sweep errors.
-                None if o.is_ok() => {
-                    for pair in &mut pairs {
-                        pair.skipped += 1;
-                    }
-                }
-                None => {}
-            }
-            sweep_outcomes.push(o);
-        }
-        (self.report(sweep_outcomes), pairs)
-    }
-
-    /// Runs an `N`-backend priced sweep: the single driver behind
-    /// [`crate::scenario::Session::run`].
-    /// `range` restricts the run to a contiguous slice of the grid's
-    /// enumeration (callers validate bounds); the emitted indices and the
-    /// warm-start seeds stay exactly what the full run would produce, so
-    /// shard outputs concatenate back into the unsharded run bit for bit.
+    /// Prices `cells` — ascending global indices into `grid`'s
+    /// enumeration — under `backends`: the single driver behind every
+    /// [`crate::scenario::Session`] run and every adaptive-search round.
+    /// Each cell's outcome goes to `emit` with its global index, in
+    /// `cells` order, and the warm-start seeds are exactly what the full
+    /// run would publish, so shard outputs concatenate back into the
+    /// unsharded run bit for bit. `fp` keys the attached store's records
+    /// (the caller computes it only when a store is attached).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
         workloads: &[W],
         backends: &[&dyn EvalBackend],
-        pair_indices: &[(usize, usize)],
-        tolerance: f64,
-        range: std::ops::Range<usize>,
+        cells: &[usize],
         exec: ExecMode,
-        fp: Fingerprint,
+        fp: Option<Fingerprint>,
         emit: PointEmit<'_>,
-    ) -> (SweepReport, Vec<DivergenceReport>) {
-        let points = grid.points(workloads.len());
-        // Preload stored solves for the *whole* grid, not just the
-        // range: a ranged drive may need out-of-range group anchors for
-        // warm-start seeding, and `eval` republishes seeds on cache
-        // hits, so preloaded anchors reproduce the uninterrupted run's
-        // seed state exactly.
-        if let Some(store) = &self.store {
+    ) -> SweepReport {
+        let outside = Self::outside_anchors(grid, cells);
+        let store = self.store.as_ref().zip(fp);
+        // Preload stored solves for the cells and the outside anchors
+        // they seed from: `eval` republishes seeds on cache hits, so
+        // preloaded anchors reproduce the full run's seed state exactly.
+        if let Some((store, fp)) = store {
             let mut store = store.lock().unwrap();
-            for (i, p) in points.iter().enumerate() {
+            for &i in cells.iter().chain(&outside) {
                 if let Some(rec) = store.lookup(fp, i) {
                     let rec = rec.clone();
+                    let p = grid.point(i, workloads.len());
                     let shape = &grid.shapes()[p.shape];
                     let wl = workloads[p.workload].name().to_string();
                     let bits = p.budget.to_bits();
@@ -1258,33 +1172,37 @@ impl<'a> SweepEngine<'a> {
         // no times, JSONL-representable — instead of tearing down the
         // whole rayon fan-out. `catch_unwind` costs nothing on the
         // non-panicking path.
-        let outcomes = Self::drive_range(
+        let outcomes = Self::drive(
             grid,
-            &points,
-            range.clone(),
+            cells,
+            &outside,
             exec,
-            |p, m| {
-                catch_unwind(AssertUnwindSafe(|| self.eval_priced(grid, workloads, p, backends, m)))
-                    .unwrap_or_else(|payload| {
-                        (Err(Self::panic_to_error(grid, workloads, p, payload.as_ref())), None)
-                    })
+            |i, m| {
+                let p = grid.point(i, workloads.len());
+                catch_unwind(AssertUnwindSafe(|| {
+                    self.eval_priced(grid, workloads, i, p, backends, m)
+                }))
+                .unwrap_or_else(|payload| {
+                    (Err(Self::panic_to_error(grid, workloads, p, payload.as_ref())), None)
+                })
             },
-            |p| {
-                // A panicking out-of-range anchor pre-solve only costs
-                // its group the warm-start seed; in-range points still
-                // solve (cold) and record their own outcomes.
+            |i| {
+                // A panicking outside-anchor pre-solve only costs its
+                // group the warm-start seed; the cells still solve
+                // (cold) and record their own outcomes.
+                let p = grid.point(i, workloads.len());
                 let _ = catch_unwind(AssertUnwindSafe(|| {
                     let _ = self.eval(grid, workloads, p, SeedMode::Anchor);
                 }));
             },
         );
-        if let Some(store) = &self.store {
+        if let Some((store, fp)) = store {
             let mut store = store.lock().unwrap();
-            for (offset, (outcome, _)) in outcomes.iter().enumerate() {
+            for (&i, (outcome, _)) in cells.iter().zip(&outcomes) {
                 if let Ok(r) = outcome {
                     store.stage(
                         fp,
-                        range.start + offset,
+                        i,
                         StoredPoint { design: r.design.clone(), baseline: r.baseline.clone() },
                     );
                 }
@@ -1295,17 +1213,16 @@ impl<'a> SweepEngine<'a> {
             // retries.
             let _ = store.flush();
         }
-        self.fold_pairwise(
-            grid,
-            workloads,
-            &points[range.clone()],
-            range.start,
-            outcomes,
-            backends,
-            pair_indices,
-            tolerance,
-            emit,
-        )
+        let mut report =
+            SweepReport { results: Vec::new(), errors: Vec::new(), cache: self.cache.stats() };
+        for (&i, (outcome, priced)) in cells.iter().zip(outcomes) {
+            emit(i, &outcome, priced.as_ref());
+            match outcome {
+                Ok(r) => report.results.push(r),
+                Err(e) => report.errors.push(e),
+            }
+        }
+        report
     }
 }
 
