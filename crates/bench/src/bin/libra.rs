@@ -595,7 +595,7 @@ fn run_dispatch(opts: &Options) -> Result<i32, CliError> {
                 LibraError::BadRequest(format!("shard {k} wrote non-UTF-8 output: {e}"))
             })?);
         }
-        dispatcher.merge_streams(&streams, &registry)?
+        dispatcher.merge_streams(workloads.len(), &streams, &registry)?
     } else {
         dispatcher.run_in_process(&cost_model, &workloads, &registry)?
     };

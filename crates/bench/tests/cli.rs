@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use libra_bench::Scenario;
+use libra_bench::{Cosearch, Scenario, SearchConfig};
 
 const LIBRA: &str = env!("CARGO_BIN_EXE_libra");
 
@@ -237,34 +237,46 @@ fn resume_completes_a_truncated_stream_in_place() {
 
 /// `dispatch --shards K` merges back byte-identically to the
 /// single-process `crossval --jsonl` stream, with the same exit code,
-/// in both in-process and `--spawn` modes.
+/// in both in-process and `--spawn` modes — also for a scenario whose
+/// `"cosearch"` block adds one workload per TP degree to the grid.
 #[test]
 fn dispatch_is_byte_identical_to_single_process_crossval() {
-    let scenario = ci_small();
-    let scenario = scenario.to_str().unwrap();
-    let single = tmp("single.jsonl");
-    let out = libra(&["crossval", scenario, "--jsonl", single.to_str().unwrap(), "--quiet"]);
-    assert_eq!(out.status.code(), Some(0));
-    let want = std::fs::read(&single).unwrap();
-    for shards in ["1", "3"] {
-        for spawn in [false, true] {
-            let merged = tmp(&format!("merged-{shards}-{spawn}.jsonl"));
-            let mut args = vec![
-                "dispatch",
-                scenario,
-                "--shards",
-                shards,
-                "--jsonl",
-                merged.to_str().unwrap(),
-                "--quiet",
-            ];
-            if spawn {
-                args.push("--spawn");
+    let mut cosearch = Scenario::load(ci_small()).unwrap();
+    cosearch.search = Some(SearchConfig {
+        cosearch: Some(Cosearch { model: "GPT-3".into(), tp: vec![8, 16], global_batch: 4096 }),
+        ..SearchConfig::default()
+    });
+    let cosearch_path = tmp("cosearch.json");
+    cosearch.save(&cosearch_path).unwrap();
+    for (name, scenario) in [("ci_small", ci_small()), ("cosearch", cosearch_path)] {
+        let scenario = scenario.to_str().unwrap();
+        let single = tmp(&format!("single-{name}.jsonl"));
+        let out = libra(&["crossval", scenario, "--jsonl", single.to_str().unwrap(), "--quiet"]);
+        assert_eq!(out.status.code(), Some(0), "{name}");
+        let want = std::fs::read(&single).unwrap();
+        for shards in ["1", "3"] {
+            for spawn in [false, true] {
+                let merged = tmp(&format!("merged-{name}-{shards}-{spawn}.jsonl"));
+                let mut args = vec![
+                    "dispatch",
+                    scenario,
+                    "--shards",
+                    shards,
+                    "--jsonl",
+                    merged.to_str().unwrap(),
+                    "--quiet",
+                ];
+                if spawn {
+                    args.push("--spawn");
+                }
+                let out = libra(&args);
+                assert_eq!(out.status.code(), Some(0), "{name} shards={shards} spawn={spawn}");
+                let got = std::fs::read(&merged).unwrap();
+                assert_eq!(
+                    got, want,
+                    "{name} shards={shards} spawn={spawn} must merge byte-identically"
+                );
             }
-            let out = libra(&args);
-            assert_eq!(out.status.code(), Some(0), "shards={shards} spawn={spawn}");
-            let got = std::fs::read(&merged).unwrap();
-            assert_eq!(got, want, "shards={shards} spawn={spawn} must merge byte-identically");
         }
     }
 }

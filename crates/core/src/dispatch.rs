@@ -253,15 +253,18 @@ impl<'s> Dispatcher<'s> {
     }
 
     /// Merges shard JSON-lines streams produced by external workers
-    /// (`libra crossval --jsonl - --range a..b` children). Backend
-    /// display names are read from the first stream's run header.
+    /// (`libra crossval --jsonl - --range a..b` children) over a grid of
+    /// `n_workloads` resolved workloads — the count
+    /// [`Dispatcher::ranges`] split, which a co-search block makes larger
+    /// than the scenario's named workloads.
     ///
     /// # Errors
-    /// [`LibraError::BadRequest`] when no stream carries a run header,
-    /// on malformed records, on coverage gaps or duplicates, and on
-    /// records that disagree with the scenario's grid.
+    /// [`LibraError::BadRequest`] on unknown backend names, malformed
+    /// records, coverage gaps or duplicates, and records that disagree
+    /// with the scenario's grid.
     pub fn merge_streams<S: AsRef<str>>(
         &self,
+        n_workloads: usize,
         streams: &[S],
         registry: &BackendRegistry,
     ) -> Result<MergedRun, LibraError> {
@@ -269,7 +272,7 @@ impl<'s> Dispatcher<'s> {
         // the stream headers echo these same names.
         let built = self.scenario.build_backends(registry)?;
         let names: Vec<String> = built.iter().map(|b| b.name().to_string()).collect();
-        self.merge(self.scenario.workloads.len(), streams, names)
+        self.merge(n_workloads, streams, names)
     }
 
     fn merge<S: AsRef<str>>(
@@ -667,8 +670,8 @@ mod tests {
             Dispatcher::new(&scenario, 1).unwrap().run_in_process(&cm, &wls, &registry).unwrap();
         let mut stream = merged.to_jsonl();
         stream = stream.replace("\"budget\": 300", "\"budget\": 301");
-        let err =
-            Dispatcher::new(&scenario, 1).unwrap().merge_streams(&[stream], &registry).unwrap_err();
+        let dispatcher = Dispatcher::new(&scenario, 1).unwrap();
+        let err = dispatcher.merge_streams(wls.len(), &[stream], &registry).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
     }
 
