@@ -1549,8 +1549,14 @@ impl RecordRow {
             .iter()
             .map(|s| s.as_f64().ok_or_else(|| bad("\"secs\" must hold numbers".into())))
             .collect::<Result<Vec<f64>, _>>()?;
+        let index = num("index")?;
+        if !(index >= 0.0 && index.fract() == 0.0) {
+            return Err(bad(format!(
+                "record field \"index\" must be a non-negative integer, got {index}"
+            )));
+        }
         Ok(RecordRow {
-            index: num("index")? as usize,
+            index: index as usize,
             shape: string("shape")?,
             workload: string("workload")?,
             budget: num("budget")?,
@@ -2840,6 +2846,23 @@ mod tests {
         let partial = format!("{header}\n{{\"index\": 0, \"shape\": \"RI(4)\"}}\n");
         let err = records_from_jsonl(&partial).unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
+
+        // A record whose index is negative, fractional or not a number
+        // (each once read as index 0 or 1). A partial stream drops one
+        // on its last line as a torn tail, and rejects one earlier.
+        for index in ["-1", "0.9", "1.5", "\"NaN\""] {
+            let bad = record.replacen("\"index\": 0", &format!("\"index\": {index}"), 1);
+            let err = records_from_jsonl(&format!("{header}\n{bad}\n{summary}\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("line 2"), "{index}: {err}");
+            assert!(err.contains("field \"index\" must be a non-negative integer"), "{err}");
+            assert_eq!(crate::dispatch::partial_records(&format!("{header}\n{bad}\n")), Ok(vec![]));
+            let err = crate::dispatch::partial_records(&format!("{header}\n{bad}\n{record}\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("line 2") && err.contains("field \"index\""), "{err}");
+        }
     }
 
     /// Two streams pasted together must never merge as one run: a second
