@@ -563,7 +563,7 @@ mod tests {
     use crate::sweep::FnWorkload;
     use crate::workload::CommOp;
 
-    fn planned_workload(name: &'static str, gb: f64) -> FnWorkload {
+    fn planless_workload(name: &'static str, gb: f64) -> FnWorkload {
         FnWorkload::new(name, move |shape: &NetworkShape| {
             let comm = CommModel::default();
             Ok(vec![(
@@ -571,7 +571,10 @@ mod tests {
                 comm.time_expr(Collective::AllReduce, gb * 1e9, &GroupSpan::full(shape)),
             )])
         })
-        .with_plan(move |shape: &NetworkShape| {
+    }
+
+    fn planned_workload(name: &'static str, gb: f64) -> FnWorkload {
+        planless_workload(name, gb).with_plan(move |shape: &NetworkShape| {
             Ok(CommPlan::serial([CommOp::new(
                 Collective::AllReduce,
                 gb * 1e9,
@@ -595,12 +598,28 @@ mod tests {
 
     /// The tentpole contract at unit scale: for every shard count, the
     /// in-process dispatch's merged stream is byte-identical to the
-    /// single-process run's, and the re-judged matrix reaches the same
-    /// verdict.
+    /// single-process run's, and the re-judged matrix equals the live
+    /// one — compared points, skipped planless points and backend errors
+    /// alike.
     #[test]
     fn in_process_dispatch_matches_the_single_process_stream() {
-        let scenario = small_scenario(["analytical", "analytical-offload"], 0.25);
-        let wls = [planned_workload("a", 2.0)];
+        let scenario = Scenario {
+            workloads: vec!["a".into(), "planless".into(), "bad-plan".into()],
+            ..small_scenario(["analytical", "analytical-offload"], 0.25)
+        };
+        // A plan over a dimension the fabric lacks: both backends reject it.
+        let bad_plan = planless_workload("bad-plan", 1.0).with_plan(|_: &NetworkShape| {
+            Ok(CommPlan::serial([CommOp::new(
+                Collective::AllReduce,
+                1e9,
+                GroupSpan::new(vec![(7, 4)]),
+            )]))
+        });
+        let wls: Vec<Box<dyn SweepWorkload>> = vec![
+            Box::new(planned_workload("a", 2.0)),
+            Box::new(planless_workload("planless", 1.0)),
+            Box::new(bad_plan),
+        ];
         let cm = CostModel::default();
         let registry = BackendRegistry::new();
 
@@ -625,7 +644,10 @@ mod tests {
                 "{shards} shards"
             );
             assert_eq!(merged.divergence.pairs.len(), report.divergence.pairs.len());
+            assert_eq!(merged.divergence, report.divergence, "{shards} shards");
         }
+        let pair = &report.divergence.pairs[0];
+        assert_eq!((pair.points.len(), pair.skipped, pair.backend_errors.len()), (4, 4, 4));
     }
 
     /// A poisoned backend's NaN times round-trip through the shard
