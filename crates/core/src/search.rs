@@ -739,6 +739,53 @@ mod tests {
         assert_eq!(sorted, expect);
     }
 
+    /// A search shares a sweep's stored solves: both key a record by the
+    /// grid's fingerprint and the cell's nominal index. Over a store a
+    /// sweep of the same grid filled, the search solves and stages
+    /// nothing; a cold store-attached search stages one record per
+    /// evaluated cell; and both stream the bytes a store-less search
+    /// streams.
+    #[test]
+    fn search_reuses_a_sweeps_stored_solves() {
+        let grid = search_grid(11);
+        let wls = [allreduce_workload("a", 1.0)];
+        let config = SearchConfig { seed_budgets: 4, ..SearchConfig::default() };
+        let cm = CostModel::default();
+        let (_, want) = run_search(ExecMode::Parallel, &grid, &wls, &config);
+        let search = |store: &std::path::Path| {
+            let session = Session::new(&cm).with_store(store).unwrap();
+            let mut out = Vec::new();
+            let report = {
+                let mut sink = JsonLinesSink::new(&mut out);
+                run_grid(&session, &grid, &wls, &config, &mut [&mut sink]).expect("search runs")
+            };
+            let stored = session.engine().store_stats().unwrap();
+            (report, String::from_utf8(out).unwrap(), stored)
+        };
+        let tmp = |name: &str| {
+            let path = std::env::temp_dir()
+                .join(format!("libra-search-test-{}-{name}.jsonl", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            path
+        };
+
+        let cold = tmp("cold");
+        let (report, jsonl, stored) = search(&cold);
+        assert_eq!(jsonl, want);
+        assert_eq!(stored.staged, report.evals, "one record per evaluated cell");
+
+        let shared = tmp("shared");
+        Session::new(&cm).with_store(&shared).unwrap().run(&grid, &wls, &[]);
+        let (report, jsonl, stored) = search(&shared);
+        assert_eq!(jsonl, want);
+        assert_eq!(report.sweep.cache.design_misses, 0, "the sweep's solves are reused");
+        assert!(stored.hits >= report.evals, "{} hits for {} cells", stored.hits, report.evals);
+        assert_eq!(stored.staged, 0);
+        for path in [cold, shared] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
     /// `run_scenario` demands a `"search"` block.
     #[test]
     fn run_scenario_requires_search_block() {
