@@ -20,9 +20,9 @@
 //! * `sweep` runs the design-space grid without backend pricing (the
 //!   scenario's `backends` list is ignored).
 //! * `search` runs the scenario's adaptive `"search"` block: a coarse
-//!   Pareto-guided subgrid is successively refined instead of sweeping
-//!   the whole grid, so scenarios *above* the exhaustive point cap are
-//!   legal. The streamed JSONL carries nominal grid indices, replays
+//!   sample of the budget axis is successively refined around the
+//!   Pareto front instead of sweeping the whole grid, so scenarios
+//!   *above* the exhaustive point cap are legal. The streamed JSONL carries nominal grid indices, replays
 //!   bit-identically (parallel ≡ serial, warm-from-store ≡ cold), and
 //!   on exhaustively sweepable grids the final front equals `sweep`'s
 //!   `pareto_front()` exactly.
@@ -269,7 +269,7 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
             }
             if range.is_some() {
                 return Err("--range applies to sweep/crossval workers, not search \
-                     (the adaptive driver picks its own subgrids)"
+                     (the adaptive driver picks its own cells)"
                     .to_string());
             }
         }

@@ -733,7 +733,7 @@ fn over_cap_scenario_fails_exhaustive_commands_but_search_completes() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("point cap"));
 
-    // The adaptive driver prices a bounded subgrid of it.
+    // The adaptive driver prices a bounded number of its cells.
     let jsonl = tmp("search_huge.jsonl");
     let out = libra(&["search", scenario, "--jsonl", jsonl.to_str().unwrap(), "--quiet"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));

@@ -4,32 +4,36 @@
 //! [`Scenario::MAX_GRID_POINTS`]; production questions ("the best
 //! topology under $X for this workload") live in spaces orders of
 //! magnitude larger. This module is the adaptive driver on top of
-//! [`Session`]: it prices a **coarse subgrid** of the nominal
-//! shapes × workloads × budgets × objectives space, then **successively
-//! refines** the budget axis around the current perf-vs-cost Pareto
-//! front while **pruning** budget intervals that are provably dominated
-//! under the monotone budget structure (more bandwidth budget never
-//! slows the optimum down and never makes it cheaper), until the front
-//! is stable or an evaluation budget runs out. The nominal grid is
-//! never materialized — only the evaluated subgrids are — so scenarios
+//! [`Session`]: it prices a **coarse sample** of the budget axis of the
+//! nominal shapes × workloads × budgets × objectives grid, then
+//! **successively refines** the budget axis around the current
+//! perf-vs-cost Pareto front while **pruning** budget intervals that are
+//! provably dominated under the monotone budget structure (more bandwidth
+//! budget never slows the optimum down and never makes it cheaper), until
+//! the front is stable or an evaluation budget runs out. Each round hands
+//! its cells' nominal grid indices straight to the session engine's
+//! drive, and the nominal grid is never materialized, so scenarios
 //! **above** the exhaustive point cap are legal in search mode.
 //!
 //! Every round is priced through the same [`Session`], so the engine's
 //! memo cache, the warm-start seed index, and an attached
 //! [`crate::store::SolveStore`] all hit for free across rounds and
-//! across runs.
+//! across runs. Records are stored under the same keys (scenario
+//! fingerprint, nominal grid index) an exhaustive sweep of the grid
+//! uses, so a search and a sweep share their solves.
 //!
 //! # Contracts (pinned by tests here and in `tests/prop_search.rs`)
 //!
-//! * **Exactness on small grids.** Refinement subgrids prepend each
-//!   group's nominal anchor budget, so warm-start seeds are exactly the
-//!   ones the exhaustive run publishes and every evaluated cell's
-//!   design is **bit-identical** to the exhaustive run's. On any grid
-//!   the exhaustive engine can also sweep, the adaptive front equals
-//!   [`SweepReport::pareto_front`] of the exhaustive run exactly — same
-//!   designs, same order. (Pruning is conservative: an interval is only
-//!   dropped when an evaluated point *strictly* dominates the best
-//!   corner any interior cell could reach; ties keep refining.)
+//! * **Exactness on small grids.** The drive solves each group's anchor
+//!   (the grid's first budget) before any seeded cell, as it does for a
+//!   shard, so warm-start seeds are exactly the ones the exhaustive run
+//!   publishes and every evaluated cell's design is **bit-identical** to
+//!   the exhaustive run's. On any grid the exhaustive engine can also
+//!   sweep, the adaptive front equals [`SweepReport::pareto_front`] of
+//!   the exhaustive run exactly — same designs, same order. (Pruning is
+//!   conservative: an interval is only dropped when an evaluated point
+//!   *strictly* dominates the best corner any interior cell could reach;
+//!   ties keep refining.)
 //! * **Determinism.** The refinement trajectory is a pure function of
 //!   the scenario: parallel ≡ serial, warm-from-store ≡ cold, and a
 //!   re-run replays bit-identically, including the streamed JSONL.

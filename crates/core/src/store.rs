@@ -48,11 +48,17 @@
 //! guaranteed stable across Rust releases, and a cache keyed by it
 //! would silently go cold (or worse) on a toolchain bump.
 //!
+//! The grid index is the point's index in the scenario's **full** grid,
+//! whichever run priced it: a whole sweep, a shard's range, or an
+//! adaptive-search round's cells of the nominal grid. A search and a
+//! sweep of the same scenario therefore share records.
+//!
 //! Warm-start *seeds* need no separate record kind: an anchor point's
 //! record already carries `design.bw`, which is exactly the vector the
 //! engine publishes to its seed index — and the engine publishes it on
-//! cache **hits** too, so preloading anchor records reproduces the seed
-//! state of an uninterrupted run bit for bit.
+//! cache **hits** too, so a partial run that reads its cells and their
+//! group anchors reproduces the seed state of an uninterrupted run bit
+//! for bit.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -25,9 +25,12 @@
 //!   optimum ([`opt::optimize_seeded`]) — phase-barriered so parallel and
 //!   serial runs stay bit-identical.
 //!
-//! Every session run funnels into the same internal
-//! [`ExecMode`]-parameterized drive, so the serial-vs-parallel
-//! bit-identity contract is enforced in exactly one place.
+//! Every session run and every adaptive-search round funnels into the
+//! same internal [`ExecMode`]-parameterized drive over ascending global
+//! grid indices — a session's range, or a round's cells of the nominal
+//! grid — so the serial-vs-parallel bit-identity contract, and the rule
+//! that a partial run first solves the warm-start anchors its cells seed
+//! from, are each enforced in exactly one place.
 //!
 //! ```
 //! use libra_core::comm::{Collective, CommModel, GroupSpan};

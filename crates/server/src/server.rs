@@ -380,10 +380,10 @@ fn run_job(
         });
         let mut sinks: Vec<&mut dyn ReportSink> = vec![&mut jsonl, &mut progress];
         if scenario.search.is_some() {
-            // Adaptive search mode: the driver prices its own subgrids
-            // (no backends, no divergence) and streams one standard
-            // JSONL run through the same sinks, so records/progress/
-            // cancel/fault machinery apply unchanged.
+            // Adaptive search mode: the driver picks its own cells of
+            // the grid (no backends, no divergence) and streams one
+            // standard JSONL run through the same sinks, so records/
+            // progress/cancel/fault machinery apply unchanged.
             let search =
                 libra_core::search::run_scenario(&session, scenario, &workloads, &mut sinks)?;
             SessionReport {
