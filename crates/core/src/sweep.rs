@@ -267,20 +267,25 @@ impl SweepGrid {
     /// budget axes with millions of entries: a hash set there costs a
     /// hash per entry and several times the axis in memory, while
     /// `sort_unstable` is linear on the monotone axes ladders produce
-    /// (O(n log n) at worst) and needs one position per entry. (Bit
-    /// equality matches `==` here: the kept values are finite, positive,
-    /// and non-zero.)
+    /// (O(n log n) at worst) and needs one `u32` position per entry, half
+    /// the axis in memory. (Bit equality matches `==` here: the kept
+    /// values are finite, positive, and non-zero.)
+    ///
+    /// # Panics
+    /// If the grid would hold more than `u32::MAX` budgets (a 32 GiB
+    /// axis; scenario ladders stop at [`crate::scenario::Scenario::MAX_GRID_POINTS`]).
     #[must_use]
     pub fn with_budgets(mut self, budgets: impl IntoIterator<Item = f64>) -> Self {
         let budgets = budgets.into_iter();
         self.budgets.reserve(budgets.size_hint().0);
         self.budgets.extend(budgets.filter(|b| b.is_finite() && *b > 0.0));
-        let bits = |p: usize| self.budgets[p].to_bits();
-        let mut order: Vec<usize> = (0..self.budgets.len()).collect();
+        let n = u32::try_from(self.budgets.len()).expect("at most u32::MAX budgets");
+        let bits = |p: u32| self.budgets[p as usize].to_bits();
+        let mut order: Vec<u32> = (0..n).collect();
         order.sort_unstable_by_key(|&p| (bits(p), p));
         let mut first = vec![false; order.len()];
         for run in order.chunk_by(|&a, &b| bits(a) == bits(b)) {
-            first[run[0]] = true;
+            first[run[0] as usize] = true;
         }
         let mut first = first.into_iter();
         self.budgets.retain(|_| first.next() == Some(true));
