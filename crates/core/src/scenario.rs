@@ -675,8 +675,9 @@ impl Scenario {
         // Budgets: either an explicit array, or a ladder object
         // `{"from", "to", "count", "scale"}` expanded here — the compact
         // form huge search scenarios need (an over-cap grid would be
-        // absurd to spell out point by point).
-        let budgets: Vec<f64> = match root.get("budgets") {
+        // absurd to spell out point by point). A ladder expands straight
+        // into the scenario, with no intermediate copy of its axis.
+        b = match root.get("budgets") {
             Some(ladder @ Json::Obj(fields)) => {
                 for (key, _) in fields {
                     if !matches!(key.as_str(), "from" | "to" | "count" | "scale") {
@@ -727,25 +728,24 @@ impl Scenario {
                         )))
                     }
                 };
-                (0..count)
-                    .map(|i| {
-                        let t = i as f64 / (count - 1) as f64;
-                        if scale == "linear" {
-                            from + t * (to - from)
-                        } else {
-                            from * (to / from).powf(t)
-                        }
-                    })
-                    .collect()
+                b.with_budgets((0..count).map(|i| {
+                    let t = i as f64 / (count - 1) as f64;
+                    if scale == "linear" {
+                        from + t * (to - from)
+                    } else {
+                        from * (to / from).powf(t)
+                    }
+                }))
             }
-            _ => arr_field("budgets")?
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| bad("field \"budgets\" must hold numbers".into()))
-                })
-                .collect::<Result<_, _>>()?,
+            _ => b.with_budgets(
+                arr_field("budgets")?
+                    .iter()
+                    .map(|v| {
+                        v.as_f64().ok_or_else(|| bad("field \"budgets\" must hold numbers".into()))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?,
+            ),
         };
-        b = b.with_budgets(budgets);
         for name in str_items("objectives")? {
             b = b.with_objectives([objective_from_name(&name)?]);
         }
