@@ -305,7 +305,8 @@ fn run_inner<W: SweepWorkload>(
                 cells.extend(first..first + axes.n_obj);
             }
         }
-        session.engine().run_priced(
+        let mut healthy = Vec::with_capacity(cells.len());
+        let priced = session.engine().run_priced(
             grid,
             workloads,
             &[],
@@ -317,9 +318,16 @@ fn run_inner<W: SweepWorkload>(
                 for sink in sinks.iter_mut() {
                     sink.on_record(&row);
                 }
-                outcomes.insert(index, outcome.clone());
+                healthy.push(outcome.is_ok());
             },
         );
+        // The report holds the cells' results and errors, each in cell
+        // order: move them back to their cells instead of cloning them.
+        let (mut results, mut errors) = (priced.results.into_iter(), priced.errors.into_iter());
+        for (&index, ok) in cells.iter().zip(healthy) {
+            let outcome = if ok { results.next().map(Ok) } else { errors.next().map(Err) };
+            outcomes.insert(index, outcome.expect("one report entry per priced cell"));
+        }
         let new_evals = cells.len();
         evals += new_evals;
         evaluated.extend(next.iter().copied());
