@@ -1193,4 +1193,139 @@ mod tests {
         let seq: Vec<usize> = res.records.iter().map(|r| r.dim).collect();
         assert_eq!(seq, vec![1, 0]);
     }
+
+    /// SplitMix64: a seeded generator for the schedule digest's batches.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo + 1)
+        }
+
+        /// True with probability `1/n`.
+        fn one_in(&mut self, n: u64) -> bool {
+            self.next().is_multiple_of(n)
+        }
+    }
+
+    /// A random batch: 1–4 dims, 1–3 jobs over every collective kind, and
+    /// the extension knobs (zero and non-zero overheads, offload flags).
+    fn seeded_batch(
+        rng: &mut SplitMix,
+        batch: usize,
+    ) -> (usize, Vec<f64>, BatchExt, Vec<CollectiveJob>) {
+        const KINDS: [Collective; 5] = [
+            Collective::AllReduce,
+            Collective::ReduceScatter,
+            Collective::AllGather,
+            Collective::AllToAll,
+            Collective::PointToPoint,
+        ];
+        let n_dims = rng.range(1, 4) as usize;
+        let bw: Vec<f64> = (0..n_dims).map(|_| rng.range(1, 400) as f64 * 0.25).collect();
+        let ext = BatchExt {
+            stage_overhead_ps: (0..n_dims)
+                .map(|_| if rng.one_in(3) { 0 } else { rng.range(0, 3_000_000) })
+                .collect(),
+            offload_dims: (0..n_dims).map(|_| rng.one_in(3)).collect(),
+        };
+        let n_jobs = rng.range(1, 3) as usize;
+        let jobs = (0..n_jobs)
+            .map(|j| {
+                let mut extents = Vec::new();
+                for d in 0..n_dims {
+                    if rng.one_in(2) {
+                        extents.push((d, rng.range(2, 16)));
+                    }
+                }
+                if extents.is_empty() {
+                    let d = rng.range(0, n_dims as u64 - 1) as usize;
+                    extents.push((d, rng.range(2, 16)));
+                }
+                // Some payloads are small enough that a stage's
+                // serialization rounds to 0 ps.
+                let bytes = if rng.one_in(6) {
+                    rng.range(1, 100) as f64 * 1e-5
+                } else {
+                    rng.range(1, 1_000_000) as f64 * 1e3
+                };
+                CollectiveJob {
+                    collective: if j == 0 {
+                        KINDS[batch % 5]
+                    } else {
+                        KINDS[rng.range(0, 4) as usize]
+                    },
+                    bytes,
+                    span: GroupSpan::new(extents),
+                    chunks: rng.range(1, 64) as usize,
+                    release: if rng.one_in(3) { 0 } else { rng.range(0, 50_000_000) },
+                }
+            })
+            .collect();
+        (n_dims, bw, ext, jobs)
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fold(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Pins the engine's exact event order: ~200 seeded batches (every
+    /// collective kind, 1–4 dims, 1–64 chunks, staggered releases, zero
+    /// and non-zero stage overheads, offload flags, 0 ps stages) run under
+    /// [`FixedOrder`] and under a scheduler that reads its options, and
+    /// every [`StageRecord`] and finish time is folded into one FNV-1a
+    /// digest. Any change to which stage a server starts when, or to any
+    /// stage's duration, moves the digest.
+    #[test]
+    fn seeded_batches_replay_the_pinned_schedule() {
+        /// Greedy: the option whose server would finish it first.
+        struct EarliestFinish;
+        impl ChunkScheduler for EarliestFinish {
+            fn choose(&mut self, _c: usize, now: Time, options: &[StageOption]) -> usize {
+                let finish = |o: &StageOption| {
+                    o.server_free_at.max(now) as f64
+                        + o.bytes * 1e3 / o.bw_gbps
+                        + o.overhead_ps as f64
+                };
+                (0..options.len())
+                    .min_by(|&a, &b| finish(&options[a]).total_cmp(&finish(&options[b])))
+                    .unwrap_or(0)
+            }
+        }
+        let mut rng = SplitMix(0x1B5A_D16E_57D1_6E57);
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let mut stages = 0usize;
+        for batch in 0..200 {
+            let (n_dims, bw, ext, jobs) = seeded_batch(&mut rng, batch);
+            for scheduler in [&mut FixedOrder as &mut dyn ChunkScheduler, &mut EarliestFinish] {
+                let res = run_batch_ext(n_dims, &bw, &ext, &jobs, scheduler);
+                stages += res.records.len();
+                for r in &res.records {
+                    for word in [r.job, r.chunk, r.dim, usize::from(r.gather)] {
+                        fold(&mut hash, word as u64);
+                    }
+                    fold(&mut hash, r.start);
+                    fold(&mut hash, r.end);
+                }
+                for &t in &res.finish {
+                    fold(&mut hash, t);
+                }
+            }
+        }
+        assert!(stages > 20_000, "the batches are too small to pin anything: {stages} stages");
+        assert_eq!(hash, 0x1629_C3AC_7442_139B, "schedule digest over {stages} stages");
+    }
 }
