@@ -32,7 +32,7 @@ use libra_core::eval::{validate_plan, CommPhase, CommPlan, EvalBackend};
 use libra_core::LibraError;
 
 use crate::collective::{BatchExt, EngineScratch, FixedOrder, JobSpec, Trace};
-use crate::event::ps_to_secs;
+use crate::event::{ps_to_secs, Time};
 
 thread_local! {
     /// Per-thread engine arena shared by every event-driven backend
@@ -40,8 +40,28 @@ thread_local! {
     /// and backends are shared across rayon workers, so the scratch is
     /// per-thread rather than per-backend: after warm-up, plan evaluation
     /// performs no heap allocation at all.
-    static EVAL_SCRATCH: RefCell<(EngineScratch, BatchExt)> =
-        RefCell::new((EngineScratch::new(), BatchExt::none()));
+    static EVAL_SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
+}
+
+/// [`eval_plan_on_engine`]'s reusable buffers: the engine arena, the
+/// extension `ext_of` writes, and the phases already priced in the
+/// current call.
+#[derive(Debug, Default)]
+struct EvalScratch {
+    engine: EngineScratch,
+    ext: BatchExt,
+    /// `priced[..n]` are the current call's distinct phases; later slots
+    /// only keep their extension buffers for reuse.
+    priced: Vec<PricedPhase>,
+}
+
+/// A phase priced on the engine: its index in the plan, the extension
+/// it ran under, and its makespan.
+#[derive(Debug, Default)]
+struct PricedPhase {
+    phase: usize,
+    ext: BatchExt,
+    makespan: Time,
 }
 
 /// Prices a [`CommPlan`] on the chunked engine: each phase's non-trivial
@@ -50,6 +70,13 @@ thread_local! {
 /// `ext_of` writes for that phase (α-β stage overheads, offload flags —
 /// the buffer arrives cleared and is reused across phases and calls);
 /// sequential phases sum and [`CommPhase::repeat`] multiplies.
+///
+/// Each distinct phase runs on the engine once per call: a later phase
+/// with equal ops and an equal extension (a design sweep's forward and
+/// backward tensor-parallel all-reduce) reuses the makespan the engine
+/// gave the first one, which is the same integer the engine would
+/// compute again. Every phase still adds its own `repeat ×` term, in plan
+/// order, so the sum is bit-identical to pricing each phase afresh.
 ///
 /// This is the single plan→engine adapter shared by every event-driven
 /// backend — [`EventSimBackend`] is the no-extension case, and
@@ -77,9 +104,10 @@ pub fn eval_plan_on_engine(
     // defaults) rather than holding a RefCell borrow across `ext_of`:
     // a closure that reentrantly evaluates another plan on this thread
     // then simply warms up its own temporary arena instead of panicking.
-    let (mut scratch, mut ext) = EVAL_SCRATCH.take();
+    let mut s = EVAL_SCRATCH.take();
+    let mut n_priced = 0;
     let mut total = 0.0f64;
-    for phase in &plan.phases {
+    for (index, phase) in plan.phases.iter().enumerate() {
         if phase.repeat == 0 {
             continue;
         }
@@ -87,25 +115,44 @@ pub fn eval_plan_on_engine(
         if eligible().next().is_none() {
             continue;
         }
-        ext.clear();
-        ext_of(phase, &mut ext);
-        let makespan = scratch.run_jobs(
-            n_dims,
-            bw,
-            &ext,
-            eligible().map(|op| JobSpec {
-                collective: op.collective,
-                bytes: op.bytes,
-                span: &op.span,
-                chunks,
-                release: 0,
-            }),
-            &mut FixedOrder,
-            Trace::Off,
-        );
+        s.ext.clear();
+        ext_of(phase, &mut s.ext);
+        let seen = s.priced[..n_priced]
+            .iter()
+            .find(|p| p.ext == s.ext && plan.phases[p.phase].ops == phase.ops);
+        let makespan = match seen {
+            Some(p) => p.makespan,
+            None => {
+                let makespan = s.engine.run_jobs(
+                    n_dims,
+                    bw,
+                    &s.ext,
+                    eligible().map(|op| JobSpec {
+                        collective: op.collective,
+                        bytes: op.bytes,
+                        span: &op.span,
+                        chunks,
+                        release: 0,
+                    }),
+                    &mut FixedOrder,
+                    Trace::Off,
+                );
+                if n_priced == s.priced.len() {
+                    s.priced.push(PricedPhase::default());
+                }
+                // The slot keeps this phase's extension and hands its old
+                // buffer back for the next phase to fill.
+                let slot = &mut s.priced[n_priced];
+                std::mem::swap(&mut slot.ext, &mut s.ext);
+                slot.phase = index;
+                slot.makespan = makespan;
+                n_priced += 1;
+                makespan
+            }
+        };
         total += phase.repeat as f64 * ps_to_secs(makespan);
     }
-    EVAL_SCRATCH.replace((scratch, ext));
+    EVAL_SCRATCH.replace(s);
     Ok(total)
 }
 

@@ -31,8 +31,19 @@
 //! * [`EngineScratch::run_jobs`] executes a batch **without allocating**
 //!   once the arena has warmed up: chunk states live in a slab, their
 //!   remaining/visited stage lists in two flat buffers, server queues and
-//!   the event heap are reused, and jobs are fed as borrowed [`JobSpec`]s
-//!   (no `GroupSpan` clones anywhere in the fan-out).
+//!   the event timeline are reused, and jobs are fed as borrowed
+//!   [`JobSpec`]s (no `GroupSpan` clones anywhere in the fan-out).
+//! * Each stage's service time is computed once, when the stage joins its
+//!   server's queue, and travels with it; a server reuses its last
+//!   duration while the payload's bits repeat (every chunk of a job
+//!   carries the same payload per stage).
+//! * Events due at the current instant — every chunk's release at time
+//!   0, the `Ready` that follows each finished stage, a 0 ps stage's
+//!   `Done` — go to a FIFO beside the event heap, which holds only later
+//!   events. The loop pops the heap's entries at the current time, then
+//!   the FIFO, and only then advances time: exactly the heap's
+//!   `(time, seq)` order, pinned by a digest of every stage record of
+//!   200 seeded batches (`seeded_batches_replay_the_pinned_schedule`).
 //! * [`Trace::Off`] (the fast path) skips [`StageRecord`] collection and
 //!   per-transfer busy-interval pushes entirely; per-dimension utilization
 //!   survives as an O(1) [`DimUsage`] accumulator (total busy time + span
@@ -272,7 +283,8 @@ impl CollectiveResult {
 #[derive(Debug, Clone, Copy)]
 struct QueuedStage {
     chunk_key: usize,
-    bytes: f64,
+    /// Service time, computed once when the stage is enqueued.
+    dur: Time,
     gather: bool,
 }
 
@@ -286,6 +298,23 @@ struct Server {
     running: Option<usize>, // chunk key
     usage: DimUsage,
     busy: Vec<(Time, Time)>, // Trace::Full only
+    /// Bits of the last stage payload priced on this server, and its
+    /// service time: always a valid pair (reset to the 0-byte stage).
+    last_bytes: u64,
+    last_dur: Time,
+}
+
+impl Server {
+    /// Service time of a `bytes` stage. Every chunk of a job carries the
+    /// same payload per stage, so a repeat of the last payload's bits
+    /// reuses its duration.
+    fn duration(&mut self, bytes: f64) -> Time {
+        if bytes.to_bits() != self.last_bytes {
+            self.last_bytes = bytes.to_bits();
+            self.last_dur = transfer_with_latency_ps(bytes, self.bw_gbps, self.overhead_ps);
+        }
+        self.last_dur
+    }
 }
 
 /// Per-chunk state. Stage lists live in the scratch arena's flat buffers
@@ -343,8 +372,49 @@ enum Ev {
     Done(usize),  // dim
 }
 
+/// The engine's event timeline: an [`EventQueue`] heap for later events
+/// and a FIFO for events due at the current instant. The heap's entries
+/// at `now` were pushed before time reached `now`, so they precede every
+/// FIFO entry in `(time, seq)` order; popping them first, then the FIFO,
+/// then advancing time is exactly the heap's own order, without a heap
+/// sift for the same-time `Ready` events that make up half of a run.
+#[derive(Debug, Default)]
+struct Timeline {
+    now: Time,
+    later: EventQueue<Ev>,
+    due: VecDeque<Ev>,
+}
+
+impl Timeline {
+    fn clear(&mut self) {
+        self.now = 0;
+        self.later.clear();
+        self.due.clear();
+    }
+
+    fn push(&mut self, at: Time, ev: Ev) {
+        debug_assert!(at >= self.now, "event scheduled in the past");
+        if at == self.now {
+            self.due.push_back(ev);
+        } else {
+            self.later.push(at, ev);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(Time, Ev)> {
+        if self.later.peek_time() != Some(self.now) {
+            if let Some(ev) = self.due.pop_front() {
+                return Some((self.now, ev));
+            }
+        }
+        let (at, ev) = self.later.pop()?;
+        self.now = at;
+        Some((at, ev))
+    }
+}
+
 /// The engine's reusable arena: chunk slab, flat stage buffers, server
-/// pool, option buffer, event heap, and result vectors. Create once, drive
+/// pool, option buffer, event timeline, and result vectors. Create once, drive
 /// [`EngineScratch::run_jobs`] arbitrarily often — after the first few runs
 /// every buffer has reached steady-state capacity and execution performs
 /// **zero heap allocations** (with `Trace::Off` and a scheduler that does
@@ -356,7 +426,7 @@ pub struct EngineScratch {
     rem_buf: Vec<(usize, u64)>,
     vis_buf: Vec<(usize, f64)>,
     options: Vec<StageOption>,
-    queue: EventQueue<Ev>,
+    events: Timeline,
     finish: Vec<Time>,
     outstanding: Vec<usize>,
     records: Vec<StageRecord>,
@@ -382,12 +452,14 @@ impl EngineScratch {
             s.queue.clear();
             s.usage = DimUsage::default();
             s.busy.clear();
+            s.last_bytes = 0f64.to_bits();
+            s.last_dur = transfer_with_latency_ps(0.0, s.bw_gbps, s.overhead_ps);
         }
         self.chunks.clear();
         self.rem_buf.clear();
         self.vis_buf.clear();
         self.options.clear();
-        self.queue.clear();
+        self.events.clear();
         self.finish.clear();
         self.outstanding.clear();
         self.records.clear();
@@ -422,7 +494,7 @@ impl EngineScratch {
             rem_buf,
             vis_buf,
             options,
-            queue,
+            events,
             finish,
             outstanding,
             records,
@@ -485,11 +557,11 @@ impl EngineScratch {
                 }
                 chunks.push(st);
                 outstanding[ji] += 1;
-                queue.push(job.release, Ev::Ready(key));
+                events.push(job.release, Ev::Ready(key));
             }
         }
 
-        while let Some((now, ev)) = queue.pop() {
+        while let Some((now, ev)) = events.pop() {
             match ev {
                 Ev::Ready(key) => {
                     match next_stage(
@@ -505,10 +577,10 @@ impl EngineScratch {
                     ) {
                         Some((dim, bytes, gather)) => {
                             let s = &mut servers[dim];
-                            let dur = transfer_with_latency_ps(bytes, s.bw_gbps, s.overhead_ps);
+                            let dur = s.duration(bytes);
                             s.backlog_until = s.backlog_until.max(now).saturating_add(dur);
-                            s.queue.push_back(QueuedStage { chunk_key: key, bytes, gather });
-                            try_start(dim, s, now, queue, chunks, records, trace);
+                            s.queue.push_back(QueuedStage { chunk_key: key, dur, gather });
+                            try_start(dim, s, now, events, chunks, records, trace);
                         }
                         None => {
                             let st = &mut chunks[key];
@@ -524,9 +596,9 @@ impl EngineScratch {
                 }
                 Ev::Done(dim) => {
                     if let Some(key) = servers[dim].running.take() {
-                        queue.push(now, Ev::Ready(key));
+                        events.push(now, Ev::Ready(key));
                     }
-                    try_start(dim, &mut servers[dim], now, queue, chunks, records, trace);
+                    try_start(dim, &mut servers[dim], now, events, chunks, records, trace);
                 }
             }
         }
@@ -695,7 +767,7 @@ fn try_start(
     dim: usize,
     s: &mut Server,
     now: Time,
-    queue: &mut EventQueue<Ev>,
+    events: &mut Timeline,
     chunks: &[ChunkState],
     records: &mut Vec<StageRecord>,
     trace: Trace,
@@ -705,7 +777,7 @@ fn try_start(
     }
     let Some(job) = s.queue.pop_front() else { return };
     let start = now.max(s.free_at);
-    let end = start.saturating_add(transfer_with_latency_ps(job.bytes, s.bw_gbps, s.overhead_ps));
+    let end = start.saturating_add(job.dur);
     s.free_at = end;
     s.running = Some(job.chunk_key);
     s.usage.busy_ps = s.usage.busy_ps.saturating_add(end - start);
@@ -726,7 +798,7 @@ fn try_start(
             end,
         });
     }
-    queue.push(end, Ev::Done(dim));
+    events.push(end, Ev::Done(dim));
 }
 
 /// Convenience wrapper: runs a single collective from time 0 with the given

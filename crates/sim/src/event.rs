@@ -119,6 +119,11 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
+    /// The time of the event [`EventQueue::pop`] would return next.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse(e)| e.time)
+    }
+
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -275,5 +280,16 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn peek_time_names_the_next_pop() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(9, "late");
+        q.push(4, "early");
+        assert_eq!(q.peek_time(), Some(4));
+        assert_eq!(q.pop(), Some((4, "early")));
+        assert_eq!(q.peek_time(), Some(9));
     }
 }
