@@ -442,6 +442,30 @@ mod tests {
         assert!((t3 - 3.0 * t1).abs() < 1e-12);
     }
 
+    /// `[A×3, B×5, A×7]` under a latency-carrying spec: the repeated
+    /// phase reuses its first makespan, and the total is bit-equal to the
+    /// in-order sum of the three phases priced one plan at a time.
+    #[test]
+    fn equal_phases_price_like_separate_plans() {
+        let spec = switch_spec(2, 2e6, 5e5);
+        let phases = [
+            CommPhase::solo(ar(2.0, span2())).repeated(3),
+            CommPhase::solo(ar(0.5, GroupSpan::new(vec![(1, 8)]))).repeated(5),
+            CommPhase::solo(ar(2.0, span2())).repeated(7),
+        ];
+        let plan = CommPlan { phases: phases.to_vec(), net: Some(spec.clone()) };
+        let bw = [30.0, 15.0];
+        for backend in [NetSimBackend::new(16), NetSimBackend::offloaded(16)] {
+            let whole = backend.eval_plan(2, &bw, &plan).unwrap();
+            let sum = phases
+                .iter()
+                .map(|p| CommPlan { phases: vec![p.clone()], net: Some(spec.clone()) })
+                .map(|p| backend.eval_plan(2, &bw, &p).unwrap())
+                .fold(0.0, |s, t| s + t);
+            assert_eq!(whole.to_bits(), sum.to_bits(), "{}: {whole} vs {sum}", backend.name());
+        }
+    }
+
     #[test]
     fn rejects_bad_inputs_like_other_backends() {
         let plan = CommPlan::serial([ar(1.0, span2())]);

@@ -283,6 +283,58 @@ mod tests {
         assert!((t3 - 3.0 * t1).abs() < 1e-12);
     }
 
+    /// `[A×3, B×5, A×7]`: the plan and its three phases priced alone.
+    fn aba_plan() -> (CommPlan, [CommPlan; 3]) {
+        let a = || ar(2.0, span2());
+        let b = || CommOp::new(Collective::AllToAll, 3e9, GroupSpan::new(vec![(1, 8)]));
+        let phases = [
+            CommPhase::solo(a()).repeated(3),
+            CommPhase::solo(b()).repeated(5),
+            CommPhase::solo(a()).repeated(7),
+        ];
+        let alone = phases.clone().map(|p| CommPlan { phases: vec![p], net: None });
+        (CommPlan { phases: phases.to_vec(), net: None }, alone)
+    }
+
+    /// A repeated phase reuses the first occurrence's makespan, and the
+    /// plan's total is bit-equal to the in-order sum of its phases priced
+    /// one plan at a time.
+    #[test]
+    fn equal_phases_price_like_separate_plans() {
+        let (plan, alone) = aba_plan();
+        let bw = [30.0, 15.0];
+        let backend = EventSimBackend::new(16);
+        let whole = backend.eval_plan(2, &bw, &plan).unwrap();
+        let sum =
+            alone.iter().map(|p| backend.eval_plan(2, &bw, p).unwrap()).fold(0.0, |s, t| s + t);
+        assert_eq!(whole.to_bits(), sum.to_bits(), "{whole} vs {sum}");
+    }
+
+    /// A later occurrence of a phase under a different extension is
+    /// priced under its own extension, not the first occurrence's.
+    #[test]
+    fn equal_ops_under_a_new_extension_are_priced_again() {
+        let (plan, alone) = aba_plan();
+        let bw = [30.0, 15.0];
+        let slow = BatchExt { stage_overhead_ps: vec![5_000_000, 0], offload_dims: vec![] };
+        let mut calls = 0;
+        let whole = eval_plan_on_engine(2, &bw, &plan, 16, |_, ext| {
+            calls += 1;
+            if calls == 3 {
+                ext.clone_from(&slow);
+            }
+        })
+        .unwrap();
+        let price = |p: &CommPlan, ext: &BatchExt| {
+            eval_plan_on_engine(2, &bw, p, 16, |_, e| e.clone_from(ext)).unwrap()
+        };
+        let none = BatchExt::none();
+        let sum = price(&alone[0], &none) + price(&alone[1], &none) + price(&alone[2], &slow);
+        assert_eq!(whole.to_bits(), sum.to_bits(), "{whole} vs {sum}");
+        let plain = EventSimBackend::new(16).eval_plan(2, &bw, &plan).unwrap();
+        assert!(whole > plain, "the third phase's overhead was not priced: {whole} vs {plain}");
+    }
+
     #[test]
     fn concurrent_phase_ops_contend_for_bandwidth() {
         let solo = CommPlan::serial([ar(2.0, GroupSpan::new(vec![(0, 4)]))]);
