@@ -32,11 +32,15 @@
 //!   interleave whole lines in the common case.
 //! * Duplicate keys are **last-write-wins** on load. Two writers racing
 //!   on the same key wrote the same deterministic solve anyway.
-//! * The reader is corruption-tolerant: it stops at the first bad
-//!   record (e.g. a line torn by a crash mid-write) and remembers the
-//!   valid prefix length; the next flush truncates the file back to
-//!   that prefix before appending, so the cache heals instead of
-//!   poisoning every later read.
+//! * The reader is corruption-tolerant: it skips every line that does
+//!   not parse (a line torn by a crash mid-write, or another writer's
+//!   append still in flight when the file was read) and keeps reading.
+//! * Nothing is ever truncated, so a live writer's in-flight line and
+//!   everything appended after it survive. Instead, a flush first
+//!   writes `\n` when the file's last byte is not a newline: a torn
+//!   tail then ends as one bad line of its own rather than swallowing
+//!   the next record. An extra newline only adds a blank line, which
+//!   the loader skips.
 //!
 //! # Keying
 //!
@@ -62,7 +66,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -222,10 +226,6 @@ pub struct SolveStore {
     loaded: HashMap<(Fingerprint, usize), StoredPoint>,
     /// Staged records in staging order (the append order on flush).
     pending: Vec<((Fingerprint, usize), StoredPoint)>,
-    /// Byte length of the valid prefix when the load stopped at a
-    /// corrupt record; the next flush truncates the file back to this
-    /// before appending.
-    truncate_to: Option<u64>,
     /// Whether the file already starts with a valid header line.
     has_header: bool,
     hits: usize,
@@ -245,9 +245,10 @@ impl SolveStore {
     /// Opens (and loads) the cache at `path`, creating an empty store
     /// when the file does not exist yet.
     ///
-    /// Loading is corruption-tolerant: records after the first bad line
-    /// are ignored and the file is truncated back to the valid prefix on
-    /// the next flush. Duplicate keys are last-write-wins.
+    /// Loading is corruption-tolerant: a line that does not parse (torn
+    /// by a crash, or another writer's append still in flight) is
+    /// skipped, and every record around it loads. The file is never
+    /// truncated. Duplicate keys are last-write-wins.
     ///
     /// # Errors
     /// [`LibraError::BadRequest`] on I/O failures or when the file's
@@ -259,7 +260,6 @@ impl SolveStore {
             path,
             loaded: HashMap::new(),
             pending: Vec::new(),
-            truncate_to: None,
             has_header: false,
             hits: 0,
             staged_total: 0,
@@ -334,11 +334,10 @@ impl SolveStore {
                 continue;
             }
             let Some(record) = Self::parse_line(trimmed) else {
-                // First bad record (often a line torn mid-write):
-                // everything before it stays valid, everything from
-                // here on is dropped and truncated away on flush.
-                self.truncate_to = Some(offset);
-                break;
+                // A torn line, or another writer's append in flight:
+                // skip it and keep reading.
+                offset += advance;
+                continue;
             };
             match record {
                 Line::Header { schema, key_hash } => {
@@ -410,14 +409,15 @@ impl SolveStore {
 
     /// Appends every staged record to the file (one `write` syscall per
     /// line), writing the header first when the file is new or empty and
-    /// truncating a corrupt tail first when the load detected one.
+    /// a newline first when the file does not end with one (a torn
+    /// tail).
     /// Staged records move into the loaded set only on success, so a
     /// failed flush can be retried (and is, on drop).
     ///
     /// # Errors
     /// [`LibraError::BadRequest`] on I/O failures.
     pub fn flush(&mut self) -> Result<(), LibraError> {
-        if self.pending.is_empty() && self.truncate_to.is_none() {
+        if self.pending.is_empty() {
             return Ok(());
         }
         let flush_index = self.flushes;
@@ -434,28 +434,36 @@ impl SolveStore {
         let io = |e: std::io::Error| {
             LibraError::BadRequest(format!("cannot write cache {}: {e}", self.path.display()))
         };
-        let mut file =
-            std::fs::OpenOptions::new().create(true).append(true).open(&self.path).map_err(io)?;
-        if let Some(offset) = self.truncate_to.take() {
-            file.set_len(offset).map_err(io)?;
-            // The corrupt tail may have eaten the header too.
-            self.has_header = self.has_header && offset > 0;
-        }
-        if !self.has_header && file.metadata().map_err(io)?.len() == 0 {
-            let header = format!(
-                "{{\"schema\": {:?}, \"key_hash\": {:?}}}\n",
-                Self::SCHEMA,
-                Fingerprint::KEY_HASH_VERSION
-            );
-            file.write_all(header.as_bytes()).map_err(io)?;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&self.path)
+            .map_err(io)?;
+        if file.metadata().map_err(io)?.len() == 0 {
+            if !self.has_header {
+                let header = format!(
+                    "{{\"schema\": {:?}, \"key_hash\": {:?}}}\n",
+                    Self::SCHEMA,
+                    Fingerprint::KEY_HASH_VERSION
+                );
+                file.write_all(header.as_bytes()).map_err(io)?;
+            }
+        } else {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1)).map_err(io)?;
+            file.read_exact(&mut last).map_err(io)?;
+            if last[0] != b'\n' {
+                file.write_all(b"\n").map_err(io)?;
+            }
         }
         self.has_header = true;
         if let Some(injector) = &self.fault {
             if injector.fires(fault::STORE_FLUSH_TORN, flush_index) {
                 // Emulate dying mid-append: half of one record lands on
                 // disk, the rest of the staged batch never does. The
-                // loader heals this on the next open by truncating back
-                // to the valid prefix.
+                // loader skips the torn line, and the next flush ends it
+                // with a newline before appending.
                 if let Some((key, point)) = self.pending.first() {
                     let line = point_line(*key, point);
                     file.write_all(&line.as_bytes()[..line.len() / 2]).map_err(io)?;
@@ -641,6 +649,9 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A record torn mid-line is skipped on load while the records
+    /// before it serve; the next flush ends the torn line with a newline
+    /// and appends after it, so the re-staged record loads again.
     #[test]
     fn truncates_at_the_first_bad_record_and_heals_on_flush() {
         let path = tmp("corrupt.jsonl");
@@ -736,6 +747,57 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Another writer's append in flight when a store opens — its line
+    /// only half written — must survive this store's next flush, and so
+    /// must the rest of that line, written after the open.
+    #[test]
+    fn an_append_in_flight_at_open_survives_the_next_flush() {
+        let path = tmp("in-flight.jsonl");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut s = SolveStore::open(&path).unwrap();
+            s.stage(fp(1), 0, point(1.0));
+            s.flush().unwrap();
+        }
+        let line = point_line((fp(1), 1), &point(2.0));
+        let (head, tail) = line.as_bytes().split_at(line.len() / 2);
+        let mut writer = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        writer.write_all(head).unwrap();
+        let mut s = SolveStore::open(&path).unwrap();
+        assert_eq!(s.len(), 1, "the half-written line does not load");
+        writer.write_all(tail).unwrap();
+        drop(writer);
+        s.stage(fp(1), 2, point(3.0));
+        s.flush().unwrap();
+        drop(s);
+        let mut reopened = SolveStore::open(&path).unwrap();
+        assert_eq!(reopened.len(), 3, "the in-flight append was lost");
+        assert_eq!(reopened.lookup(fp(1), 1).unwrap(), &point(2.0));
+        assert_eq!(reopened.lookup(fp(1), 2).unwrap(), &point(3.0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A bad line in mid-file costs only itself: the records after it
+    /// load too.
+    #[test]
+    fn records_after_a_bad_line_in_mid_file_load() {
+        let path = tmp("mid-file.jsonl");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut s = SolveStore::open(&path).unwrap();
+            s.stage(fp(1), 0, point(1.0));
+            s.flush().unwrap();
+        }
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"fp\": \"not hex\"}\n").unwrap();
+        f.write_all(point_line((fp(1), 1), &point(2.0)).as_bytes()).unwrap();
+        drop(f);
+        let mut s = SolveStore::open(&path).unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.lookup(fp(1), 1).unwrap(), &point(2.0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn drop_flushes_pending_records() {
         let path = tmp("dropflush.jsonl");
@@ -751,8 +813,8 @@ mod tests {
     }
 
     /// An injected `store.flush.torn` leaves half a record on disk —
-    /// the wire image of dying mid-append. The next open must truncate
-    /// back to the valid prefix and the following flush heals the file.
+    /// the wire image of dying mid-append. The next open must skip the
+    /// torn line, and the following flush appends past it.
     #[test]
     fn torn_flush_heals_on_reopen() {
         use crate::fault::FaultInjector;
