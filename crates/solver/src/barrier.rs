@@ -8,7 +8,11 @@
 //!    `g_i(z) ≤ s`; stops as soon as a strictly feasible point is found.
 //! 3. **Barrier loop** — minimize `t·f₀(z) − Σ log(−g_i(z))` by damped
 //!    Newton, increasing `t` geometrically until the duality gap `m/t` is
-//!    below tolerance.
+//!    below tolerance. A centering stage (one `t`) ends at a negligible
+//!    Newton decrement, when the line search finds no descent, when it
+//!    accepts a step that rounds away (the new iterate has the old one's
+//!    bits, so every later iteration would repeat this one), or at
+//!    `MAX_NEWTON_PER_STAGE` iterations.
 
 use crate::convex::{ConvexProblem, Solution};
 use crate::error::SolverError;
@@ -397,7 +401,14 @@ impl Workspace {
 /// an accepted trial point serve the next iteration's Newton step, its
 /// decrement test and its line search.
 ///
-/// Returns the number of Newton iterations used.
+/// The stage ends at a negligible decrement, when no step descends, after
+/// an accepted step whose trial point has every bit of the iterate, or at
+/// `MAX_NEWTON_PER_STAGE`. After a step that rounds away, the next
+/// iteration would start from the same bits of `z`, the potential, `g` and
+/// `dens`, so it would repeat this one up to the cap and leave `z` as it is;
+/// ending there returns the same `z` sooner.
+///
+/// Returns the number of Newton iterations run.
 fn center(
     nlp: &Nlp,
     t: f64,
@@ -451,12 +462,15 @@ fn center(
         // Backtracking line search: first into the domain, then Armijo.
         let mut alpha = 1.0f64;
         let mut ok = false;
+        let mut moved = false;
         for _ in 0..80 {
             for ((ti, zi), di) in ws.trial.iter_mut().zip(z.iter()).zip(&ws.step) {
                 *ti = zi + alpha * di;
             }
             let f1 = potential(nlp, t, &ws.trial, &mut ws.trial_g, &mut ws.trial_dens);
             if f1.is_finite() && f1 <= f0 - 0.25 * alpha * decrement {
+                // Bits, not `==`: −0 and +0 are equal but not the same input.
+                moved = ws.trial.iter().zip(z.iter()).any(|(a, b)| a.to_bits() != b.to_bits());
                 std::mem::swap(z, &mut ws.trial);
                 std::mem::swap(&mut ws.g, &mut ws.trial_g);
                 std::mem::swap(&mut ws.dens, &mut ws.trial_dens);
@@ -472,6 +486,11 @@ fn center(
         }
         if norm2(z) > UNBOUNDED_NORM {
             return Err(SolverError::Unbounded);
+        }
+        if !moved {
+            // The step rounded away: the next iteration would see the same
+            // bits and repeat this one until the cap, so stop here.
+            return Ok(iter + 1);
         }
     }
     Ok(MAX_NEWTON_PER_STAGE)
@@ -853,5 +872,33 @@ mod tests {
         // value in [4, 16] is optimal. Objective should be 2.5.
         assert!((s.objective - 2.5).abs() < 1e-3);
         assert!(s.x[1] <= 4.0 + 1e-6);
+    }
+
+    /// A refine-cost probe of `opt::tests::perf_per_cost_prefers_cheap_dims`
+    /// (minimize cost with the epigraph capped just above the best time).
+    /// Some of its centering stages accept a step that rounds away; each
+    /// such stage ends there, with the point a stage run to the Newton cap
+    /// reaches (414 iterations), in 25 iterations.
+    #[test]
+    fn a_step_that_rounds_away_ends_its_stage() {
+        let mut p = ConvexProblem::new(4);
+        p.minimize(&[(0, 128.0), (1, 1836.8000000000002)]);
+        p.add_ratio_le(RatioTerm::new(vec![(0, 15.0)]).minus_var(2));
+        p.add_ratio_le(RatioTerm::new(vec![(1, 4.375)]).minus_var(2));
+        p.add_ratio_le(RatioTerm::new(vec![]).minus_var(3).plus_linear(2, 1.0));
+        p.add_lin_le(&[(0, 128.0), (1, 1836.8000000000002)], 20247.470142606642);
+        p.add_lin_le(&[(3, 1.0)], 1.0038309123129665);
+        p.add_lin_eq(&[(0, 1.0), (1, 1.0)], 100.0);
+        p.set_lower(0, 0.001).set_lower(1, 0.001);
+        p.suggest_start(vec![50.0, 50.0, 1.3, 2.3]);
+        let s = p.solve().unwrap();
+        let bits: Vec<u64> = s.x.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [0x4057e9118d456d0a, 0x40116ee72ba92f59, 0x3ff00fb100b1021f, 0x3ff00fb100b149d6],
+            "x = {:?}",
+            s.x
+        );
+        assert_eq!(s.newton_iters, 25);
     }
 }
