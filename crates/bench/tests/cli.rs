@@ -675,6 +675,11 @@ fn search_streams_a_reparseable_run_and_replays_serially() {
     ]);
     assert_eq!(out.status.code(), Some(0));
     assert_eq!(stream, std::fs::read_to_string(&jsonl_serial).unwrap(), "parallel ≡ serial bytes");
+
+    // The stream prints every design to the bit, so a solver change that
+    // moves one fails here, not only in CI's search smoke.
+    let golden = Path::new(scenario).with_file_name("search_small.golden.jsonl");
+    assert_eq!(stream, std::fs::read_to_string(golden).unwrap(), "golden bytes");
 }
 
 /// `"refine_radius": 1e20` parses to `usize::MAX`; refining around a
