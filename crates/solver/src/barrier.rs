@@ -403,10 +403,9 @@ impl Workspace {
 ///
 /// The stage ends at a negligible decrement, when no step descends, after
 /// an accepted step whose trial point has every bit of the iterate, or at
-/// `MAX_NEWTON_PER_STAGE`. After a step that rounds away, the next
-/// iteration would start from the same bits of `z`, the potential, `g` and
-/// `dens`, so it would repeat this one up to the cap and leave `z` as it is;
-/// ending there returns the same `z` sooner.
+/// `MAX_NEWTON_PER_STAGE`. After such a step the next iteration would
+/// start from the same bits of `z`, the potential, `g` and `dens`, and so
+/// repeat this one up to the cap without moving `z`.
 ///
 /// Returns the number of Newton iterations run.
 fn center(
@@ -488,8 +487,7 @@ fn center(
             return Err(SolverError::Unbounded);
         }
         if !moved {
-            // The step rounded away: the next iteration would see the same
-            // bits and repeat this one until the cap, so stop here.
+            // Rounded away: every later iteration would repeat this one.
             return Ok(iter + 1);
         }
     }
@@ -876,9 +874,9 @@ mod tests {
 
     /// A refine-cost probe of `opt::tests::perf_per_cost_prefers_cheap_dims`
     /// (minimize cost with the epigraph capped just above the best time).
-    /// Some of its centering stages accept a step that rounds away; each
-    /// such stage ends there, with the point a stage run to the Newton cap
-    /// reaches (414 iterations), in 25 iterations.
+    /// Some of its centering stages accept a step that rounds away. Ending
+    /// each such stage there gives the bits that running it to the Newton
+    /// cap gives, in 25 iterations instead of 414.
     #[test]
     fn a_step_that_rounds_away_ends_its_stage() {
         let mut p = ConvexProblem::new(4);

@@ -141,9 +141,8 @@ pub struct Solution {
     pub x: Vec<f64>,
     /// Optimal value of the linear objective `cᵀx`.
     pub objective: f64,
-    /// Newton iterations run across all barrier stages (phase-I's are not
-    /// counted). A centering stage ends at a step that rounds away, so this
-    /// counts iterations that ran, not the ones a stage cap would allow.
+    /// Newton iterations that ran in the barrier stages (phase-I's are not
+    /// counted).
     pub newton_iters: usize,
 }
 
