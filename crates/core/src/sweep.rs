@@ -10,20 +10,23 @@
 //! * [`SweepGrid`] enumerates a duplicate-free cartesian grid in a
 //!   deterministic order (shape-major, then workload, budget, objective);
 //! * [`crate::scenario::Session::run`] — the public front door, in the
-//!   [`crate::scenario`] module — evaluates the grid in parallel,
-//!   memoizing repeated `(shape, workload)` target-expression builds and
-//!   repeated design solves behind the engine's sharded concurrent cache,
-//!   and prices every grid point's [`CommPlan`] under **any number** of
-//!   [`EvalBackend`]s in the same fan-out, reporting each pair's
-//!   per-point disagreement as a [`DivergenceReport`] — the guard against
-//!   ranking thousands of designs with a silently broken model;
+//!   [`crate::scenario`] module — evaluates the grid in parallel. Each run
+//!   builds a `(shape, workload)` pair's target expressions and plan once,
+//!   for itself, and the engine keeps one memo across runs: solved points
+//!   (design plus EqualBW baseline), keyed by the cell and its group's
+//!   anchor budget. The run prices every grid point's [`CommPlan`] under
+//!   **any number** of [`EvalBackend`]s in the same fan-out, reporting
+//!   each pair's per-point disagreement as a [`DivergenceReport`] — the
+//!   guard against ranking thousands of designs with a silently broken
+//!   model;
 //! * [`SweepReport`] returns results in grid order, plus ranking helpers
 //!   and the perf-vs-cost [Pareto front](SweepReport::pareto_front);
-//! * design solves are **warm-started** along the budget axis: one anchor
-//!   budget per shape × workload × objective group solves cold, every
-//!   other budget seeds its interior-point solve from the nearest anchor's
-//!   optimum ([`opt::optimize_seeded`]) — phase-barriered so parallel and
-//!   serial runs stay bit-identical.
+//! * design solves are **warm-started** along the budget axis: each
+//!   shape × workload × objective group's anchor (the grid's first
+//!   budget) solves cold, and every other budget seeds its interior-point
+//!   solve from that anchor's optimum ([`opt::optimize_seeded`]) —
+//!   phase-barriered so parallel and serial runs stay bit-identical, and
+//!   a design is a pure function of its cell and its anchor budget.
 //!
 //! Every session run and every adaptive-search round funnels into the
 //! same internal [`ExecMode`]-parameterized drive over ascending global
@@ -58,12 +61,10 @@
 //! # Ok::<(), libra_core::LibraError>(())
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 use rayon::prelude::*;
 
@@ -355,52 +356,43 @@ impl SweepGrid {
 }
 
 /// Cache hit/miss counters, snapshotted into [`SweepReport::cache`].
+/// Every count is exact: a parallel run counts what a serial run counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Target-expression builds served from cache.
+    /// Target-expression lookups served by an earlier build in the same
+    /// run.
     pub expr_hits: usize,
-    /// Target-expression builds actually performed.
+    /// Target-expression builds: one per (shape, workload) pair per run.
     pub expr_misses: usize,
-    /// Design solves served from cache.
+    /// Design solves served from the memo of solved points (a solve of an
+    /// earlier run, or a record preloaded from the attached store).
     pub design_hits: usize,
     /// Design solves actually performed.
     pub design_misses: usize,
     /// Design solves (a subset of `design_misses`) that were warm-started
-    /// from a neighboring grid point's published optimum.
+    /// from their group anchor's optimum.
     pub warm_seeded: usize,
 }
 
-type TargetsEntry = Arc<Result<Vec<(f64, BwExpr)>, LibraError>>;
-type PlanEntry = Arc<Result<Option<CommPlan>, LibraError>>;
-type ExprKey = (NetworkShape, String);
-type BaselineKey = (NetworkShape, String, u64);
-type DesignKey = (NetworkShape, String, u64, Objective);
-/// Seeds are budget-agnostic: the nearest published budget's optimum is
-/// rescaled onto the new budget by the optimizer.
-type SeedKey = (NetworkShape, String, Objective);
-/// Published anchor optima for one seed key: `(budget bits, bw vector)`.
-type SeedEntries = Vec<(u64, Arc<Vec<f64>>)>;
+/// The memo key of one solved point: shape, workload name, budget bits,
+/// objective, and the bits of the grid's first budget. That first budget
+/// is the point's group anchor, whose optimum seeds the point's solve, so
+/// a memoized design is a pure function of its key.
+type PointKey = (NetworkShape, String, u64, Objective, u64);
 
-const CACHE_SHARDS: usize = 16;
-
-/// Sharded concurrent memo cache for target expressions and design solves,
-/// plus the warm-start seed index.
+/// The engine's memo of solved points, kept across a session's runs, and
+/// its counters. An entry is the store's own record (design plus EqualBW
+/// baseline), so a solve and a preloaded store record fill one map.
 ///
-/// Keys are `(shape, workload-name)` — plus budget and objective for
-/// designs — so a cache owned by a [`SweepEngine`] keeps paying off across
-/// repeated `run` calls (e.g. iterative grid refinement). Shards are
-/// `RwLock`s, not mutexes: warm re-runs are hit-dominated, and readers must
-/// not serialize behind each other.
+/// Keys carry the workload's name, so a memo owned by a [`SweepEngine`]
+/// keeps paying off across repeated `run` calls (e.g. iterative grid
+/// refinement). The map sits behind an `RwLock`, not a mutex: warm
+/// re-runs are hit-dominated, and readers must not serialize behind each
+/// other. A run never solves one key twice (its cells are distinct grid
+/// points), so a miss solves outside the lock.
+#[derive(Default)]
 struct SweepCache {
-    exprs: Vec<RwLock<HashMap<ExprKey, TargetsEntry>>>,
-    plans: Vec<RwLock<HashMap<ExprKey, PlanEntry>>>,
-    designs: Vec<RwLock<HashMap<DesignKey, Result<Design, LibraError>>>>,
-    baselines: Vec<RwLock<HashMap<BaselineKey, Design>>>,
-    /// Warm-start neighbor index: per (shape, workload, objective), the
-    /// anchor budgets solved so far and their optimal bandwidth vectors.
-    /// Only **anchor-phase** solves publish here (see [`SeedMode`]), which
-    /// is what keeps seeding deterministic under parallel execution.
-    seeds: Vec<RwLock<HashMap<SeedKey, SeedEntries>>>,
+    points: RwLock<HashMap<PointKey, Result<StoredPoint, LibraError>>>,
     expr_hits: AtomicUsize,
     expr_misses: AtomicUsize,
     design_hits: AtomicUsize,
@@ -408,125 +400,28 @@ struct SweepCache {
     warm_seeded: AtomicUsize,
 }
 
-fn shard_of<K: Hash>(key: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % CACHE_SHARDS
-}
-
 impl SweepCache {
-    fn new() -> Self {
-        SweepCache {
-            exprs: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            plans: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            designs: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            baselines: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            seeds: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            expr_hits: AtomicUsize::new(0),
-            expr_misses: AtomicUsize::new(0),
-            design_hits: AtomicUsize::new(0),
-            design_misses: AtomicUsize::new(0),
-            warm_seeded: AtomicUsize::new(0),
-        }
-    }
-
-    /// The memoized targets of `workload` on `shape`.
-    fn targets<W: SweepWorkload>(&self, shape: &NetworkShape, workload: &W) -> TargetsEntry {
-        let key: ExprKey = (shape.clone(), workload.name().to_string());
-        let shard = &self.exprs[shard_of(&key)];
-        if let Some(hit) = shard.read().unwrap().get(&key) {
-            self.expr_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Build outside the lock: concurrent duplicate work is possible but
-        // harmless (the computation is deterministic), and expression
-        // construction can be slow enough that holding the shard would
-        // serialize unrelated lookups.
-        let built = Arc::new(workload.targets(shape));
-        self.expr_misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(shard.write().unwrap().entry(key).or_insert(built))
-    }
-
-    /// The memoized communication plan of `workload` on `shape` (keyed like
-    /// target expressions; plans are constraint- and budget-independent).
-    fn plan<W: SweepWorkload>(&self, shape: &NetworkShape, workload: &W) -> PlanEntry {
-        let key: ExprKey = (shape.clone(), workload.name().to_string());
-        let shard = &self.plans[shard_of(&key)];
-        if let Some(hit) = shard.read().unwrap().get(&key) {
-            return Arc::clone(hit);
-        }
-        let built = Arc::new(workload.comm_plan(shape));
-        Arc::clone(shard.write().unwrap().entry(key).or_insert(built))
-    }
-
-    /// The memoized EqualBW baseline for a `(shape, workload, budget)`
-    /// triple (objective-independent, so two objectives share one entry).
-    fn baseline(&self, key: BaselineKey, evaluate: impl FnOnce() -> Design) -> Design {
-        let shard = &self.baselines[shard_of(&key)];
-        if let Some(hit) = shard.read().unwrap().get(&key) {
-            return hit.clone();
-        }
-        let computed = evaluate();
-        shard.write().unwrap().entry(key).or_insert(computed).clone()
-    }
-
-    /// Seeds the design map with a solve loaded from a persistent
+    /// Fills the memo with a record loaded from a persistent
     /// [`crate::store::SolveStore`] (no counter is touched: a preloaded
     /// entry shows up as an ordinary `design_hits` when the drive reaches
     /// it).
-    fn preload_design(&self, key: DesignKey, design: Design) {
-        let shard = &self.designs[shard_of(&key)];
-        shard.write().unwrap().entry(key).or_insert(Ok(design));
+    fn preload(&self, key: PointKey, record: StoredPoint) {
+        self.points.write().unwrap().entry(key).or_insert(Ok(record));
     }
 
-    /// [`SweepCache::preload_design`] for the EqualBW baseline map.
-    fn preload_baseline(&self, key: BaselineKey, baseline: Design) {
-        let shard = &self.baselines[shard_of(&key)];
-        shard.write().unwrap().entry(key).or_insert(baseline);
-    }
-
-    /// The memoized design for a fully specified grid point.
-    fn design(
+    /// The memoized record of a fully specified grid point.
+    fn point(
         &self,
-        key: DesignKey,
-        solve: impl FnOnce() -> Result<Design, LibraError>,
-    ) -> Result<Design, LibraError> {
-        let shard = &self.designs[shard_of(&key)];
-        if let Some(hit) = shard.read().unwrap().get(&key) {
+        key: PointKey,
+        solve: impl FnOnce() -> Result<StoredPoint, LibraError>,
+    ) -> Result<StoredPoint, LibraError> {
+        if let Some(hit) = self.points.read().unwrap().get(&key) {
             self.design_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         let solved = solve();
         self.design_misses.fetch_add(1, Ordering::Relaxed);
-        shard.write().unwrap().entry(key).or_insert(solved).clone()
-    }
-
-    /// Records an anchor point's optimal bandwidth vector for `key` at
-    /// `budget` (first publication wins; anchors are solved once per
-    /// engine, so this is idempotent).
-    fn publish_seed(&self, key: SeedKey, budget: f64, bw: &[f64]) {
-        let shard = &self.seeds[shard_of(&key)];
-        let mut w = shard.write().unwrap();
-        let entry = w.entry(key).or_default();
-        let bits = budget.to_bits();
-        if !entry.iter().any(|&(b, _)| b == bits) {
-            entry.push((bits, Arc::new(bw.to_vec())));
-        }
-    }
-
-    /// The published bandwidth vector whose budget is nearest to `budget`
-    /// (ties break toward the bit-smaller budget — deterministic regardless
-    /// of publication order).
-    fn seed_for(&self, key: &SeedKey, budget: f64) -> Option<Arc<Vec<f64>>> {
-        let shard = &self.seeds[shard_of(key)];
-        let guard = shard.read().unwrap();
-        let entries = guard.get(key)?;
-        let best = entries.iter().min_by(|a, b| {
-            let da = (f64::from_bits(a.0) - budget).abs();
-            let db = (f64::from_bits(b.0) - budget).abs();
-            da.total_cmp(&db).then(a.0.cmp(&b.0))
-        })?;
-        Some(Arc::clone(&best.1))
+        self.points.write().unwrap().entry(key).or_insert(solved).clone()
     }
 
     fn stats(&self) -> CacheStats {
@@ -538,6 +433,64 @@ impl SweepCache {
             warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
         }
     }
+}
+
+/// What one run builds at most once for a (shape, workload) pair it
+/// touches: the target expressions, the communication plan, and, per
+/// objective, the warm-start seed that the group's anchor sets once its
+/// design solves. A build that panics leaves its cell empty, so each
+/// point that needs it builds it again instead of reading a half-built
+/// value.
+struct PairTables {
+    targets: OnceLock<Result<Vec<(f64, BwExpr)>, LibraError>>,
+    plan: OnceLock<Result<Option<CommPlan>, LibraError>>,
+    seeds: Vec<OnceLock<Vec<f64>>>,
+}
+
+/// One run's [`PairTables`], for the (shape, workload) pairs its cells
+/// touch (an outside anchor shares its pair with the cells it seeds).
+struct RunTables {
+    /// Grid points per pair: budgets × objectives.
+    per_pair: usize,
+    /// The touched pairs' indices (`global index / per_pair`), ascending.
+    pairs: Vec<usize>,
+    tables: Vec<PairTables>,
+}
+
+impl RunTables {
+    /// Empty tables for the pairs of `cells` (ascending global indices).
+    fn new(grid: &SweepGrid, cells: &[usize]) -> Self {
+        let n_obj = grid.objectives().len();
+        let per_pair = grid.budgets().len() * n_obj;
+        let mut pairs: Vec<usize> = cells.iter().map(|&i| i / per_pair).collect();
+        pairs.dedup();
+        let tables = pairs
+            .iter()
+            .map(|_| PairTables {
+                targets: OnceLock::new(),
+                plan: OnceLock::new(),
+                seeds: (0..n_obj).map(|_| OnceLock::new()).collect(),
+            })
+            .collect();
+        RunTables { per_pair, pairs, tables }
+    }
+
+    /// The tables of the pair holding global grid `index`.
+    fn of(&self, index: usize) -> &PairTables {
+        let k = self.pairs.binary_search(&(index / self.per_pair)).expect("a touched pair");
+        &self.tables[k]
+    }
+}
+
+/// The memo key of `point`, a point of `grid`.
+fn point_key<W: SweepWorkload>(grid: &SweepGrid, workloads: &[W], point: GridPoint) -> PointKey {
+    (
+        grid.shapes()[point.shape].clone(),
+        workloads[point.workload].name().to_string(),
+        point.budget.to_bits(),
+        point.objective,
+        grid.budgets()[0].to_bits(),
+    )
 }
 
 /// How a run walks the grid: rayon fan-out or a serial reference fold.
@@ -554,23 +507,6 @@ pub enum ExecMode {
     Parallel,
     /// Walk grid points in order on the calling thread.
     Serial,
-}
-
-/// How a grid point's design solve participates in warm-start seeding.
-///
-/// Seeding must be **deterministic under parallel execution**: a point may
-/// only consume seeds whose presence does not depend on worker scheduling.
-/// The engine therefore drives each run in two barrier-separated phases —
-/// anchors (one budget per shape × workload × objective group) solve cold
-/// and publish their optima; every other point then solves warm-started
-/// from its nearest published anchor. Parallel and serial runs see exactly
-/// the same seed state at every solve, so results stay bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeedMode {
-    /// Phase 1: solve cold, publish the optimum to the seed index.
-    Anchor,
-    /// Phase 2: consume the nearest anchor seed (cold if none exists).
-    Seeded,
 }
 
 /// A successfully evaluated grid point: the LIBRA design plus the EqualBW
@@ -832,9 +768,8 @@ impl DivergenceReport {
 }
 
 /// The sweep engine behind a [`crate::scenario::Session`]: a cost model,
-/// a concurrent memo cache (plus warm-start seed index) that persists
-/// across the session's runs, an optional persistent store, and an
-/// optional fault injector. Every session owns exactly one engine and is
+/// a memo of solved points that persists across the session's runs, an
+/// optional persistent store, and an optional fault injector. Every session owns exactly one engine and is
 /// the only place it is configured; the engine itself exposes counters
 /// and the store flush ([`crate::scenario::Session::engine`]).
 pub struct SweepEngine<'a> {
@@ -859,7 +794,7 @@ impl<'a> SweepEngine<'a> {
     pub(crate) fn new(cost_model: &'a CostModel) -> Self {
         SweepEngine {
             cost_model,
-            cache: SweepCache::new(),
+            cache: SweepCache::default(),
             store: None,
             fault: FaultInjector::from_env(),
         }
@@ -911,30 +846,30 @@ impl<'a> SweepEngine<'a> {
     ///
     /// The cells are processed in two barrier-separated phases (anchors
     /// first — the cells at the grid's first budget — then everything
-    /// else, seeded), so the seed state visible to any solve is a pure
-    /// function of the engine's history, never of worker scheduling.
-    /// Serial runs use the same phase order, keeping the bit-identical
-    /// parallel ≡ serial contract.
+    /// else, seeded), so every seeded solve sees its group anchor's seed
+    /// already set, whatever the worker scheduling. Serial runs use the
+    /// same phase order, keeping the bit-identical parallel ≡ serial
+    /// contract.
     ///
     /// A seeded cell's group anchor (its shape × workload × objective at
     /// the grid's first budget) may lie `outside` the cells. Those
-    /// anchors are handed to `prepare` in phase 1 — the caller solves
-    /// them for their published seed and discards the result — so every
-    /// seed a cell consumes is exactly the seed the full run publishes:
-    /// **a partial drive's results are bit-identical to the same cells
-    /// of the full drive's.**
+    /// anchors are handed to `prepare` in phase 1 — the caller evaluates
+    /// them for their seed and discards the result — so every seed a
+    /// cell consumes is exactly the seed the full run sets: **a partial
+    /// drive's results are bit-identical to the same cells of the full
+    /// drive's.**
     fn drive<T: Send>(
         grid: &SweepGrid,
         cells: &[usize],
         outside: &[usize],
         exec: ExecMode,
-        f: impl Fn(usize, SeedMode) -> T + Sync,
+        f: impl Fn(usize) -> T + Sync,
         prepare: impl Fn(usize) + Sync,
     ) -> Vec<T> {
-        let apply = |ks: &[usize], mode: SeedMode| -> Vec<(usize, T)> {
+        let apply = |ks: &[usize]| -> Vec<(usize, T)> {
             match exec {
-                ExecMode::Parallel => ks.par_iter().map(|&k| (k, f(cells[k], mode))).collect(),
-                ExecMode::Serial => ks.iter().map(|&k| (k, f(cells[k], mode))).collect(),
+                ExecMode::Parallel => ks.par_iter().map(|&k| (k, f(cells[k]))).collect(),
+                ExecMode::Serial => ks.iter().map(|&k| (k, f(cells[k]))).collect(),
             }
         };
         let (anchors, rest): (Vec<usize>, Vec<usize>) =
@@ -946,17 +881,20 @@ impl<'a> SweepEngine<'a> {
             ExecMode::Parallel => outside.par_iter().for_each(|&i| prepare(i)),
             ExecMode::Serial => outside.iter().for_each(|&i| prepare(i)),
         }
-        for (ks, mode) in [(&anchors, SeedMode::Anchor), (&rest, SeedMode::Seeded)] {
+        for ks in [&anchors, &rest] {
             // ...then the barrier, then phase 2: everything else, seeded.
-            for (k, t) in apply(ks, mode) {
+            for (k, t) in apply(ks) {
                 out[k] = Some(t);
             }
         }
         out.into_iter().map(|t| t.expect("every cell driven exactly once")).collect()
     }
 
-    /// Evaluates one grid point (memoized; `mode` controls warm-start
-    /// participation).
+    /// Evaluates `point`, at global grid `index`, through the memo of
+    /// solved points. A miss solves the design warm-started from the
+    /// group anchor's seed in `run`; a group's anchor (the point at the
+    /// grid's first budget) solves cold, and sets that seed once its
+    /// design is known, on a memo hit too.
     // Both variants are full result records stored unboxed in the report;
     // boxing the Err would not shrink anything the caller keeps.
     #[allow(clippy::result_large_err)]
@@ -964,8 +902,9 @@ impl<'a> SweepEngine<'a> {
         &self,
         grid: &SweepGrid,
         workloads: &[W],
+        run: &RunTables,
+        index: usize,
         point: GridPoint,
-        mode: SeedMode,
     ) -> Result<SweepResult, SweepError> {
         let shape = &grid.shapes()[point.shape];
         let workload = &workloads[point.workload];
@@ -975,58 +914,51 @@ impl<'a> SweepEngine<'a> {
             workload: workload.name().to_string(),
             error,
         };
-        let cached = self.cache.targets(shape, workload);
-        let targets = match cached.as_ref() {
-            Ok(t) => t,
-            Err(e) => return Err(fail(e.clone())),
-        };
-        let constraints = vec![Constraint::TotalBw(point.budget)];
-        let key: DesignKey =
-            (shape.clone(), workload.name().to_string(), point.budget.to_bits(), point.objective);
-        let seed_key: SeedKey = (shape.clone(), workload.name().to_string(), point.objective);
-        let design = self
+        let tables = run.of(index);
+        let mut built = false;
+        let targets = tables.targets.get_or_init(|| {
+            built = true;
+            workload.targets(shape)
+        });
+        let counter = if built { &self.cache.expr_misses } else { &self.cache.expr_hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let targets = targets.as_ref().map_err(|e| fail(e.clone()))?;
+        let is_anchor = grid.anchor_of(index) == index;
+        let seed = &tables.seeds[index % grid.objectives().len()];
+        let solved = self
             .cache
-            .design(key, || {
-                let seed = match mode {
-                    SeedMode::Seeded => self.cache.seed_for(&seed_key, point.budget),
-                    SeedMode::Anchor => None,
-                };
+            .point(point_key(grid, workloads, point), || {
+                let seed = if is_anchor { None } else { seed.get() };
                 if seed.is_some() {
                     self.cache.warm_seeded.fetch_add(1, Ordering::Relaxed);
                 }
                 // The only deep copy of the target expressions, paid solely
-                // on a design-cache miss (DesignRequest owns its targets).
-                opt::optimize_seeded(
+                // on a memo miss (DesignRequest owns its targets).
+                let design = opt::optimize_seeded(
                     &DesignRequest {
                         shape,
                         targets: targets.clone(),
                         objective: point.objective,
-                        constraints,
+                        constraints: vec![Constraint::TotalBw(point.budget)],
                         cost_model: self.cost_model,
                     },
-                    seed.as_ref().map(|s| s.as_slice()),
-                )
+                    seed.map(Vec::as_slice),
+                )?;
+                let equal = opt::equal_bw(shape.ndims(), point.budget);
+                let baseline = opt::evaluate(shape, targets, &equal, self.cost_model);
+                Ok(StoredPoint { design, baseline })
             })
             .map_err(fail)?;
-        if mode == SeedMode::Anchor {
-            self.cache.publish_seed(seed_key, point.budget, &design.bw);
+        if is_anchor {
+            // A run evaluates each anchor once, so the seed is unset here.
+            let _ = seed.set(solved.design.bw.clone());
         }
-        let baseline_key: BaselineKey =
-            (shape.clone(), workload.name().to_string(), point.budget.to_bits());
-        let baseline = self.cache.baseline(baseline_key, || {
-            opt::evaluate(
-                shape,
-                targets,
-                &opt::equal_bw(shape.ndims(), point.budget),
-                self.cost_model,
-            )
-        });
         Ok(SweepResult {
             point,
             shape: shape.clone(),
             workload: workload.name().to_string(),
-            design,
-            baseline,
+            design: solved.design,
+            baseline: solved.baseline,
         })
     }
 
@@ -1093,21 +1025,20 @@ impl<'a> SweepEngine<'a> {
     /// under each backend** at the optimized design's bandwidth vector —
     /// the shared body of every priced sweep, so warm-start seeding and
     /// op-eligibility rules live in exactly one place. An empty backend
-    /// slice skips pricing entirely (a plain sweep never touches the plan
-    /// cache).
+    /// slice skips pricing entirely (a plain sweep never builds a plan).
     fn eval_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
         workloads: &[W],
+        run: &RunTables,
         index: usize,
         point: GridPoint,
         backends: &[&dyn EvalBackend],
-        mode: SeedMode,
     ) -> PricedOutcome {
         if let Some(error) = self.injected_point_fault(grid, workloads, index, point) {
             return (Err(error), None);
         }
-        let outcome = self.eval(grid, workloads, point, mode);
+        let outcome = self.eval(grid, workloads, run, index, point);
         if backends.is_empty() {
             return (outcome, None);
         }
@@ -1120,8 +1051,8 @@ impl<'a> SweepEngine<'a> {
             workload: workload.name().to_string(),
             error,
         };
-        let planned = self.cache.plan(shape, workload);
-        let priced = match planned.as_ref() {
+        let planned = run.of(index).plan.get_or_init(|| workload.comm_plan(shape));
+        let priced = match planned {
             Err(e) => Some(Err(fail(e.clone()))),
             Ok(None) => None,
             Ok(Some(plan)) => {
@@ -1140,9 +1071,11 @@ impl<'a> SweepEngine<'a> {
     /// [`crate::scenario::Session`] run and every adaptive-search round.
     /// Each cell's outcome goes to `emit` with its global index, in
     /// `cells` order, and the warm-start seeds are exactly what the full
-    /// run would publish, so shard outputs concatenate back into the
-    /// unsharded run bit for bit. `fp` keys the attached store's records
-    /// (the caller computes it only when a store is attached).
+    /// run would set, so shard outputs concatenate back into the
+    /// unsharded run bit for bit. The run builds its own [`RunTables`];
+    /// only solved points outlive it, in the engine's memo. `fp` keys the
+    /// attached store's records (the caller computes it only when a
+    /// store is attached).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_priced<W: SweepWorkload>(
         &self,
@@ -1155,22 +1088,17 @@ impl<'a> SweepEngine<'a> {
         emit: PointEmit<'_>,
     ) -> SweepReport {
         let outside = Self::outside_anchors(grid, cells);
+        let run = RunTables::new(grid, cells);
         let store = self.store.as_ref().zip(fp);
         // Preload stored solves for the cells and the outside anchors
-        // they seed from: `eval` republishes seeds on cache hits, so
-        // preloaded anchors reproduce the full run's seed state exactly.
+        // they seed from: an anchor sets its seed on a memo hit too, so
+        // preloaded anchors reproduce the full run's seeds exactly.
         if let Some((store, fp)) = store {
             let mut store = store.lock().unwrap();
             for &i in cells.iter().chain(&outside) {
                 if let Some(rec) = store.lookup(fp, i) {
-                    let rec = rec.clone();
                     let p = grid.point(i, workloads.len());
-                    let shape = &grid.shapes()[p.shape];
-                    let wl = workloads[p.workload].name().to_string();
-                    let bits = p.budget.to_bits();
-                    self.cache
-                        .preload_design((shape.clone(), wl.clone(), bits, p.objective), rec.design);
-                    self.cache.preload_baseline((shape.clone(), wl, bits), rec.baseline);
+                    self.cache.preload(point_key(grid, workloads, p), rec.clone());
                 }
             }
         }
@@ -1185,10 +1113,10 @@ impl<'a> SweepEngine<'a> {
             cells,
             &outside,
             exec,
-            |i, m| {
+            |i| {
                 let p = grid.point(i, workloads.len());
                 catch_unwind(AssertUnwindSafe(|| {
-                    self.eval_priced(grid, workloads, i, p, backends, m)
+                    self.eval_priced(grid, workloads, &run, i, p, backends)
                 }))
                 .unwrap_or_else(|payload| {
                     (Err(Self::panic_to_error(grid, workloads, p, payload.as_ref())), None)
@@ -1200,7 +1128,7 @@ impl<'a> SweepEngine<'a> {
                 // (cold) and record their own outcomes.
                 let p = grid.point(i, workloads.len());
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let _ = self.eval(grid, workloads, p, SeedMode::Anchor);
+                    let _ = self.eval(grid, workloads, &run, i, p);
                 }));
             },
         );
@@ -1291,10 +1219,10 @@ mod tests {
         let grid = small_grid().with_objectives([Objective::PerfPerCost]);
         let wls = [allreduce_workload("a", 1.0), allreduce_workload("b", 4.0)];
         let cm = CostModel::default();
-        // Serial first run: exact cache counters (under a parallel cold run
-        // two workers may race past a cold key's first lookup and both
-        // build it — by design, so exact counts only hold serially).
-        let session = Session::new(&cm).with_mode(ExecMode::Serial);
+        // A parallel run's counters are exact: the run builds each
+        // (shape, workload) pair's expressions once, however many workers
+        // reach the pair at once.
+        let session = Session::new(&cm);
         let report = session.run(&grid, &wls, &[]).sweep;
         assert_eq!(report.results.len(), 2 * 2 * 2 * 2);
         assert!(report.errors.is_empty());
@@ -1303,11 +1231,46 @@ mod tests {
         assert_eq!(report.cache.expr_hits, 12);
         // ...and every distinct design is solved exactly once.
         assert_eq!(report.cache.design_misses, 16);
-        // A parallel re-run over the same grid is served entirely from cache.
-        let again = session.with_mode(ExecMode::Parallel).run(&grid, &wls, &[]).sweep;
+        // A serial re-run over the same grid builds its own expressions and
+        // takes every design from the memo of solved points.
+        let again = session.with_mode(ExecMode::Serial).run(&grid, &wls, &[]).sweep;
         assert_eq!(again.results, report.results);
+        assert_eq!(again.cache.expr_misses, 8);
         assert_eq!(again.cache.design_misses, 16);
         assert_eq!(again.cache.design_hits, 16);
+    }
+
+    /// A session's earlier runs do not change its answers: the memo keys
+    /// a point by its grid's anchor budget as well, so after a
+    /// `[300, 400]` run a `[100, 400]` run seeds 400 from the 100 anchor,
+    /// as a fresh session does. The workload's compute floor keeps its
+    /// optima from scaling with the budget, so a seed from another anchor
+    /// shows in the PerfPerCost design's bits.
+    #[test]
+    fn earlier_runs_do_not_change_a_sessions_answers() {
+        let floored = FnWorkload::new("floored", |_: &NetworkShape| {
+            let link =
+                BwExpr::Max(vec![BwExpr::Const(0.05), BwExpr::Ratio { coeff: 10.0, dim: 0 }]);
+            Ok(vec![(1.0, BwExpr::Sum(vec![link, BwExpr::Ratio { coeff: 2.0, dim: 1 }]))])
+        });
+        let grid = |budgets: [f64; 2]| {
+            SweepGrid::new()
+                .with_shape("RI(4)_SW(8)".parse().unwrap())
+                .with_budgets(budgets)
+                .with_objectives([Objective::Perf, Objective::PerfPerCost])
+        };
+        let cm = CostModel::default();
+        let session = Session::new(&cm);
+        let earlier = session.run(&grid([300.0, 400.0]), &[&floored], &[]).sweep;
+        assert!(earlier.errors.is_empty());
+        let after = session.run(&grid([100.0, 400.0]), &[&floored], &[]).sweep;
+        let fresh = Session::new(&cm).run(&grid([100.0, 400.0]), &[&floored], &[]).sweep;
+        assert!(fresh.errors.is_empty());
+        assert_eq!(after.results, fresh.results);
+        assert_eq!(after.errors, fresh.errors);
+        // The second run solves its 400 cells again: their keys carry the
+        // anchor budget 100, the first run's carry 300.
+        assert_eq!(after.cache.design_misses, 4 + 4);
     }
 
     #[test]

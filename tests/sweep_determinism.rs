@@ -1,6 +1,11 @@
 //! Determinism contract of the sweep engine: the rayon-parallel run returns
 //! **bit-identical** results to a serial fold over the same grid, point for
-//! point, on a ≥ 50-point grid evaluated with ≥ 4 worker threads.
+//! point, on a ≥ 50-point grid evaluated with ≥ 4 worker threads, and
+//! counts the same cache work.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use libra::core::comm::{Collective, CommModel, GroupSpan};
 use libra::core::cost::CostModel;
@@ -75,4 +80,33 @@ fn parallel_sweep_is_reproducible_across_runs_and_cache_states() {
     assert_eq!(cold.results, fresh.results);
     // The warm run really did hit the cache rather than re-solving.
     assert!(warm.cache.design_hits >= grid.len(wls.len()));
+}
+
+#[test]
+fn parallel_counters_equal_serial_counters() {
+    force_parallelism();
+    let builds = Arc::new(AtomicUsize::new(0));
+    let slow = {
+        let builds = Arc::clone(&builds);
+        FnWorkload::new("slow-allreduce", move |shape: &NetworkShape| {
+            builds.fetch_add(1, Ordering::SeqCst);
+            // Long enough that every worker reaches the pair mid-build.
+            std::thread::sleep(Duration::from_millis(20));
+            let comm = CommModel::default();
+            Ok(vec![(1.0, comm.time_expr(Collective::AllReduce, 4e9, &GroupSpan::full(shape)))])
+        })
+    };
+    let grid = grid();
+    let pairs = grid.shapes().len();
+    let cm = CostModel::default();
+
+    let parallel = Session::new(&cm).run(&grid, &[&slow], &[]).sweep;
+    assert_eq!(builds.swap(0, Ordering::SeqCst), pairs, "one build per (shape, workload) pair");
+    let serial = Session::new(&cm).with_mode(ExecMode::Serial).run(&grid, &[&slow], &[]).sweep;
+    assert_eq!(builds.load(Ordering::SeqCst), pairs);
+
+    assert!(parallel.errors.is_empty());
+    assert_eq!(parallel.results, serial.results);
+    assert_eq!(parallel.cache, serial.cache);
+    assert_eq!(parallel.cache.expr_misses, pairs);
 }
