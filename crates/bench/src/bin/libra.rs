@@ -415,12 +415,13 @@ fn run(validate: bool, opts: &Options) -> Result<i32, CliError> {
     }
     let stats = session.engine().cache_stats();
     eprintln!(
-        "libra: {records} grid points ({} solved, {} errors); cache: {} solves ({} hits, {} warm-seeded)",
+        "libra: {records} grid points ({} solved, {} errors); cache: {} solves ({} hits, {} warm-seeded); {} expression builds",
         report.sweep.results.len(),
         report.sweep.errors.len(),
         stats.design_misses,
         stats.design_hits,
         stats.warm_seeded,
+        stats.expr_misses,
     );
     if let Some(store) = session.engine().store_stats() {
         let path = opts.cache.as_deref().unwrap_or("?");
@@ -494,8 +495,8 @@ fn run_search(opts: &Options) -> Result<i32, CliError> {
     );
     let stats = session.engine().cache_stats();
     eprintln!(
-        "libra: cache: {} solves ({} hits, {} warm-seeded)",
-        stats.design_misses, stats.design_hits, stats.warm_seeded,
+        "libra: cache: {} solves ({} hits, {} warm-seeded); {} expression builds",
+        stats.design_misses, stats.design_hits, stats.warm_seeded, stats.expr_misses,
     );
     if let Some(store) = session.engine().store_stats() {
         let path = opts.cache.as_deref().unwrap_or("?");
