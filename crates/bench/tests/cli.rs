@@ -4,7 +4,7 @@
 
 use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use libra_bench::{Cosearch, Scenario, SearchConfig};
@@ -466,6 +466,18 @@ fn wait_for_port(port_file: &Path) -> String {
     }
 }
 
+/// A spawned `libra serve`, killed and reaped when dropped, so a failing
+/// assertion does not leave a server running that holds the test's
+/// stdout.
+struct ServeChild(Child);
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// `serve` + `submit` end to end, against the real binary over a real
 /// socket: submissions stream back byte-identical to the checked-in
 /// goldens (ci_small and the full design-space sweep), repeat
@@ -488,13 +500,15 @@ fn serve_and_submit_round_trip_matches_goldens_and_shares_the_store() {
     let _ = std::fs::remove_file(&cache);
     let _ = std::fs::remove_file(&port_file);
 
-    let mut server = Command::new(LIBRA)
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-        .args(["--cache", cache.to_str().unwrap()])
-        .args(["--port-file", port_file.to_str().unwrap()])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve child spawns");
+    let mut server = ServeChild(
+        Command::new(LIBRA)
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+            .args(["--cache", cache.to_str().unwrap()])
+            .args(["--port-file", port_file.to_str().unwrap()])
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("serve child spawns"),
+    );
 
     let url = format!("http://127.0.0.1:{}", wait_for_port(&port_file));
 
@@ -541,7 +555,7 @@ fn serve_and_submit_round_trip_matches_goldens_and_shares_the_store() {
 
     // Graceful shutdown drains and flushes the store...
     assert_eq!(client.post("/v1/shutdown", b"").unwrap().status, 200);
-    let status = server.wait().expect("serve child exits");
+    let status = server.0.wait().expect("serve child exits");
     assert_eq!(status.code(), Some(0), "graceful shutdown exits 0");
 
     // ...so a warm local run prices everything from it, byte-identically.
@@ -573,13 +587,15 @@ fn sigterm_drains_a_wildcard_bound_server_and_exits_0() {
     let _ = std::fs::remove_file(&cache);
     let _ = std::fs::remove_file(&port_file);
 
-    let mut server = Command::new(LIBRA)
-        .args(["serve", "--addr", "0.0.0.0:0"])
-        .args(["--cache", cache.to_str().unwrap()])
-        .args(["--port-file", port_file.to_str().unwrap()])
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("serve child spawns");
+    let mut server = ServeChild(
+        Command::new(LIBRA)
+            .args(["serve", "--addr", "0.0.0.0:0"])
+            .args(["--cache", cache.to_str().unwrap()])
+            .args(["--port-file", port_file.to_str().unwrap()])
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("serve child spawns"),
+    );
     let url = format!("http://127.0.0.1:{}", wait_for_port(&port_file));
 
     let records = tmp("sigterm-out.jsonl");
@@ -594,22 +610,18 @@ fn sigterm_drains_a_wildcard_bound_server_and_exits_0() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert_eq!(std::fs::read(&records).unwrap(), golden, "served records match the golden");
 
-    let kill = Command::new("kill").args(["-TERM", &server.id().to_string()]).status();
+    let kill = Command::new("kill").args(["-TERM", &server.0.id().to_string()]).status();
     assert!(kill.expect("kill runs").success());
     let deadline = Instant::now() + Duration::from_secs(10);
     let status = loop {
-        if let Some(status) = server.try_wait().expect("polling the serve child") {
+        if let Some(status) = server.0.try_wait().expect("polling the serve child") {
             break status;
         }
-        if Instant::now() >= deadline {
-            let _ = server.kill();
-            let _ = server.wait();
-            panic!("serve did not exit within 10 s of SIGTERM");
-        }
+        assert!(Instant::now() < deadline, "serve did not exit within 10 s of SIGTERM");
         std::thread::sleep(Duration::from_millis(20));
     };
     let mut stderr = String::new();
-    server.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    server.0.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
     assert_eq!(status.code(), Some(0), "graceful shutdown exits 0: {stderr}");
     assert!(stderr.contains("drained and shut down"), "{stderr}");
 }
