@@ -114,8 +114,14 @@ pub enum CancelOutcome {
 
 /// One unit of work handed to a sweep worker by [`JobTable::take`]: the
 /// job id, its validated scenario, and the cancellation flag the worker
-/// must poll (at least per progress tick) to abandon cancelled or
-/// deadline-expired work early.
+/// checks at each progress tick to drop cancelled or deadline-expired
+/// work.
+///
+/// Ticks come at run start and with each streamed record, and a run
+/// streams its records only after it has solved all its points. So a
+/// cancelled or overdue sweep job keeps its worker until every point is
+/// solved (its progress reads 0 of N until then), and a search job stops
+/// at the end of the round in flight.
 pub struct TakenJob {
     /// The job id (`job-N`).
     pub id: String,
@@ -263,8 +269,10 @@ impl JobTable {
 
     /// Cancels a job: queued jobs are removed from the queue and failed
     /// immediately; running jobs are failed in the table and their
-    /// cancel flag raised so the worker abandons the sweep at its next
-    /// progress tick. Terminal jobs are left untouched.
+    /// cancel flag raised, and the worker drops the job at its next
+    /// progress tick: a sweep job once all its points are solved, a
+    /// search job at the end of its round (see [`TakenJob`]). Terminal
+    /// jobs are left untouched.
     pub fn cancel(&self, id: &str) -> CancelOutcome {
         let Some(index) = Self::id_index(id) else { return CancelOutcome::Unknown };
         let mut inner = self.inner.lock().unwrap();

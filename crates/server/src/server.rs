@@ -59,8 +59,8 @@ pub struct ServerConfig {
     pub cache: Option<PathBuf>,
     /// Wall-clock deadline per running job. When set, a watchdog thread
     /// fails any job that runs longer (the client sees a terminal
-    /// `failed` state; the worker abandons the sweep at its next
-    /// progress tick).
+    /// `failed` state at once; the worker drops the job at its next
+    /// progress tick, see [`crate::jobs::TakenJob`]).
     pub job_timeout: Option<Duration>,
     /// Maximum errored (poisoned) grid points a job may produce and
     /// still count as done; one more fails the whole job.
@@ -370,10 +370,13 @@ fn run_job(
         let mut jsonl = JsonLinesSink::new(&mut buf);
         let mut progress = ProgressSink::new(|done, total| {
             shared.table.progress(id, done, total);
-            // The cancel/deadline escape hatch: the emit hook runs
-            // serially on this thread between grid points, so an
-            // unwinding sentinel here abandons the sweep cleanly and is
-            // recognized (not re-reported) by the worker's catch-all.
+            // The cancel/deadline escape hatch: the sinks run serially
+            // on this thread, at run start and once per streamed record,
+            // so an unwinding sentinel here abandons the run cleanly and
+            // is recognized (not re-reported) by the worker's catch-all.
+            // Records stream only after a run (or a search round) has
+            // solved all its points, so a cancelled or overdue job keeps
+            // its worker until then.
             if cancel.load(Ordering::SeqCst) {
                 std::panic::panic_any(CancelledJob);
             }
