@@ -1898,7 +1898,8 @@ impl<F: FnMut(usize, usize)> ReportSink for ProgressSink<F> {
 /// The scenario executor: one front door for plain, two-way, three-way —
 /// any-`N`-way — sweeps, and the one place a run is configured.
 ///
-/// A session owns its [`SweepEngine`] (whose memo cache its runs share)
+/// A session owns its [`SweepEngine`] (whose memo of solved points its
+/// runs share)
 /// and carries the run's four settings: a pairwise divergence tolerance,
 /// an execution mode, an optional persistent store, and an optional
 /// fault plan. [`Session::run`] prices every grid point under each
@@ -1944,12 +1945,14 @@ impl<'a> Session<'a> {
 
     /// Attaches the persistent solve cache at `path`
     /// ([`crate::store::SolveStore`]): existing records load now, every
-    /// run preloads matching points into the memo cache before solving,
-    /// and freshly solved points are appended after each run (and on
-    /// drop). The streamed output stays **byte-identical** with or
-    /// without the store — stored designs round-trip bit-exactly, and
-    /// warm-start seeds are republished from preloaded anchor designs
-    /// exactly as an uninterrupted run would publish them.
+    /// run preloads the records of its cells and their group anchors into
+    /// the engine's memo of solved points before solving (a memo entry
+    /// is the store's own [`crate::store::StoredPoint`]), and freshly
+    /// solved points are appended after each run (and on drop). The
+    /// streamed output stays **byte-identical** with or without the
+    /// store — stored designs round-trip bit-exactly, and a preloaded
+    /// anchor sets its group's warm-start seed exactly as an
+    /// uninterrupted run's solved anchor does.
     ///
     /// # Errors
     /// Propagates [`crate::store::SolveStore::open`] failures (unreadable

@@ -16,18 +16,20 @@
 //! **above** the exhaustive point cap are legal in search mode.
 //!
 //! Every round is priced through the same [`Session`], so the engine's
-//! memo cache, the warm-start seed index, and an attached
-//! [`crate::store::SolveStore`] all hit for free across rounds and
-//! across runs. Records are stored under the same keys (scenario
-//! fingerprint, nominal grid index) an exhaustive sweep of the grid
-//! uses, so a search and a sweep share their solves.
+//! memo of solved points and an attached [`crate::store::SolveStore`]
+//! both hit for free across rounds and across runs. Each round is its
+//! own run: it builds its pairs' target expressions again, and its group
+//! anchors, re-evaluated from the memo when an earlier round solved them,
+//! set its warm-start seeds. Records are stored under the same keys
+//! (scenario fingerprint, nominal grid index) an exhaustive sweep of the
+//! grid uses, so a search and a sweep share their solves.
 //!
 //! # Contracts (pinned by tests here and in `tests/prop_search.rs`)
 //!
 //! * **Exactness on small grids.** The drive solves each group's anchor
 //!   (the grid's first budget) before any seeded cell, as it does for a
 //!   shard, so warm-start seeds are exactly the ones the exhaustive run
-//!   publishes and every evaluated cell's design is **bit-identical** to
+//!   sets and every evaluated cell's design is **bit-identical** to
 //!   the exhaustive run's. On any grid the exhaustive engine can also
 //!   sweep, the adaptive front equals [`SweepReport::pareto_front`] of
 //!   the exhaustive run exactly — same designs, same order. (Pruning is

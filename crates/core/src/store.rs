@@ -1,7 +1,7 @@
 //! Persistent cross-run solve cache: the on-disk half of the sweep
-//! engine's memo cache.
+//! engine's memo of solved points.
 //!
-//! The in-memory [`SweepEngine`](crate::sweep::SweepEngine) cache dies
+//! The in-memory [`SweepEngine`](crate::sweep::SweepEngine) memo dies
 //! with the process, so every `libra` invocation and every spawned
 //! dispatch shard re-solves from cold. A [`SolveStore`] persists the
 //! expensive per-point artifacts — the optimized [`Design`] and its
@@ -57,12 +57,13 @@
 //! adaptive-search round's cells of the nominal grid. A search and a
 //! sweep of the same scenario therefore share records.
 //!
+//! A record is a [`StoredPoint`], the same value the engine's memo
+//! holds, so a run preloads its records into the memo unchanged.
 //! Warm-start *seeds* need no separate record kind: an anchor point's
-//! record already carries `design.bw`, which is exactly the vector the
-//! engine publishes to its seed index — and the engine publishes it on
-//! cache **hits** too, so a partial run that reads its cells and their
-//! group anchors reproduces the seed state of an uninterrupted run bit
-//! for bit.
+//! record already carries `design.bw`, which is exactly the vector a run
+//! seeds its group from. An anchor sets its group's seed on a memo
+//! **hit** too, so a partial run that reads its cells and their group
+//! anchors reproduces the seeds of an uninterrupted run bit for bit.
 
 use std::collections::HashMap;
 use std::fmt;
