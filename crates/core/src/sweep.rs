@@ -382,7 +382,8 @@ type PointKey = (NetworkShape, String, u64, Objective, u64);
 
 /// The engine's memo of solved points, kept across a session's runs, and
 /// its counters. An entry is the store's own record (design plus EqualBW
-/// baseline), so a solve and a preloaded store record fill one map.
+/// baseline), or the solve's error, so a solve and a preloaded store
+/// record fill one map.
 ///
 /// Keys carry the workload's name, so a memo owned by a [`SweepEngine`]
 /// keeps paying off across repeated `run` calls (e.g. iterative grid
@@ -400,13 +401,17 @@ struct SweepCache {
     warm_seeded: AtomicUsize,
 }
 
+/// Why the memo's lock is never poisoned: nothing that can panic runs
+/// while it is held (a solve runs outside it).
+const UNPOISONED: &str = "the memo's lock is held only for map operations";
+
 impl SweepCache {
     /// Fills the memo with a record loaded from a persistent
     /// [`crate::store::SolveStore`] (no counter is touched: a preloaded
     /// entry shows up as an ordinary `design_hits` when the drive reaches
     /// it).
     fn preload(&self, key: PointKey, record: StoredPoint) {
-        self.points.write().unwrap().entry(key).or_insert(Ok(record));
+        self.points.write().expect(UNPOISONED).entry(key).or_insert(Ok(record));
     }
 
     /// The memoized record of a fully specified grid point.
@@ -415,13 +420,13 @@ impl SweepCache {
         key: PointKey,
         solve: impl FnOnce() -> Result<StoredPoint, LibraError>,
     ) -> Result<StoredPoint, LibraError> {
-        if let Some(hit) = self.points.read().unwrap().get(&key) {
+        if let Some(hit) = self.points.read().expect(UNPOISONED).get(&key) {
             self.design_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         let solved = solve();
         self.design_misses.fetch_add(1, Ordering::Relaxed);
-        self.points.write().unwrap().entry(key).or_insert(solved).clone()
+        self.points.write().expect(UNPOISONED).entry(key).or_insert(solved).clone()
     }
 
     fn stats(&self) -> CacheStats {
@@ -1666,5 +1671,62 @@ mod tests {
             .sweep;
         assert_eq!(serial.results, report.results);
         assert_eq!(serial.errors.len(), 1);
+    }
+
+    /// A targets or plan build that panics is not kept: each point that
+    /// needs it builds it again, and each such point is poisoned.
+    #[test]
+    fn panicking_builds_poison_every_point_that_needs_them() {
+        let grid = small_grid();
+        let no_targets = FnWorkload::new("no-targets", |_: &NetworkShape| {
+            panic!("targets build");
+        });
+        let no_plan = allreduce_workload("no-plan", 1.0)
+            .with_plan(|_: &NetworkShape| -> Result<CommPlan, LibraError> { panic!("plan build") });
+        let wls: Vec<Box<dyn SweepWorkload>> = vec![Box::new(no_targets), Box::new(no_plan)];
+        let cm = CostModel::default();
+        let a = Analytical::new();
+        let report = Session::new(&cm).run(&grid, &wls, &[&a]).sweep;
+        assert!(report.results.is_empty());
+        assert_eq!(report.errors.len(), grid.len(wls.len()));
+        for e in &report.errors {
+            let want = if e.workload == "no-targets" { "targets build" } else { "plan build" };
+            assert!(e.error.to_string().contains(want), "{e:?}");
+        }
+        // Only no-plan's targets were built, once per shape.
+        assert_eq!(report.cache.expr_misses, 2);
+        assert_eq!(report.cache.design_misses, grid.len(1));
+    }
+
+    /// Panics pricing a design at the 100 GB/s budget, the groups' anchors
+    /// in [`small_grid`].
+    struct PanicsAt100;
+
+    impl EvalBackend for PanicsAt100 {
+        fn name(&self) -> &str {
+            "panics-at-100"
+        }
+
+        fn eval_plan(&self, _: usize, bw: &[f64], _: &CommPlan) -> Result<f64, LibraError> {
+            assert!((bw.iter().sum::<f64>() - 100.0).abs() > 1e-6, "pricing an anchor");
+            Ok(1.0)
+        }
+    }
+
+    /// An anchor whose pricing panics is poisoned, but its design solved
+    /// first, so it still seeds its group: the other budgets match a
+    /// clean run's bit for bit.
+    #[test]
+    fn an_anchor_whose_pricing_panics_still_seeds_its_group() {
+        let grid = small_grid();
+        let wls = [planned_workload("a", 1.0)];
+        let cm = CostModel::default();
+        let report = Session::new(&cm).run(&grid, &wls, &[&PanicsAt100]).sweep;
+        assert_eq!(report.errors.len(), 2, "both anchors are poisoned");
+        assert!(report.errors.iter().all(|e| e.point.budget == 100.0));
+        assert_eq!(report.cache.warm_seeded, 2, "both groups seed their 300 GB/s cell");
+        let clean = Session::new(&cm).run(&grid, &wls, &[]).sweep;
+        let seeded: Vec<_> = clean.results.iter().filter(|r| r.point.budget == 300.0).collect();
+        assert_eq!(report.results.iter().collect::<Vec<_>>(), seeded);
     }
 }
