@@ -41,10 +41,11 @@
 //! * `--range A..B` restricts a run to the grid indices `A..B` (what a
 //!   spawned shard worker executes); emitted record indices stay global.
 //!   Reversed, empty, and out-of-grid ranges are usage errors.
-//! * `--cache PATH` attaches the persistent solve store (`libra-cache-v1`
-//!   JSON-lines): designs already priced under the same scenario
-//!   fingerprint are loaded instead of re-solved, and fresh solves are
-//!   appended for the next run. Sharded and resumed runs stay
+//! * `--cache PATH` attaches the persistent solve store (`libra-cache-v2`
+//!   JSON-lines): a design any earlier run solved from the same shape,
+//!   workload targets, budget, objective and warm-start seed is loaded
+//!   instead of re-solved, whichever scenario solved it, and fresh
+//!   solves are appended for the next run. Sharded and resumed runs stay
 //!   byte-identical to cold single-process runs.
 //! * `--jsonl PATH` streams per-point records as JSON-lines to `PATH`
 //!   (`-` for stdout, which implies `--quiet`); the stream is

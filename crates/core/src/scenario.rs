@@ -66,7 +66,6 @@ use crate::eval::{rel_error, EvalBackend, LinkParams};
 use crate::network::NetworkShape;
 use crate::opt::Objective;
 use crate::search::{Cosearch, SearchConfig};
-use crate::store::Fingerprint;
 use crate::sweep::{
     DivergenceReport, ExecMode, GridPoint, PointDivergence, SweepEngine, SweepError, SweepGrid,
     SweepReport, SweepResult, SweepWorkload,
@@ -1944,15 +1943,16 @@ impl<'a> Session<'a> {
     }
 
     /// Attaches the persistent solve cache at `path`
-    /// ([`crate::store::SolveStore`]): existing records load now, every
-    /// run preloads the records of its cells and their group anchors into
-    /// the engine's memo of solved points before solving (a memo entry
-    /// is the store's own [`crate::store::StoredPoint`]), and freshly
-    /// solved points are appended after each run (and on drop). The
-    /// streamed output stays **byte-identical** with or without the
-    /// store — stored designs round-trip bit-exactly, and a preloaded
-    /// anchor sets its group's warm-start seed exactly as an
-    /// uninterrupted run's solved anchor does.
+    /// ([`crate::store::SolveStore`]): existing records load now, a point
+    /// the engine's memo of solved points lacks is read from the store
+    /// before it is solved (both hold a [`crate::store::StoredPoint`]
+    /// under a key of what its design is computed from, so any
+    /// scenario's record of the same point serves), each fresh solve is staged as it
+    /// completes, and staged records are appended after each run (and on
+    /// drop). The streamed output stays **byte-identical** with or
+    /// without the store — stored designs round-trip bit-exactly, and a
+    /// stored anchor sets its group's warm-start seed exactly as a
+    /// solved anchor does.
     ///
     /// # Errors
     /// Propagates [`crate::store::SolveStore::open`] failures (unreadable
@@ -2028,7 +2028,7 @@ impl<'a> Session<'a> {
         sinks: &mut [&mut dyn ReportSink],
     ) -> SessionReport {
         let full = 0..grid.len(workloads.len());
-        self.run_inner(None, self.tolerance, grid, workloads, backends, full, None, 0, sinks)
+        self.run_inner(None, self.tolerance, grid, workloads, backends, full, sinks)
     }
 
     /// Runs a [`Scenario`]'s grid with backends built from `registry`.
@@ -2096,36 +2096,7 @@ impl<'a> Session<'a> {
             workloads,
             &refs,
             range,
-            scenario.link,
-            scenario.chunks,
             sinks,
-        ))
-    }
-
-    /// The attached store's key for runs over `grid`: the fingerprint of
-    /// the run configuration — the grid's shapes/budgets/objectives, the
-    /// workload names, and the link parameters and chunk count (zero/none
-    /// for plain non-scenario runs; see [`Fingerprint::compute`] for the
-    /// hash). `None` without a store, so a store-less run never hashes
-    /// the grid's axes.
-    pub(crate) fn store_key<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        link: Option<LinkParams>,
-        chunks: usize,
-    ) -> Option<Fingerprint> {
-        self.engine.store.as_ref()?;
-        let shapes: Vec<String> = grid.shapes().iter().map(|s| s.to_string()).collect();
-        let objectives: Vec<&str> = grid.objectives().iter().map(|&o| objective_name(o)).collect();
-        let names: Vec<String> = workloads.iter().map(|w| w.name().to_string()).collect();
-        Some(Fingerprint::compute(
-            &shapes,
-            grid.budgets(),
-            &objectives,
-            &names,
-            link.map(|l| (l.alpha_ps, l.switch_ps)),
-            chunks,
         ))
     }
 
@@ -2138,8 +2109,6 @@ impl<'a> Session<'a> {
         workloads: &[W],
         backends: &[&dyn EvalBackend],
         range: std::ops::Range<usize>,
-        link: Option<LinkParams>,
-        chunks: usize,
         sinks: &mut [&mut dyn ReportSink],
     ) -> SessionReport {
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
@@ -2148,7 +2117,6 @@ impl<'a> Session<'a> {
             sink.on_run_start(&meta);
         }
         let mut divergence = DivergenceMatrix::new(names, tolerance);
-        let fp = self.store_key(grid, workloads, link, chunks);
         let cells: Vec<usize> = range.collect();
         let sweep = self.engine.run_priced(
             grid,
@@ -2156,7 +2124,6 @@ impl<'a> Session<'a> {
             backends,
             &cells,
             self.mode,
-            fp,
             &mut |index, outcome, priced| {
                 let row = RecordRow::from_outcome(index, outcome, priced);
                 let point = grid.point(index, workloads.len());

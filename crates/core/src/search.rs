@@ -20,9 +20,10 @@
 //! both hit for free across rounds and across runs. Each round is its
 //! own run: it builds its pairs' target expressions again, and its group
 //! anchors, re-evaluated from the memo when an earlier round solved them,
-//! set its warm-start seeds. Records are stored under the same keys
-//! (scenario fingerprint, nominal grid index) an exhaustive sweep of the
-//! grid uses, so a search and a sweep share their solves.
+//! set its warm-start seeds. Both key a point by what its design is
+//! computed from (see [`crate::store`]), not by its grid index, so
+//! a search shares its solves with a sweep of the same scenario and with
+//! any other scenario that prices the same points.
 //!
 //! # Contracts (pinned by tests here and in `tests/prop_search.rs`)
 //!
@@ -50,7 +51,6 @@ use crate::error::LibraError;
 use crate::scenario::{
     DivergenceMatrix, RecordRow, ReportSink, RunMeta, Scenario, Session, SessionReport,
 };
-use crate::store::Fingerprint;
 use crate::sweep::{SweepError, SweepGrid, SweepReport, SweepResult, SweepWorkload};
 
 /// Knobs of one adaptive search, embedded in a scenario's `"search"`
@@ -219,17 +219,7 @@ pub fn run_scenario<W: SweepWorkload>(
         ))
     })?;
     let grid = scenario.grid();
-    let fp = session.store_key(&grid, workloads, scenario.link, scenario.chunks);
-    run_inner(
-        session,
-        Some(&scenario.name),
-        scenario.tolerance,
-        &grid,
-        workloads,
-        config,
-        fp,
-        sinks,
-    )
+    run_inner(session, Some(&scenario.name), scenario.tolerance, &grid, workloads, config, sinks)
 }
 
 /// [`run_scenario`] for a plain grid (no scenario file): searches
@@ -246,13 +236,10 @@ pub fn run_grid<W: SweepWorkload>(
     config: &SearchConfig,
     sinks: &mut [&mut dyn ReportSink],
 ) -> Result<SearchReport, LibraError> {
-    let fp = session.store_key(grid, workloads, None, 0);
-    run_inner(session, None, session.tolerance(), grid, workloads, config, fp, sinks)
+    run_inner(session, None, session.tolerance(), grid, workloads, config, sinks)
 }
 
-/// The search loop behind [`run_scenario`] and [`run_grid`]; `fp` keys
-/// an attached store's records, exactly as a sweep of `grid` keys them.
-#[allow(clippy::too_many_arguments)] // private fan-in behind the two public entry points
+/// The search loop behind [`run_scenario`] and [`run_grid`].
 fn run_inner<W: SweepWorkload>(
     session: &Session<'_>,
     scenario: Option<&str>,
@@ -260,7 +247,6 @@ fn run_inner<W: SweepWorkload>(
     grid: &SweepGrid,
     workloads: &[W],
     config: &SearchConfig,
-    fp: Option<Fingerprint>,
     sinks: &mut [&mut dyn ReportSink],
 ) -> Result<SearchReport, LibraError> {
     config.validate()?;
@@ -314,7 +300,6 @@ fn run_inner<W: SweepWorkload>(
             &[],
             &cells,
             session.mode,
-            fp,
             &mut |index, outcome, _| {
                 let row = RecordRow::from_outcome(index, outcome, None);
                 for sink in sinks.iter_mut() {
@@ -753,12 +738,11 @@ mod tests {
         assert_eq!(sorted, expect);
     }
 
-    /// A search shares a sweep's stored solves: both key a record by the
-    /// grid's fingerprint and the cell's nominal index. Over a store a
-    /// sweep of the same grid filled, the search solves and stages
-    /// nothing; a cold store-attached search stages one record per
-    /// evaluated cell; and both stream the bytes a store-less search
-    /// streams.
+    /// A search shares a sweep's stored solves: both key a record by what
+    /// its design is computed from. Over a store a sweep of the same grid
+    /// filled, the search solves and stages nothing; a cold
+    /// store-attached search stages one record per evaluated cell; and
+    /// both stream the bytes a store-less search streams.
     #[test]
     fn search_reuses_a_sweeps_stored_solves() {
         let grid = search_grid(11);
@@ -793,7 +777,7 @@ mod tests {
         let (report, jsonl, stored) = search(&shared);
         assert_eq!(jsonl, want);
         assert_eq!(report.sweep.cache.design_misses, 0, "the sweep's solves are reused");
-        assert!(stored.hits >= report.evals, "{} hits for {} cells", stored.hits, report.evals);
+        assert_eq!(stored.hits, report.evals, "each cell is read from the store once");
         assert_eq!(stored.staged, 0);
         for path in [cold, shared] {
             let _ = std::fs::remove_file(path);

@@ -3,21 +3,31 @@
 //!
 //! The in-memory [`SweepEngine`](crate::sweep::SweepEngine) memo dies
 //! with the process, so every `libra` invocation and every spawned
-//! dispatch shard re-solves from cold. A [`SolveStore`] persists the
+//! dispatch shard would re-solve from cold. A [`SolveStore`] persists the
 //! expensive per-point artifacts — the optimized [`Design`] and its
-//! EqualBW baseline — keyed by **(scenario fingerprint, grid index)**,
-//! so a re-run of the same scenario (or a resumed partial run, or a
-//! sibling shard worker) loads them instead of solving.
+//! EqualBW baseline — under the memo's own key, a `PointKey`: what the
+//! design is computed from. A run that needs a point any earlier run
+//! solved, in whatever scenario or grid, loads it instead of solving.
 //!
-//! # File format: `libra-cache-v1`
+//! # File format: `libra-cache-v2`
 //!
 //! Append-only JSON-lines. The first line is a header object
-//! (`{"schema": "libra-cache-v1", "key_hash": "fnv1a64/v1"}`); every
+//! (`{"schema": "libra-cache-v2", "key_hash": "fnv1a64/v2"}`); every
 //! other line is one point record:
 //!
 //! ```text
-//! {"fp": "<16 hex digits>", "index": N, "design": {...}, "baseline": {...}}
+//! {"targets": "<16 hex digits>", "budget": B, "objective": "perf", "seed_budget": S,
+//!  "design": {...}, "baseline": {...}}
 //! ```
+//!
+//! (one line in the file). The first four fields are the key:
+//!
+//! * `targets`: the FNV-1a hash of the shape and the workload's weighted
+//!   target expressions;
+//! * `budget`: the total-bandwidth budget in GB/s;
+//! * `objective`: the objective's scenario-file name;
+//! * `seed_budget`: the budget whose optimum seeded the solve — the group
+//!   anchor's for a warm-started point, the point's own for a cold solve.
 //!
 //! Floats are encoded with the same bit-exact round-tripping encoding
 //! the JSON-lines run streams use (shortest round-trip decimal, quoted
@@ -44,113 +54,96 @@
 //!
 //! # Keying
 //!
-//! The fingerprint is a **stable, explicitly versioned** 64-bit FNV-1a
-//! hash ([`Fingerprint::KEY_HASH_VERSION`]) over the run's semantic
-//! identity: shape display strings, budget bits, objective names,
-//! workload names, link parameters, and chunk count. `std`'s
-//! `DefaultHasher` is deliberately **not** used — its output is not
-//! guaranteed stable across Rust releases, and a cache keyed by it
-//! would silently go cold (or worse) on a toolchain bump.
+//! A key names every input of a stored design but the cost model: every
+//! CLI and server path prices with `CostModel::default()`, so a cache
+//! file holds that cost model's designs. Workload names, grid indices,
+//! link parameters and chunk counts are not keyed: names and positions
+//! do not change a design, and link parameters and chunks change only
+//! how backends price it, which is not stored. So overlapping scenarios
+//! share solves — a sweep, a shard, a resumed range and a search all
+//! read the record of a point they have in common — and a scenario whose
+//! workload has other targets under the same name (a co-search at
+//! another global batch) never reads another's designs.
 //!
-//! The grid index is the point's index in the scenario's **full** grid,
-//! whichever run priced it: a whole sweep, a shard's range, or an
-//! adaptive-search round's cells of the nominal grid. A search and a
-//! sweep of the same scenario therefore share records.
+//! The hash is hand-rolled FNV-1a with pinned constants and
+//! length-prefixed fields, explicitly versioned by the header's
+//! `key_hash` tag (`PointKey::KEY_HASH`). `std`'s `DefaultHasher` is
+//! deliberately **not** used — its output is not guaranteed stable
+//! across Rust releases, and a cache keyed by it would silently go cold
+//! (or worse) on a toolchain bump. A key names a design's inputs, not
+//! the code that computes it, so `KEY_HASH` must be bumped whenever a
+//! solver or optimizer change alters answers (as replacing the barrier
+//! method with a primal-dual solver will): old files then fail the
+//! header check instead of serving the old code's designs.
 //!
 //! A record is a [`StoredPoint`], the same value the engine's memo
-//! holds, so a run preloads its records into the memo unchanged.
-//! Warm-start *seeds* need no separate record kind: an anchor point's
-//! record already carries `design.bw`, which is exactly the vector a run
-//! seeds its group from. An anchor sets its group's seed on a memo
-//! **hit** too, so a partial run that reads its cells and their group
-//! anchors reproduces the seeds of an uninterrupted run bit for bit.
+//! holds. Warm-start *seeds* need no separate record kind: an anchor
+//! point's record already carries `design.bw`, which is exactly the
+//! vector a run seeds its group from. An anchor sets its group's seed
+//! when it is read from the store too, so a partial run that reads its
+//! cells and their group anchors reproduces the seeds of an
+//! uninterrupted run bit for bit.
 
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::error::LibraError;
+use crate::expr::BwExpr;
 use crate::fault::{self, FaultInjector};
-use crate::opt::Design;
-use crate::scenario::{json_f64, Json, JsonParser};
+use crate::network::NetworkShape;
+use crate::opt::{Design, Objective};
+use crate::scenario::{json_f64, objective_from_name, objective_name, Json, JsonParser};
 
-/// A stable 64-bit key identifying one run configuration (see the
-/// module docs for the hashed fields). Displayed as 16 hex digits.
+/// What one solved point's design is computed from, and so the key under
+/// which the engine's memo and the store hold it (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fingerprint(u64);
+pub(crate) struct PointKey {
+    /// [`PointKey::targets_hash`] of the point's shape and targets.
+    targets: u64,
+    /// The budget's bits.
+    budget: u64,
+    objective: Objective,
+    /// The bits of the budget whose optimum seeded the solve.
+    seed_budget: u64,
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-impl Fingerprint {
+impl PointKey {
     /// The key-hash algorithm/version tag written into cache headers.
-    /// Bump the `/vN` suffix whenever the hashed fields or their
-    /// serialization change; old files then fail the header check
-    /// instead of silently mismatching every lookup.
-    pub const KEY_HASH_VERSION: &'static str = "fnv1a64/v1";
+    /// Bump the `/vN` suffix whenever the keyed fields, their
+    /// serialization, or the answers they name change (a solver change
+    /// that alters designs); old files then fail the header check
+    /// instead of mismatching or serving stale designs.
+    pub(crate) const KEY_HASH: &'static str = "fnv1a64/v2";
 
-    /// Computes the fingerprint of one run configuration.
-    ///
-    /// `link` is the `(alpha_ps, switch_ps)` pair when link parameters
-    /// are attached; plain (non-scenario) runs pass `None` and
-    /// `chunks == 0` as the sentinel configuration.
-    pub fn compute(
-        shapes: &[String],
-        budgets: &[f64],
-        objectives: &[&str],
-        workloads: &[String],
-        link: Option<(f64, f64)>,
-        chunks: usize,
-    ) -> Self {
-        let mut h = Fnv1a::new();
-        h.str(Self::KEY_HASH_VERSION);
-        h.section("shapes");
-        for s in shapes {
-            h.str(s);
+    /// The key of a point whose shape and targets hash to `targets`, at
+    /// `budget` GB/s under `objective`, solved from the optimum at
+    /// `seed_budget` — `budget` itself for a cold solve.
+    pub(crate) fn new(targets: u64, budget: f64, objective: Objective, seed_budget: f64) -> Self {
+        PointKey {
+            targets,
+            budget: budget.to_bits(),
+            objective,
+            seed_budget: seed_budget.to_bits(),
         }
-        h.section("budgets");
-        for &b in budgets {
-            h.u64(b.to_bits());
-        }
-        h.section("objectives");
-        for o in objectives {
-            h.str(o);
-        }
-        h.section("workloads");
-        for w in workloads {
-            h.str(w);
-        }
-        h.section("link");
-        match link {
-            None => h.u64(0),
-            Some((alpha, switch)) => {
-                h.u64(1);
-                h.u64(alpha.to_bits());
-                h.u64(switch.to_bits());
-            }
-        }
-        h.section("chunks");
-        h.u64(chunks as u64);
-        // The retired warm-start on/off flag, hashed as "on" — the only
-        // policy left — so existing caches keep their keys.
-        h.section("warm_start");
-        h.u64(1);
-        Fingerprint(h.finish())
     }
 
-    fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 16 {
-            return None;
+    /// The stable hash of `shape` and the weighted `targets` a workload
+    /// builds on it: the part of a [`PointKey`] a run computes once per
+    /// (shape, workload) pair.
+    pub(crate) fn targets_hash(shape: &NetworkShape, targets: &[(f64, BwExpr)]) -> u64 {
+        let mut h = Fnv1a(FNV_OFFSET);
+        h.str(&shape.to_string());
+        h.u64(targets.len() as u64);
+        for (weight, expr) in targets {
+            h.u64(weight.to_bits());
+            h.expr(expr);
         }
-        u64::from_str_radix(s, 16).ok().map(Fingerprint)
-    }
-}
-
-impl fmt::Display for Fingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
+        h.0
     }
 }
 
@@ -160,10 +153,6 @@ impl fmt::Display for Fingerprint {
 struct Fnv1a(u64);
 
 impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-
     fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -180,12 +169,25 @@ impl Fnv1a {
         self.bytes(s.as_bytes());
     }
 
-    fn section(&mut self, name: &str) {
-        self.str(name);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+    /// A variant tag, then the variant's fields; sums and maxima carry
+    /// their length, so a tree hashes differently from its flattening.
+    fn expr(&mut self, e: &BwExpr) {
+        match e {
+            BwExpr::Const(c) => {
+                self.u64(0);
+                self.u64(c.to_bits());
+            }
+            BwExpr::Ratio { coeff, dim } => {
+                self.u64(1);
+                self.u64(coeff.to_bits());
+                self.u64(*dim as u64);
+            }
+            BwExpr::Sum(parts) | BwExpr::Max(parts) => {
+                self.u64(if matches!(e, BwExpr::Sum(_)) { 2 } else { 3 });
+                self.u64(parts.len() as u64);
+                parts.iter().for_each(|p| self.expr(p));
+            }
+        }
     }
 }
 
@@ -203,30 +205,34 @@ pub struct StoredPoint {
 /// can assert a warm run actually read from disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Lookups served from the loaded file.
+    /// Lookups served from the store's records (loaded or staged).
     pub hits: usize,
     /// Fresh records staged for append since open.
     pub staged: usize,
 }
 
-/// A [`SolveStore`] shared between concurrently running engines. The
-/// mutex is coarse on purpose: engines touch the store only at run
-/// boundaries (preload before the drive, stage + flush after), never on
-/// the per-point hot path.
+/// A [`SolveStore`] shared between concurrently running engines. An
+/// engine reads the store on each memo miss, not only at run
+/// boundaries, and stages each solve as it completes, so sessions
+/// sharing a store see each other's solves at once. The mutex is coarse
+/// on purpose: each hold is one map operation, next to a solve's
+/// milliseconds.
 pub type SharedSolveStore = Arc<Mutex<SolveStore>>;
 
-/// The persistent solve cache: a loaded snapshot of one cache file plus
-/// a pending append buffer. See the module docs for format and
-/// concurrency rules.
+/// The persistent solve cache: the records of one cache file and those
+/// staged since it was read, in one map, plus the staged keys pending
+/// append. See the module docs for format and concurrency rules.
 ///
 /// Dropping a store flushes pending records (best-effort); call
 /// [`SolveStore::flush`] to observe write errors.
 #[derive(Debug)]
 pub struct SolveStore {
     path: PathBuf,
-    loaded: HashMap<(Fingerprint, usize), StoredPoint>,
-    /// Staged records in staging order (the append order on flush).
-    pending: Vec<((Fingerprint, usize), StoredPoint)>,
+    /// Every known record: loaded from the file or staged since.
+    records: HashMap<PointKey, StoredPoint>,
+    /// Keys staged since the last flush, in staging order (the append
+    /// order on flush).
+    pending: Vec<PointKey>,
     /// Whether the file already starts with a valid header line.
     has_header: bool,
     hits: usize,
@@ -241,7 +247,7 @@ pub struct SolveStore {
 
 impl SolveStore {
     /// Schema tag written into cache-file headers.
-    pub const SCHEMA: &'static str = "libra-cache-v1";
+    pub const SCHEMA: &'static str = "libra-cache-v2";
 
     /// Opens (and loads) the cache at `path`, creating an empty store
     /// when the file does not exist yet.
@@ -259,7 +265,7 @@ impl SolveStore {
         let path = path.as_ref().to_path_buf();
         let mut store = SolveStore {
             path,
-            loaded: HashMap::new(),
+            records: HashMap::new(),
             pending: Vec::new(),
             has_header: false,
             hits: 0,
@@ -285,9 +291,9 @@ impl SolveStore {
     /// (see [`SharedSolveStore`]): a long-lived process — the sweep
     /// server foremost — opens the file once and attaches every
     /// per-job session to the same in-memory store via
-    /// [`crate::scenario::Session::with_shared_store`], so hits,
-    /// staged records, and preloads accumulate across jobs instead of
-    /// re-reading the file per run.
+    /// [`crate::scenario::Session::with_shared_store`], so hits and
+    /// staged records accumulate across jobs instead of re-reading the
+    /// file per run.
     ///
     /// # Errors
     /// Propagates [`SolveStore::open`] failures.
@@ -312,7 +318,7 @@ impl SolveStore {
 
     /// Records currently known (loaded + staged).
     pub fn len(&self) -> usize {
-        self.loaded.len() + self.pending.len()
+        self.records.len()
     }
 
     /// True when nothing is loaded or staged.
@@ -345,22 +351,20 @@ impl SolveStore {
                     // The very first header pins compatibility; later
                     // ones (concurrent writers racing on an empty
                     // file) are skipped like any duplicate.
-                    if offset == 0
-                        && (schema != Self::SCHEMA || key_hash != Fingerprint::KEY_HASH_VERSION)
-                    {
+                    if offset == 0 && (schema != Self::SCHEMA || key_hash != PointKey::KEY_HASH) {
                         return Err(LibraError::BadRequest(format!(
                             "cache {} has schema {schema:?} with key hash {key_hash:?} \
                              (this reader wants {:?} / {:?})",
                             self.path.display(),
                             Self::SCHEMA,
-                            Fingerprint::KEY_HASH_VERSION,
+                            PointKey::KEY_HASH,
                         )));
                     }
                     self.has_header = true;
                 }
-                Line::Point { fp, index, point } => {
+                Line::Point { key, point } => {
                     // Last-write-wins on identical keys.
-                    self.loaded.insert((fp, index), point);
+                    self.records.insert(key, point);
                 }
             }
             offset += advance;
@@ -377,43 +381,47 @@ impl SolveStore {
                 key_hash: key_hash.to_string(),
             });
         }
-        let fp = Fingerprint::from_hex(v.get("fp")?.as_str()?)?;
-        let index = v.get("index")?.as_f64()?;
-        if index < 0.0 || index.fract() != 0.0 {
+        let targets = v.get("targets")?.as_str()?;
+        if targets.len() != 16 {
             return None;
         }
+        let key = PointKey::new(
+            u64::from_str_radix(targets, 16).ok()?,
+            v.get("budget")?.as_f64()?,
+            objective_from_name(v.get("objective")?.as_str()?).ok()?,
+            v.get("seed_budget")?.as_f64()?,
+        );
         let design = parse_design(v.get("design")?)?;
         let baseline = parse_design(v.get("baseline")?)?;
-        Some(Line::Point { fp, index: index as usize, point: StoredPoint { design, baseline } })
+        Some(Line::Point { key, point: StoredPoint { design, baseline } })
     }
 
-    /// The stored solve for `(fp, index)`, if present (counted as a hit).
-    pub fn lookup(&mut self, fp: Fingerprint, index: usize) -> Option<&StoredPoint> {
-        let hit = self.loaded.get(&(fp, index));
+    /// The stored solve for `key`, loaded or staged, if present (counted
+    /// as a hit).
+    pub(crate) fn lookup(&mut self, key: PointKey) -> Option<&StoredPoint> {
+        let hit = self.records.get(&key);
         if hit.is_some() {
             self.hits += 1;
         }
         hit
     }
 
-    /// Stages `point` for append under `(fp, index)` unless that key is
-    /// already loaded or staged (re-running a warm scenario appends
-    /// nothing).
-    pub fn stage(&mut self, fp: Fingerprint, index: usize, point: StoredPoint) {
-        let key = (fp, index);
-        if self.loaded.contains_key(&key) || self.pending.iter().any(|(k, _)| *k == key) {
-            return;
+    /// Stages `point` for append under `key` unless that key is already
+    /// loaded or staged (re-running a warm scenario appends nothing).
+    pub(crate) fn stage(&mut self, key: PointKey, point: StoredPoint) {
+        if let Entry::Vacant(slot) = self.records.entry(key) {
+            slot.insert(point);
+            self.staged_total += 1;
+            self.pending.push(key);
         }
-        self.staged_total += 1;
-        self.pending.push((key, point));
     }
 
     /// Appends every staged record to the file (one `write` syscall per
     /// line), writing the header first when the file is new or empty and
     /// a newline first when the file does not end with one (a torn
     /// tail).
-    /// Staged records move into the loaded set only on success, so a
-    /// failed flush can be retried (and is, on drop).
+    /// Staged keys leave the pending list only on success, so a failed
+    /// flush can be retried (and is, on drop).
     ///
     /// # Errors
     /// [`LibraError::BadRequest`] on I/O failures.
@@ -446,7 +454,7 @@ impl SolveStore {
                 let header = format!(
                     "{{\"schema\": {:?}, \"key_hash\": {:?}}}\n",
                     Self::SCHEMA,
-                    Fingerprint::KEY_HASH_VERSION
+                    PointKey::KEY_HASH
                 );
                 file.write_all(header.as_bytes()).map_err(io)?;
             }
@@ -465,8 +473,8 @@ impl SolveStore {
                 // disk, the rest of the staged batch never does. The
                 // loader skips the torn line, and the next flush ends it
                 // with a newline before appending.
-                if let Some((key, point)) = self.pending.first() {
-                    let line = point_line(*key, point);
+                if let Some(key) = self.pending.first() {
+                    let line = point_line(key, &self.records[key]);
                     file.write_all(&line.as_bytes()[..line.len() / 2]).map_err(io)?;
                 }
                 self.pending.clear();
@@ -477,12 +485,10 @@ impl SolveStore {
                 )));
             }
         }
-        for (key, point) in &self.pending {
-            file.write_all(point_line(*key, point).as_bytes()).map_err(io)?;
+        for key in &self.pending {
+            file.write_all(point_line(key, &self.records[key]).as_bytes()).map_err(io)?;
         }
-        for (key, point) in self.pending.drain(..) {
-            self.loaded.insert(key, point);
-        }
+        self.pending.clear();
         Ok(())
     }
 }
@@ -497,7 +503,7 @@ impl Drop for SolveStore {
 
 enum Line {
     Header { schema: String, key_hash: String },
-    Point { fp: Fingerprint, index: usize, point: StoredPoint },
+    Point { key: PointKey, point: StoredPoint },
 }
 
 fn design_json(d: &Design) -> String {
@@ -514,9 +520,14 @@ fn design_json(d: &Design) -> String {
     )
 }
 
-fn point_line((fp, index): (Fingerprint, usize), point: &StoredPoint) -> String {
+fn point_line(key: &PointKey, point: &StoredPoint) -> String {
     format!(
-        "{{\"fp\": \"{fp}\", \"index\": {index}, \"design\": {}, \"baseline\": {}}}\n",
+        "{{\"targets\": \"{:016x}\", \"budget\": {}, \"objective\": \"{}\", \
+         \"seed_budget\": {}, \"design\": {}, \"baseline\": {}}}\n",
+        key.targets,
+        json_f64(f64::from_bits(key.budget)),
+        objective_name(key.objective),
+        json_f64(f64::from_bits(key.seed_budget)),
         design_json(&point.design),
         design_json(&point.baseline),
     )
@@ -544,8 +555,10 @@ mod tests {
         dir.join(name)
     }
 
-    fn fp(tag: u64) -> Fingerprint {
-        Fingerprint(tag)
+    /// The key of grid point `index` of a one-budget-per-index ladder
+    /// over targets hashed to `tag`.
+    fn key(tag: u64, index: usize) -> PointKey {
+        PointKey::new(tag, 100.0 + index as f64, Objective::Perf, 100.0)
     }
 
     fn point(x: f64) -> StoredPoint {
@@ -563,33 +576,38 @@ mod tests {
     /// This pins the exact output: if it ever changes, the version tag
     /// must be bumped.
     #[test]
-    fn fingerprint_is_stable_and_versioned() {
-        let f = Fingerprint::compute(
-            &["RI(4)_SW(8)".into()],
-            &[100.0, 300.0],
-            &["perf"],
-            &["w".into()],
-            None,
-            0,
-        );
-        assert_eq!(format!("{f}"), "76974a25c087e289");
-        assert_eq!(Fingerprint::from_hex(&format!("{f}")), Some(f));
-        assert_eq!(Fingerprint::KEY_HASH_VERSION, "fnv1a64/v1");
-        // Every hashed field is load-bearing.
-        let linked = Fingerprint::compute(
-            &["RI(4)_SW(8)".into()],
-            &[100.0, 300.0],
-            &["perf"],
-            &["w".into()],
-            Some((20_000.0, 0.0)),
-            0,
-        );
-        assert_ne!(f, linked, "link parameters must be keyed");
-        // Field boundaries are length-prefixed: moving a character
-        // across a boundary changes the hash.
-        let ab_c = Fingerprint::compute(&["ab".into(), "c".into()], &[], &[], &[], None, 0);
-        let a_bc = Fingerprint::compute(&["a".into(), "bc".into()], &[], &[], &[], None, 0);
-        assert_ne!(ab_c, a_bc);
+    fn key_hash_is_stable_and_versioned() {
+        let shape: NetworkShape = "RI(4)_SW(8)".parse().unwrap();
+        let link = |coeff: f64, dim: usize| BwExpr::Ratio { coeff, dim };
+        let targets = |weight: f64, coeff: f64| {
+            vec![(weight, BwExpr::Sum(vec![BwExpr::Const(0.5), link(coeff, 0), link(2.0, 1)]))]
+        };
+        let h = PointKey::targets_hash(&shape, &targets(1.0, 3.0));
+        assert_eq!(format!("{h:016x}"), "121e5536cd239efd");
+        assert_eq!(PointKey::KEY_HASH, "fnv1a64/v2");
+        // Every hashed field is load-bearing: the shape, a weight, a
+        // coefficient, a dimension, and the tree's structure.
+        let other: NetworkShape = "RI(8)_SW(4)".parse().unwrap();
+        assert_ne!(h, PointKey::targets_hash(&other, &targets(1.0, 3.0)));
+        assert_ne!(h, PointKey::targets_hash(&shape, &targets(2.0, 3.0)));
+        assert_ne!(h, PointKey::targets_hash(&shape, &targets(1.0, 4.0)));
+        let moved = [(1.0, BwExpr::Sum(vec![BwExpr::Const(0.5), link(3.0, 1), link(2.0, 1)]))];
+        assert_ne!(h, PointKey::targets_hash(&shape, &moved));
+        let as_max = [(1.0, BwExpr::Max(vec![BwExpr::Const(0.5), link(3.0, 0), link(2.0, 1)]))];
+        assert_ne!(h, PointKey::targets_hash(&shape, &as_max));
+        let nested = [(
+            1.0,
+            BwExpr::Sum(vec![BwExpr::Sum(vec![BwExpr::Const(0.5), link(3.0, 0)]), link(2.0, 1)]),
+        )];
+        assert_ne!(h, PointKey::targets_hash(&shape, &nested));
+        // A record line round-trips its whole key.
+        let k = PointKey::new(h, 0.1 + 0.2, Objective::PerfPerCost, 100.0);
+        let Some(Line::Point { key: parsed, .. }) =
+            SolveStore::parse_line(point_line(&k, &point(1.0)).trim_end())
+        else {
+            panic!("a record line parses");
+        };
+        assert_eq!(parsed, k);
     }
 
     #[test]
@@ -608,24 +626,24 @@ mod tests {
         {
             let mut s = SolveStore::open(&path).unwrap();
             assert!(s.is_empty());
-            s.stage(fp(1), 0, point(1.0));
-            s.stage(fp(1), 0, point(9.0)); // duplicate key: ignored
-            s.stage(fp(1), 7, odd.clone());
-            s.stage(fp(2), 0, point(3.0));
+            s.stage(key(1, 0), point(1.0));
+            s.stage(key(1, 0), point(9.0)); // duplicate key: ignored
+            s.stage(key(1, 7), odd.clone());
+            s.stage(key(2, 0), point(3.0));
             assert_eq!(s.stats().staged, 3);
             s.flush().unwrap();
-            s.stage(fp(1), 0, point(9.0)); // already loaded: ignored
+            s.stage(key(1, 0), point(9.0)); // already loaded: ignored
             assert_eq!(s.stats().staged, 3);
         }
         let mut s = SolveStore::open(&path).unwrap();
         assert_eq!(s.len(), 3);
-        assert_eq!(s.lookup(fp(1), 0).unwrap(), &point(1.0));
-        let got = s.lookup(fp(1), 7).unwrap().clone();
+        assert_eq!(s.lookup(key(1, 0)).unwrap(), &point(1.0));
+        let got = s.lookup(key(1, 7)).unwrap().clone();
         assert_eq!(got.design.bw[0].to_bits(), (0.1f64 + 0.2).to_bits());
         assert!(got.design.bw[1].is_nan());
         assert_eq!(got.design.times[0].to_bits(), (-0.0f64).to_bits());
         assert_eq!(got.design.cost, f64::NEG_INFINITY);
-        assert!(s.lookup(fp(3), 0).is_none());
+        assert!(s.lookup(key(3, 0)).is_none());
         assert_eq!(s.stats().hits, 2);
         std::fs::remove_file(&path).unwrap();
     }
@@ -636,17 +654,17 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut s = SolveStore::open(&path).unwrap();
-            s.stage(fp(1), 0, point(1.0));
+            s.stage(key(1, 0), point(1.0));
             s.flush().unwrap();
         }
         // A second writer appends the same key with a different value
         // (cannot happen with deterministic solves, but the reader's
         // contract is last-write-wins regardless).
         let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(point_line((fp(1), 0), &point(5.0)).as_bytes()).unwrap();
+        f.write_all(point_line(&key(1, 0), &point(5.0)).as_bytes()).unwrap();
         drop(f);
         let mut s = SolveStore::open(&path).unwrap();
-        assert_eq!(s.lookup(fp(1), 0).unwrap(), &point(5.0));
+        assert_eq!(s.lookup(key(1, 0)).unwrap(), &point(5.0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -659,8 +677,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut s = SolveStore::open(&path).unwrap();
-            s.stage(fp(1), 0, point(1.0));
-            s.stage(fp(1), 1, point(2.0));
+            s.stage(key(1, 0), point(1.0));
+            s.stage(key(1, 1), point(2.0));
             s.flush().unwrap();
         }
         // Tear the file mid-record, as a crashed writer would.
@@ -668,28 +686,33 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
         let mut s = SolveStore::open(&path).unwrap();
         assert_eq!(s.len(), 1, "valid prefix survives, torn tail dropped");
-        assert_eq!(s.lookup(fp(1), 0).unwrap(), &point(1.0));
+        assert_eq!(s.lookup(key(1, 0)).unwrap(), &point(1.0));
         // Re-staging the lost record and flushing heals the file.
-        s.stage(fp(1), 1, point(2.0));
+        s.stage(key(1, 1), point(2.0));
         s.flush().unwrap();
         drop(s);
         let mut healed = SolveStore::open(&path).unwrap();
         assert_eq!(healed.len(), 2);
-        assert_eq!(healed.lookup(fp(1), 1).unwrap(), &point(2.0));
+        assert_eq!(healed.lookup(key(1, 1)).unwrap(), &point(2.0));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn rejects_a_foreign_schema_or_key_hash_version() {
         let path = tmp("foreign.jsonl");
-        std::fs::write(&path, "{\"schema\": \"libra-cache-v0\", \"key_hash\": \"fnv1a64/v1\"}\n")
+        std::fs::write(&path, "{\"schema\": \"libra-cache-v0\", \"key_hash\": \"fnv1a64/v2\"}\n")
             .unwrap();
         let err = SolveStore::open(&path).unwrap_err().to_string();
         assert!(err.contains("libra-cache-v0"), "{err}");
-        std::fs::write(&path, "{\"schema\": \"libra-cache-v1\", \"key_hash\": \"siphash/v1\"}\n")
+        std::fs::write(&path, "{\"schema\": \"libra-cache-v2\", \"key_hash\": \"siphash/v1\"}\n")
             .unwrap();
         let err = SolveStore::open(&path).unwrap_err().to_string();
         assert!(err.contains("siphash"), "{err}");
+        // A cache written before points were keyed by their content.
+        std::fs::write(&path, "{\"schema\": \"libra-cache-v1\", \"key_hash\": \"fnv1a64/v1\"}\n")
+            .unwrap();
+        let err = SolveStore::open(&path).unwrap_err().to_string();
+        assert!(err.contains("libra-cache-v1"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -713,8 +736,8 @@ mod tests {
             std::thread::spawn(move || {
                 let mut store = SolveStore::open(&path).unwrap();
                 for index in 0..KEYS {
-                    store.stage(fp(CONTENDED), index, point(value(tag, index)));
-                    store.stage(fp(tag), index, point(value(tag, index)));
+                    store.stage(key(CONTENDED, index), point(value(tag, index)));
+                    store.stage(key(tag, index), point(value(tag, index)));
                     // Flush every iteration so the two writers' appends
                     // interleave line by line instead of landing as two
                     // big blocks.
@@ -730,20 +753,20 @@ mod tests {
         let mut merged = SolveStore::open(&path).unwrap();
         // Each writer staged against its own empty in-memory view, so
         // the file holds duplicates; the *reload* dedups to exactly the
-        // three fingerprints' key sets.
+        // three tags' key sets.
         assert_eq!(merged.len(), 3 * KEYS, "no torn or dropped lines");
         // Deterministic winner: whichever writer's line landed last in
         // the file wins on every reload.
         let mut again = SolveStore::open(&path).unwrap();
         for index in 0..KEYS {
-            assert_eq!(merged.lookup(fp(1), index).unwrap(), &point(value(1, index)));
-            assert_eq!(merged.lookup(fp(2), index).unwrap(), &point(value(2, index)));
-            let shared = merged.lookup(fp(CONTENDED), index).unwrap().clone();
+            assert_eq!(merged.lookup(key(1, index)).unwrap(), &point(value(1, index)));
+            assert_eq!(merged.lookup(key(2, index)).unwrap(), &point(value(2, index)));
+            let shared = merged.lookup(key(CONTENDED, index)).unwrap().clone();
             assert!(
                 shared == point(value(1, index)) || shared == point(value(2, index)),
                 "contended key {index} holds neither writer's value: {shared:?}"
             );
-            assert_eq!(again.lookup(fp(CONTENDED), index), Some(&shared));
+            assert_eq!(again.lookup(key(CONTENDED, index)), Some(&shared));
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -757,10 +780,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut s = SolveStore::open(&path).unwrap();
-            s.stage(fp(1), 0, point(1.0));
+            s.stage(key(1, 0), point(1.0));
             s.flush().unwrap();
         }
-        let line = point_line((fp(1), 1), &point(2.0));
+        let line = point_line(&key(1, 1), &point(2.0));
         let (head, tail) = line.as_bytes().split_at(line.len() / 2);
         let mut writer = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
         writer.write_all(head).unwrap();
@@ -768,13 +791,13 @@ mod tests {
         assert_eq!(s.len(), 1, "the half-written line does not load");
         writer.write_all(tail).unwrap();
         drop(writer);
-        s.stage(fp(1), 2, point(3.0));
+        s.stage(key(1, 2), point(3.0));
         s.flush().unwrap();
         drop(s);
         let mut reopened = SolveStore::open(&path).unwrap();
         assert_eq!(reopened.len(), 3, "the in-flight append was lost");
-        assert_eq!(reopened.lookup(fp(1), 1).unwrap(), &point(2.0));
-        assert_eq!(reopened.lookup(fp(1), 2).unwrap(), &point(3.0));
+        assert_eq!(reopened.lookup(key(1, 1)).unwrap(), &point(2.0));
+        assert_eq!(reopened.lookup(key(1, 2)).unwrap(), &point(3.0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -786,16 +809,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut s = SolveStore::open(&path).unwrap();
-            s.stage(fp(1), 0, point(1.0));
+            s.stage(key(1, 0), point(1.0));
             s.flush().unwrap();
         }
         let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"fp\": \"not hex\"}\n").unwrap();
-        f.write_all(point_line((fp(1), 1), &point(2.0)).as_bytes()).unwrap();
+        f.write_all(b"{\"targets\": \"not hex\"}\n").unwrap();
+        f.write_all(point_line(&key(1, 1), &point(2.0)).as_bytes()).unwrap();
         drop(f);
         let mut s = SolveStore::open(&path).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.lookup(fp(1), 1).unwrap(), &point(2.0));
+        assert_eq!(s.lookup(key(1, 1)).unwrap(), &point(2.0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -805,11 +828,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut s = SolveStore::open(&path).unwrap();
-            s.stage(fp(4), 2, point(4.0));
+            s.stage(key(4, 2), point(4.0));
             // No explicit flush: drop persists.
         }
         let mut s = SolveStore::open(&path).unwrap();
-        assert_eq!(s.lookup(fp(4), 2).unwrap(), &point(4.0));
+        assert_eq!(s.lookup(key(4, 2)).unwrap(), &point(4.0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -825,19 +848,19 @@ mod tests {
             let mut s = SolveStore::open(&path)
                 .unwrap()
                 .with_fault(FaultInjector::from_spec("store.flush.torn=#1").unwrap());
-            s.stage(fp(1), 0, point(1.0));
-            s.stage(fp(1), 1, point(2.0));
+            s.stage(key(1, 0), point(1.0));
+            s.stage(key(1, 1), point(2.0));
             let err = s.flush().unwrap_err();
             assert!(err.to_string().contains("store.flush.torn"), "got {err}");
         }
         // The torn record must not load; the healed store works again.
         let mut s = SolveStore::open(&path).unwrap();
         assert!(s.is_empty(), "half a record loaded as data");
-        s.stage(fp(3), 0, point(3.0));
+        s.stage(key(3, 0), point(3.0));
         s.flush().unwrap();
         let mut s = SolveStore::open(&path).unwrap();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.lookup(fp(3), 0).unwrap(), &point(3.0));
+        assert_eq!(s.lookup(key(3, 0)).unwrap(), &point(3.0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -853,7 +876,7 @@ mod tests {
             let mut s = SolveStore::open(&path)
                 .unwrap()
                 .with_fault(FaultInjector::from_spec("store.flush.fail=#1").unwrap());
-            s.stage(fp(1), 0, point(1.0));
+            s.stage(key(1, 0), point(1.0));
             let err = s.flush().unwrap_err();
             assert!(err.to_string().contains("store.flush.fail"), "got {err}");
             // Flush ordinal 1 is past the plan's `#1`: the retry lands.
@@ -861,7 +884,7 @@ mod tests {
         }
         let mut s = SolveStore::open(&path).unwrap();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.lookup(fp(1), 0).unwrap(), &point(1.0));
+        assert_eq!(s.lookup(key(1, 0)).unwrap(), &point(1.0));
         std::fs::remove_file(&path).unwrap();
     }
 }

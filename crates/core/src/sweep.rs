@@ -11,14 +11,14 @@
 //!   deterministic order (shape-major, then workload, budget, objective);
 //! * [`crate::scenario::Session::run`] — the public front door, in the
 //!   [`crate::scenario`] module — evaluates the grid in parallel. Each run
-//!   builds a `(shape, workload)` pair's target expressions and plan once,
-//!   for itself, and the engine keeps one memo across runs: solved points
-//!   (design plus EqualBW baseline), keyed by the cell and its group's
-//!   anchor budget. The run prices every grid point's [`CommPlan`] under
-//!   **any number** of [`EvalBackend`]s in the same fan-out, reporting
-//!   each pair's per-point disagreement as a [`DivergenceReport`] — the
-//!   guard against ranking thousands of designs with a silently broken
-//!   model;
+//!   builds a `(shape, workload)` pair's target expressions, their hash
+//!   and its plan once, for itself, and the engine keeps one memo across
+//!   runs: solved points (design plus EqualBW baseline), keyed by what
+//!   each design is computed from (see [`crate::store`]). The run prices every
+//!   grid point's [`CommPlan`] under **any number** of [`EvalBackend`]s
+//!   in the same fan-out, reporting each pair's per-point disagreement
+//!   as a [`DivergenceReport`] — the guard against ranking thousands of
+//!   designs with a silently broken model;
 //! * [`SweepReport`] returns results in grid order, plus ranking helpers
 //!   and the perf-vs-cost [Pareto front](SweepReport::pareto_front);
 //! * design solves are **warm-started** along the budget axis: each
@@ -26,7 +26,7 @@
 //!   budget) solves cold, and every other budget seeds its interior-point
 //!   solve from that anchor's optimum ([`opt::optimize_seeded`]) —
 //!   phase-barriered so parallel and serial runs stay bit-identical, and
-//!   a design is a pure function of its cell and its anchor budget.
+//!   a design is a pure function of its key.
 //!
 //! Every session run and every adaptive-search round funnels into the
 //! same internal [`ExecMode`]-parameterized drive over ascending global
@@ -75,7 +75,7 @@ use crate::expr::BwExpr;
 use crate::fault::{self, FaultInjector};
 use crate::network::NetworkShape;
 use crate::opt::{self, Constraint, Design, DesignRequest, Objective};
-use crate::store::{Fingerprint, SharedSolveStore, StoreStats, StoredPoint};
+use crate::store::{PointKey, SharedSolveStore, StoreStats, StoredPoint};
 
 /// One grid point's priced outcome: the design solve plus (when the
 /// workload exposes a plan and backends were supplied) the per-backend
@@ -95,10 +95,12 @@ pub(crate) type PointEmit<'f> = &'f mut dyn FnMut(
 /// A workload that can be swept: given a shape, produce the weighted
 /// per-iteration time expressions [`opt::optimize`] consumes.
 ///
-/// Workload **names key the memo cache**, so two distinct workloads in one
-/// sweep must carry distinct names.
+/// A workload's name only labels its records: the memo and the store key
+/// a point by the workload's targets (see [`crate::store`]), so workloads
+/// with equal targets share their solves, and one name with other targets
+/// never reads another's.
 pub trait SweepWorkload: Send + Sync {
-    /// Cache key and display name.
+    /// Display name, carried by every record.
     fn name(&self) -> &str;
 
     /// Weighted `(importance, time-expression)` targets on `shape`.
@@ -365,7 +367,7 @@ pub struct CacheStats {
     /// Target-expression builds: one per (shape, workload) pair per run.
     pub expr_misses: usize,
     /// Design solves served from the memo of solved points (a solve of an
-    /// earlier run, or a record preloaded from the attached store).
+    /// earlier run) or from the attached store.
     pub design_hits: usize,
     /// Design solves actually performed.
     pub design_misses: usize,
@@ -374,23 +376,16 @@ pub struct CacheStats {
     pub warm_seeded: usize,
 }
 
-/// The memo key of one solved point: shape, workload name, budget bits,
-/// objective, and the bits of the grid's first budget. That first budget
-/// is the point's group anchor, whose optimum seeds the point's solve, so
-/// a memoized design is a pure function of its key.
-type PointKey = (NetworkShape, String, u64, Objective, u64);
-
 /// The engine's memo of solved points, kept across a session's runs, and
 /// its counters. An entry is the store's own record (design plus EqualBW
-/// baseline), or the solve's error, so a solve and a preloaded store
-/// record fill one map.
+/// baseline), or the solve's error, under the store's own key.
 ///
-/// Keys carry the workload's name, so a memo owned by a [`SweepEngine`]
-/// keeps paying off across repeated `run` calls (e.g. iterative grid
-/// refinement). The map sits behind an `RwLock`, not a mutex: warm
-/// re-runs are hit-dominated, and readers must not serialize behind each
-/// other. A run never solves one key twice (its cells are distinct grid
-/// points), so a miss solves outside the lock.
+/// The map sits behind an `RwLock`, not a mutex: warm re-runs are
+/// hit-dominated, and readers must not serialize behind each other. A
+/// miss solves outside the lock. Two cells of one run share a key only
+/// when two workloads build equal targets on one shape; a parallel run
+/// may then solve that key on two workers at once and keep either
+/// (equal) answer, so only its counters can differ from a serial run's.
 #[derive(Default)]
 struct SweepCache {
     points: RwLock<HashMap<PointKey, Result<StoredPoint, LibraError>>>,
@@ -405,28 +400,36 @@ struct SweepCache {
 /// while it is held (a solve runs outside it).
 const UNPOISONED: &str = "the memo's lock is held only for map operations";
 
-impl SweepCache {
-    /// Fills the memo with a record loaded from a persistent
-    /// [`crate::store::SolveStore`] (no counter is touched: a preloaded
-    /// entry shows up as an ordinary `design_hits` when the drive reaches
-    /// it).
-    fn preload(&self, key: PointKey, record: StoredPoint) {
-        self.points.write().expect(UNPOISONED).entry(key).or_insert(Ok(record));
-    }
+/// Why a store's lock is never poisoned: no store operation panics.
+const STORE_UNPOISONED: &str = "no store operation panics";
 
-    /// The memoized record of a fully specified grid point.
+impl SweepCache {
+    /// The record of the point `key`, the one lookup path: the memo, else
+    /// the attached `store` (a hit counts in `design_hits` too), else
+    /// `solve`, whose design is staged in `store`.
     fn point(
         &self,
         key: PointKey,
+        store: Option<&SharedSolveStore>,
         solve: impl FnOnce() -> Result<StoredPoint, LibraError>,
     ) -> Result<StoredPoint, LibraError> {
         if let Some(hit) = self.points.read().expect(UNPOISONED).get(&key) {
             self.design_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        let solved = solve();
-        self.design_misses.fetch_add(1, Ordering::Relaxed);
-        self.points.write().expect(UNPOISONED).entry(key).or_insert(solved).clone()
+        let stored = store.and_then(|s| s.lock().expect(STORE_UNPOISONED).lookup(key).cloned());
+        let record = if let Some(record) = stored {
+            self.design_hits.fetch_add(1, Ordering::Relaxed);
+            Ok(record)
+        } else {
+            let solved = solve();
+            self.design_misses.fetch_add(1, Ordering::Relaxed);
+            if let (Some(store), Ok(record)) = (store, &solved) {
+                store.lock().expect(STORE_UNPOISONED).stage(key, record.clone());
+            }
+            solved
+        };
+        self.points.write().expect(UNPOISONED).entry(key).or_insert(record).clone()
     }
 
     fn stats(&self) -> CacheStats {
@@ -440,14 +443,18 @@ impl SweepCache {
     }
 }
 
+/// A pair's weighted target expressions and their
+/// [`PointKey::targets_hash`].
+type HashedTargets = (Vec<(f64, BwExpr)>, u64);
+
 /// What one run builds at most once for a (shape, workload) pair it
-/// touches: the target expressions, the communication plan, and, per
-/// objective, the warm-start seed that the group's anchor sets once its
-/// design solves. A build that panics leaves its cell empty, so each
+/// touches: the hashed target expressions, the communication plan, and,
+/// per objective, the warm-start seed that the group's anchor sets once
+/// its design solves. A build that panics leaves its cell empty, so each
 /// point that needs it builds it again instead of reading a half-built
 /// value.
 struct PairTables {
-    targets: OnceLock<Result<Vec<(f64, BwExpr)>, LibraError>>,
+    targets: OnceLock<Result<HashedTargets, LibraError>>,
     plan: OnceLock<Result<Option<CommPlan>, LibraError>>,
     seeds: Vec<OnceLock<Vec<f64>>>,
 }
@@ -485,17 +492,6 @@ impl RunTables {
         let k = self.pairs.binary_search(&(index / self.per_pair)).expect("a touched pair");
         &self.tables[k]
     }
-}
-
-/// The memo key of `point`, a point of `grid`.
-fn point_key<W: SweepWorkload>(grid: &SweepGrid, workloads: &[W], point: GridPoint) -> PointKey {
-    (
-        grid.shapes()[point.shape].clone(),
-        workloads[point.workload].name().to_string(),
-        point.budget.to_bits(),
-        point.objective,
-        grid.budgets()[0].to_bits(),
-    )
 }
 
 /// How a run walks the grid: rayon fan-out or a serial reference fold.
@@ -781,11 +777,10 @@ pub struct SweepEngine<'a> {
     cost_model: &'a CostModel,
     cache: SweepCache,
     /// Optional persistent solve cache (see
-    /// [`crate::scenario::Session::with_store`]). A mutex, not a shard:
-    /// the store is touched only at run boundaries (preload before the
-    /// drive, stage + flush after), never on the per-point hot path.
-    /// An `Arc` so a long-lived host (the sweep server) can attach many
-    /// short-lived sessions to one store.
+    /// [`crate::scenario::Session::with_store`]), read on each memo miss
+    /// and written on each solve, and flushed after each run. An `Arc` so
+    /// a long-lived host (the sweep server) can attach many short-lived
+    /// sessions to one store.
     pub(crate) store: Option<SharedSolveStore>,
     /// Deterministic fault injection ([`crate::fault`]); `None` — one
     /// branch per point — unless `LIBRA_FAULT_PLAN` (or
@@ -896,10 +891,12 @@ impl<'a> SweepEngine<'a> {
     }
 
     /// Evaluates `point`, at global grid `index`, through the memo of
-    /// solved points. A miss solves the design warm-started from the
-    /// group anchor's seed in `run`; a group's anchor (the point at the
-    /// grid's first budget) solves cold, and sets that seed once its
-    /// design is known, on a memo hit too.
+    /// solved points and the attached store. A miss solves the design
+    /// warm-started from the group anchor's seed in `run`; a group's
+    /// anchor (the point at the grid's first budget) solves cold, and
+    /// sets that seed once its design is known, on a hit too. A point
+    /// whose anchor set no seed (its anchor failed) solves cold, and is
+    /// keyed as the cold solve it is.
     // Both variants are full result records stored unboxed in the report;
     // boxing the Err would not shrink anything the caller keeps.
     #[allow(clippy::result_large_err)]
@@ -923,22 +920,26 @@ impl<'a> SweepEngine<'a> {
         let mut built = false;
         let targets = tables.targets.get_or_init(|| {
             built = true;
-            workload.targets(shape)
+            let targets = workload.targets(shape)?;
+            let hash = PointKey::targets_hash(shape, &targets);
+            Ok((targets, hash))
         });
         let counter = if built { &self.cache.expr_misses } else { &self.cache.expr_hits };
         counter.fetch_add(1, Ordering::Relaxed);
-        let targets = targets.as_ref().map_err(|e| fail(e.clone()))?;
+        let (targets, hash) = targets.as_ref().map_err(|e| fail(e.clone()))?;
         let is_anchor = grid.anchor_of(index) == index;
-        let seed = &tables.seeds[index % grid.objectives().len()];
+        let seed_cell = &tables.seeds[index % grid.objectives().len()];
+        let seed = if is_anchor { None } else { seed_cell.get() };
+        let seed_budget = if seed.is_some() { grid.budgets()[0] } else { point.budget };
+        let key = PointKey::new(*hash, point.budget, point.objective, seed_budget);
         let solved = self
             .cache
-            .point(point_key(grid, workloads, point), || {
-                let seed = if is_anchor { None } else { seed.get() };
+            .point(key, self.store.as_ref(), || {
                 if seed.is_some() {
                     self.cache.warm_seeded.fetch_add(1, Ordering::Relaxed);
                 }
                 // The only deep copy of the target expressions, paid solely
-                // on a memo miss (DesignRequest owns its targets).
+                // on a solve (DesignRequest owns its targets).
                 let design = opt::optimize_seeded(
                     &DesignRequest {
                         shape,
@@ -956,7 +957,7 @@ impl<'a> SweepEngine<'a> {
             .map_err(fail)?;
         if is_anchor {
             // A run evaluates each anchor once, so the seed is unset here.
-            let _ = seed.set(solved.design.bw.clone());
+            let _ = seed_cell.set(solved.design.bw.clone());
         }
         Ok(SweepResult {
             point,
@@ -1078,10 +1079,8 @@ impl<'a> SweepEngine<'a> {
     /// `cells` order, and the warm-start seeds are exactly what the full
     /// run would set, so shard outputs concatenate back into the
     /// unsharded run bit for bit. The run builds its own [`RunTables`];
-    /// only solved points outlive it, in the engine's memo. `fp` keys the
-    /// attached store's records (the caller computes it only when a
-    /// store is attached).
-    #[allow(clippy::too_many_arguments)]
+    /// only solved points outlive it, in the engine's memo and the
+    /// attached store, which is flushed after the drive.
     pub(crate) fn run_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
@@ -1089,24 +1088,10 @@ impl<'a> SweepEngine<'a> {
         backends: &[&dyn EvalBackend],
         cells: &[usize],
         exec: ExecMode,
-        fp: Option<Fingerprint>,
         emit: PointEmit<'_>,
     ) -> SweepReport {
         let outside = Self::outside_anchors(grid, cells);
         let run = RunTables::new(grid, cells);
-        let store = self.store.as_ref().zip(fp);
-        // Preload stored solves for the cells and the outside anchors
-        // they seed from: an anchor sets its seed on a memo hit too, so
-        // preloaded anchors reproduce the full run's seeds exactly.
-        if let Some((store, fp)) = store {
-            let mut store = store.lock().unwrap();
-            for &i in cells.iter().chain(&outside) {
-                if let Some(rec) = store.lookup(fp, i) {
-                    let p = grid.point(i, workloads.len());
-                    self.cache.preload(point_key(grid, workloads, p), rec.clone());
-                }
-            }
-        }
         // Per-point failure isolation: a panicking eval (a buggy
         // backend, a poisoned workload closure, an injected chaos
         // panic) becomes that one point's poisoned record — error set,
@@ -1137,23 +1122,10 @@ impl<'a> SweepEngine<'a> {
                 }));
             },
         );
-        if let Some((store, fp)) = store {
-            let mut store = store.lock().unwrap();
-            for (&i, (outcome, _)) in cells.iter().zip(&outcomes) {
-                if let Ok(r) = outcome {
-                    store.stage(
-                        fp,
-                        i,
-                        StoredPoint { design: r.design.clone(), baseline: r.baseline.clone() },
-                    );
-                }
-            }
-            // Best-effort persistence at the run boundary (so an
-            // interrupted *next* run still finds this one's solves);
-            // flush errors stay observable via `flush_store`, and drop
-            // retries.
-            let _ = store.flush();
-        }
+        // Best-effort persistence at the run boundary (so an interrupted
+        // *next* run still finds this one's solves); flush errors stay
+        // observable via `flush_store`, and drop retries.
+        let _ = self.flush_store();
         let mut report =
             SweepReport { results: Vec::new(), errors: Vec::new(), cache: self.cache.stats() };
         for (&i, (outcome, priced)) in cells.iter().zip(outcomes) {
@@ -1205,6 +1177,25 @@ mod tests {
             .with_objectives([Objective::Perf])
     }
 
+    /// A workload whose compute floor keeps its optima from scaling with
+    /// the budget, so the seed a PerfPerCost solve starts from shows in
+    /// its design's bits.
+    fn floored_workload() -> FnWorkload {
+        FnWorkload::new("floored", |_: &NetworkShape| {
+            let link =
+                BwExpr::Max(vec![BwExpr::Const(0.05), BwExpr::Ratio { coeff: 10.0, dim: 0 }]);
+            Ok(vec![(1.0, BwExpr::Sum(vec![link, BwExpr::Ratio { coeff: 2.0, dim: 1 }]))])
+        })
+    }
+
+    /// A fresh cache file for one test.
+    fn store_path(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("libra-sweep-test-{}-{name}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
     #[test]
     fn grid_dedups_and_counts() {
         let g = small_grid()
@@ -1246,18 +1237,13 @@ mod tests {
     }
 
     /// A session's earlier runs do not change its answers: the memo keys
-    /// a point by its grid's anchor budget as well, so after a
+    /// a point by the budget whose optimum seeded it as well, so after a
     /// `[300, 400]` run a `[100, 400]` run seeds 400 from the 100 anchor,
-    /// as a fresh session does. The workload's compute floor keeps its
-    /// optima from scaling with the budget, so a seed from another anchor
-    /// shows in the PerfPerCost design's bits.
+    /// as a fresh session does ([`floored_workload`] shows a seed from
+    /// another anchor in the PerfPerCost design's bits).
     #[test]
     fn earlier_runs_do_not_change_a_sessions_answers() {
-        let floored = FnWorkload::new("floored", |_: &NetworkShape| {
-            let link =
-                BwExpr::Max(vec![BwExpr::Const(0.05), BwExpr::Ratio { coeff: 10.0, dim: 0 }]);
-            Ok(vec![(1.0, BwExpr::Sum(vec![link, BwExpr::Ratio { coeff: 2.0, dim: 1 }]))])
-        });
+        let floored = floored_workload();
         let grid = |budgets: [f64; 2]| {
             SweepGrid::new()
                 .with_shape("RI(4)_SW(8)".parse().unwrap())
@@ -1274,8 +1260,89 @@ mod tests {
         assert_eq!(after.results, fresh.results);
         assert_eq!(after.errors, fresh.errors);
         // The second run solves its 400 cells again: their keys carry the
-        // anchor budget 100, the first run's carry 300.
+        // seed budget 100, the first run's carry 300.
         assert_eq!(after.cache.design_misses, 4 + 4);
+    }
+
+    /// A store never serves a design solved from other targets: when a
+    /// workload keeps its name but moves four times the traffic, a
+    /// second session over the first one's store reads nothing from it
+    /// and reports what a store-less run reports.
+    #[test]
+    fn a_store_never_serves_a_design_solved_from_other_targets() {
+        let grid = small_grid();
+        let cm = CostModel::default();
+        let path = store_path("other-targets");
+        let run = |gb: f64| {
+            let session = Session::new(&cm).with_store(&path).unwrap();
+            let report = session.run(&grid, &[allreduce_workload("w", gb)], &[]).sweep;
+            (report, session.engine().store_stats().unwrap())
+        };
+        run(1.0);
+        let (report, stats) = run(4.0);
+        let want = Session::new(&cm).run(&grid, &[allreduce_workload("w", 4.0)], &[]).sweep;
+        assert!(want.errors.is_empty());
+        assert_eq!(report.results, want.results);
+        assert_eq!(stats.hits, 0);
+        assert_eq!(report.cache.design_misses, grid.len(1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A fault-poisoned anchor does not poison the store: its group's
+    /// other points solve cold and are stored as the cold solves they
+    /// are, so a clean run over that store seeds them from its anchor
+    /// and reports what a clean store-less run reports.
+    #[test]
+    fn a_fault_poisoned_anchor_does_not_poison_the_store() {
+        let grid = SweepGrid::new()
+            .with_shape("RI(4)_SW(8)".parse().unwrap())
+            .with_budgets([100.0, 400.0])
+            .with_objectives([Objective::PerfPerCost]);
+        let wls = [floored_workload()];
+        let cm = CostModel::default();
+        let path = store_path("poisoned-anchor");
+        let chaos = FaultInjector::from_spec("sweep.point.error=#1").unwrap();
+        let poisoned = Session::new(&cm).with_store(&path).unwrap().with_fault(chaos).unwrap();
+        let report = poisoned.run(&grid, &wls, &[]).sweep;
+        assert_eq!(report.errors.len(), 1, "the anchor is poisoned");
+        assert_eq!(report.cache.warm_seeded, 0, "so its group solves cold");
+        drop(poisoned);
+        let clean = Session::new(&cm).with_store(&path).unwrap().run(&grid, &wls, &[]).sweep;
+        let want = Session::new(&cm).run(&grid, &wls, &[]).sweep;
+        assert!(want.errors.is_empty());
+        assert_eq!(clean.results, want.results);
+        assert_eq!(clean.errors, want.errors);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Overlapping grids share stored solves: after a `[100, 300]` run, a
+    /// fresh session's `[100, 300, 500]` run over the same store solves
+    /// only its 500 GB/s cells, reads the rest from the store, and
+    /// reports what a store-less run reports.
+    #[test]
+    fn overlapping_grids_share_stored_solves() {
+        let grid = |budgets: &[f64]| {
+            SweepGrid::new()
+                .with_shape("RI(4)_SW(8)".parse().unwrap())
+                .with_budgets(budgets.iter().copied())
+                .with_objectives([Objective::Perf, Objective::PerfPerCost])
+        };
+        let wls = [allreduce_workload("a", 1.0)];
+        let cm = CostModel::default();
+        let path = store_path("overlap");
+        Session::new(&cm).with_store(&path).unwrap().run(&grid(&[100.0, 300.0]), &wls, &[]);
+        let wider = grid(&[100.0, 300.0, 500.0]);
+        let session = Session::new(&cm).with_store(&path).unwrap();
+        let report = session.run(&wider, &wls, &[]).sweep;
+        assert_eq!(report.cache.design_misses, 2, "only the 500 GB/s cells solve");
+        assert_eq!(report.cache.warm_seeded, 2, "seeded from the stored anchors");
+        assert_eq!(report.cache.design_hits, 4);
+        assert_eq!(session.engine().store_stats().unwrap().hits, 4);
+        let want = Session::new(&cm).run(&wider, &wls, &[]).sweep;
+        assert!(want.errors.is_empty());
+        assert_eq!(report.results, want.results);
+        assert_eq!(report.errors, want.errors);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -301,8 +301,8 @@ fn queue_is_bounded_and_states_are_observable() {
 fn concurrent_clients_share_one_store() {
     let cache = tmp("shared.jsonl");
     // One worker serializes the runs while two *clients* race: whoever
-    // lands second preloads every solve the first staged — the
-    // cross-client warm path the service exists for.
+    // lands second reads every solve the first staged from the shared
+    // store — the cross-client warm path the service exists for.
     let (server, client) =
         start(ServerConfig { workers: 1, cache: Some(cache.clone()), ..ServerConfig::default() });
     let body = Arc::new(scenario().to_json());

@@ -79,7 +79,7 @@ pub use libra_core::scenario::{
 pub use libra_core::dispatch::{
     partial_records, resume_rows, resume_scenario, Dispatcher, MergedRun,
 };
-pub use libra_core::store::{Fingerprint, SolveStore, StoreStats, StoredPoint};
+pub use libra_core::store::{SolveStore, StoreStats, StoredPoint};
 // Adaptive search: the Pareto-guided successive-refinement driver for
 // design spaces too large to sweep exhaustively.
 pub use libra_core::search::{Cosearch, RoundTrace, SearchConfig, SearchReport};
