@@ -35,6 +35,14 @@ pub enum LibraError {
     /// The optimizer was configured inconsistently (e.g. a constraint
     /// references a dimension the network does not have).
     BadRequest(String),
+    /// A solve-cache file could not be read or written, or was written
+    /// by an incompatible version (see [`crate::store`]).
+    Cache {
+        /// The cache file.
+        path: std::path::PathBuf,
+        /// What went wrong.
+        reason: String,
+    },
     /// A bounded wait ran out of time (e.g. a service client's deadline
     /// expired while a job was still queued or running). Typed so
     /// callers can tell "the server is slow" from "the request was
@@ -62,6 +70,9 @@ impl fmt::Display for LibraError {
                 write!(f, "cannot map a {group}-NPU group onto dims {dims:?}: {reason}")
             }
             LibraError::BadRequest(what) => write!(f, "invalid design request: {what}"),
+            LibraError::Cache { path, reason } => {
+                write!(f, "solve cache {}: {reason}", path.display())
+            }
             LibraError::Timeout { what, after_ms } => {
                 write!(f, "timed out after {after_ms} ms waiting for {what}")
             }

@@ -22,8 +22,9 @@
 //!
 //! (one line in the file). The first four fields are the key:
 //!
-//! * `targets`: the FNV-1a hash of the shape and the workload's weighted
-//!   target expressions;
+//! * `targets`: the FNV-1a hash of the shape's dimensions (topology,
+//!   size, scope, and the cost model's price of each), and the workload's
+//!   weighted target expressions;
 //! * `budget`: the total-bandwidth budget in GB/s;
 //! * `objective`: the objective's scenario-file name;
 //! * `seed_budget`: the budget whose optimum seeded the solve — the group
@@ -54,16 +55,17 @@
 //!
 //! # Keying
 //!
-//! A key names every input of a stored design but the cost model: every
-//! CLI and server path prices with `CostModel::default()`, so a cache
-//! file holds that cost model's designs. Workload names, grid indices,
-//! link parameters and chunk counts are not keyed: names and positions
-//! do not change a design, and link parameters and chunks change only
-//! how backends price it, which is not stored. So overlapping scenarios
-//! share solves — a sweep, a shard, a resumed range and a search all
-//! read the record of a point they have in common — and a scenario whose
-//! workload has other targets under the same name (a co-search at
-//! another global batch) never reads another's designs.
+//! A key names every input of a stored design. The cost model enters as
+//! the per-dimension prices the optimizer reads, so two shapes that
+//! differ only in a dimension's scope, or one shape priced by two cost
+//! models, never share a record. Workload names, grid indices, link
+//! parameters and chunk counts are not keyed: names and positions do not
+//! change a design, and link parameters and chunks change only how
+//! backends price it, which is not stored. So overlapping scenarios share
+//! solves — a sweep, a shard, a resumed range and a search all read the
+//! record of a point they have in common — and a scenario whose workload
+//! has other targets under the same name (a co-search at another global
+//! batch) never reads another's designs.
 //!
 //! The hash is hand-rolled FNV-1a with pinned constants and
 //! length-prefixed fields, explicitly versioned by the header's
@@ -89,6 +91,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use crate::cost::CostModel;
 use crate::error::LibraError;
 use crate::expr::BwExpr;
 use crate::fault::{self, FaultInjector};
@@ -132,12 +135,24 @@ impl PointKey {
         }
     }
 
-    /// The stable hash of `shape` and the weighted `targets` a workload
-    /// builds on it: the part of a [`PointKey`] a run computes once per
-    /// (shape, workload) pair.
-    pub(crate) fn targets_hash(shape: &NetworkShape, targets: &[(f64, BwExpr)]) -> u64 {
+    /// The stable hash of `shape`'s dimensions as `cost_model` prices
+    /// them and of the weighted `targets` a workload builds on the shape:
+    /// the part of a [`PointKey`] a run computes once per (shape,
+    /// workload) pair.
+    pub(crate) fn targets_hash(
+        shape: &NetworkShape,
+        cost_model: &CostModel,
+        targets: &[(f64, BwExpr)],
+    ) -> u64 {
         let mut h = Fnv1a(FNV_OFFSET);
-        h.str(&shape.to_string());
+        let prices = cost_model.cost_coefficients(shape);
+        h.u64(prices.len() as u64);
+        for (dim, price) in shape.dims().iter().zip(prices) {
+            h.str(dim.topology.code());
+            h.u64(dim.size);
+            h.str(&dim.scope.to_string());
+            h.u64(price.to_bits());
+        }
         h.u64(targets.len() as u64);
         for (weight, expr) in targets {
             h.u64(weight.to_bits());
@@ -258,9 +273,9 @@ impl SolveStore {
     /// truncated. Duplicate keys are last-write-wins.
     ///
     /// # Errors
-    /// [`LibraError::BadRequest`] on I/O failures or when the file's
-    /// header names a different schema or key-hash version (a cache
-    /// from an incompatible writer must not be silently misread).
+    /// [`LibraError::Cache`] on I/O failures or when the file's header
+    /// names a different schema or key-hash version (a cache from an
+    /// incompatible writer must not be silently misread).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, LibraError> {
         let path = path.as_ref().to_path_buf();
         let mut store = SolveStore {
@@ -276,12 +291,7 @@ impl SolveStore {
         let text = match std::fs::read_to_string(&store.path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => {
-                return Err(LibraError::BadRequest(format!(
-                    "cannot read cache {}: {e}",
-                    store.path.display()
-                )))
-            }
+            Err(e) => return Err(cache_error(&store.path, format!("cannot read: {e}"))),
         };
         store.load(&text)?;
         Ok(store)
@@ -352,13 +362,14 @@ impl SolveStore {
                     // ones (concurrent writers racing on an empty
                     // file) are skipped like any duplicate.
                     if offset == 0 && (schema != Self::SCHEMA || key_hash != PointKey::KEY_HASH) {
-                        return Err(LibraError::BadRequest(format!(
-                            "cache {} has schema {schema:?} with key hash {key_hash:?} \
-                             (this reader wants {:?} / {:?})",
-                            self.path.display(),
+                        let reason = format!(
+                            "stale or foreign file, schema {schema:?} with key hash \
+                             {key_hash:?} (this version reads {:?} / {:?}); delete it to \
+                             start a fresh cache",
                             Self::SCHEMA,
                             PointKey::KEY_HASH,
-                        )));
+                        );
+                        return Err(cache_error(&self.path, reason));
                     }
                     self.has_header = true;
                 }
@@ -421,10 +432,11 @@ impl SolveStore {
     /// a newline first when the file does not end with one (a torn
     /// tail).
     /// Staged keys leave the pending list only on success, so a failed
-    /// flush can be retried (and is, on drop).
+    /// flush can be retried (and is, on drop). A torn append instead
+    /// loses its batch, and the store forgets those records.
     ///
     /// # Errors
-    /// [`LibraError::BadRequest`] on I/O failures.
+    /// [`LibraError::Cache`] on I/O failures.
     pub fn flush(&mut self) -> Result<(), LibraError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -433,16 +445,13 @@ impl SolveStore {
         self.flushes += 1;
         if let Some(injector) = &self.fault {
             if injector.fires(fault::STORE_FLUSH_FAIL, flush_index) {
-                return Err(LibraError::BadRequest(format!(
-                    "injected fault: {} on flush {flush_index} of cache {}",
-                    fault::STORE_FLUSH_FAIL,
-                    self.path.display()
-                )));
+                return Err(cache_error(
+                    &self.path,
+                    format!("injected fault: {} on flush {flush_index}", fault::STORE_FLUSH_FAIL),
+                ));
             }
         }
-        let io = |e: std::io::Error| {
-            LibraError::BadRequest(format!("cannot write cache {}: {e}", self.path.display()))
-        };
+        let io = |e: std::io::Error| cache_error(&self.path, format!("cannot write: {e}"));
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .read(true)
@@ -477,12 +486,15 @@ impl SolveStore {
                     let line = point_line(key, &self.records[key]);
                     file.write_all(&line.as_bytes()[..line.len() / 2]).map_err(io)?;
                 }
-                self.pending.clear();
-                return Err(LibraError::BadRequest(format!(
-                    "injected fault: {} on flush {flush_index} of cache {}",
-                    fault::STORE_FLUSH_TORN,
-                    self.path.display()
-                )));
+                // The batch is lost: forget it, so a later solve of one of
+                // its points stages it again.
+                for key in self.pending.drain(..) {
+                    self.records.remove(&key);
+                }
+                return Err(cache_error(
+                    &self.path,
+                    format!("injected fault: {} on flush {flush_index}", fault::STORE_FLUSH_TORN),
+                ));
             }
         }
         for key in &self.pending {
@@ -499,6 +511,11 @@ impl Drop for SolveStore {
         // need to observe write errors call `flush` explicitly.
         let _ = self.flush();
     }
+}
+
+/// A [`LibraError::Cache`] naming the cache file at `path`.
+fn cache_error(path: &Path, reason: String) -> LibraError {
+    LibraError::Cache { path: path.to_path_buf(), reason }
 }
 
 enum Line {
@@ -548,6 +565,8 @@ fn parse_design(v: &Json) -> Option<Design> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::ScopeCost;
+    use crate::network::DimScope;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("libra-store-test-{}", std::process::id()));
@@ -582,24 +601,37 @@ mod tests {
         let targets = |weight: f64, coeff: f64| {
             vec![(weight, BwExpr::Sum(vec![BwExpr::Const(0.5), link(coeff, 0), link(2.0, 1)]))]
         };
-        let h = PointKey::targets_hash(&shape, &targets(1.0, 3.0));
-        assert_eq!(format!("{h:016x}"), "121e5536cd239efd");
+        let cm = CostModel::default();
+        let h = PointKey::targets_hash(&shape, &cm, &targets(1.0, 3.0));
+        assert_eq!(format!("{h:016x}"), "bb16094e951d8716");
         assert_eq!(PointKey::KEY_HASH, "fnv1a64/v2");
-        // Every hashed field is load-bearing: the shape, a weight, a
-        // coefficient, a dimension, and the tree's structure.
+        // Every hashed field is load-bearing: the shape, a dimension's
+        // scope, the cost model, a weight, a coefficient, a dimension,
+        // and the tree's structure.
         let other: NetworkShape = "RI(8)_SW(4)".parse().unwrap();
-        assert_ne!(h, PointKey::targets_hash(&other, &targets(1.0, 3.0)));
-        assert_ne!(h, PointKey::targets_hash(&shape, &targets(2.0, 3.0)));
-        assert_ne!(h, PointKey::targets_hash(&shape, &targets(1.0, 4.0)));
+        assert_ne!(h, PointKey::targets_hash(&other, &cm, &targets(1.0, 3.0)));
+        let mut dims = shape.dims().to_vec();
+        dims[1].scope = DimScope::Node;
+        let rescoped = NetworkShape::with_dims(dims).unwrap();
+        assert_eq!(rescoped.to_string(), shape.to_string());
+        assert_ne!(h, PointKey::targets_hash(&rescoped, &cm, &targets(1.0, 3.0)));
+        let no_nic = CostModel { pod: ScopeCost { nic: None, ..cm.pod }, ..cm };
+        assert_ne!(h, PointKey::targets_hash(&shape, &no_nic, &targets(1.0, 3.0)));
+        // A price the shape does not pay (it has no Package dimension)
+        // changes no design, and so no key.
+        let repriced = cm.with_package_link_cost(5.0);
+        assert_eq!(h, PointKey::targets_hash(&shape, &repriced, &targets(1.0, 3.0)));
+        assert_ne!(h, PointKey::targets_hash(&shape, &cm, &targets(2.0, 3.0)));
+        assert_ne!(h, PointKey::targets_hash(&shape, &cm, &targets(1.0, 4.0)));
         let moved = [(1.0, BwExpr::Sum(vec![BwExpr::Const(0.5), link(3.0, 1), link(2.0, 1)]))];
-        assert_ne!(h, PointKey::targets_hash(&shape, &moved));
+        assert_ne!(h, PointKey::targets_hash(&shape, &cm, &moved));
         let as_max = [(1.0, BwExpr::Max(vec![BwExpr::Const(0.5), link(3.0, 0), link(2.0, 1)]))];
-        assert_ne!(h, PointKey::targets_hash(&shape, &as_max));
+        assert_ne!(h, PointKey::targets_hash(&shape, &cm, &as_max));
         let nested = [(
             1.0,
             BwExpr::Sum(vec![BwExpr::Sum(vec![BwExpr::Const(0.5), link(3.0, 0)]), link(2.0, 1)]),
         )];
-        assert_ne!(h, PointKey::targets_hash(&shape, &nested));
+        assert_ne!(h, PointKey::targets_hash(&shape, &cm, &nested));
         // A record line round-trips its whole key.
         let k = PointKey::new(h, 0.1 + 0.2, Objective::PerfPerCost, 100.0);
         let Some(Line::Point { key: parsed, .. }) =
@@ -708,11 +740,15 @@ mod tests {
             .unwrap();
         let err = SolveStore::open(&path).unwrap_err().to_string();
         assert!(err.contains("siphash"), "{err}");
-        // A cache written before points were keyed by their content.
+        // A cache written before points were keyed by their content: the
+        // error names the stale file, not a design request.
         std::fs::write(&path, "{\"schema\": \"libra-cache-v1\", \"key_hash\": \"fnv1a64/v1\"}\n")
             .unwrap();
-        let err = SolveStore::open(&path).unwrap_err().to_string();
-        assert!(err.contains("libra-cache-v1"), "{err}");
+        let err = SolveStore::open(&path).unwrap_err();
+        assert!(matches!(&err, LibraError::Cache { path: p, .. } if *p == path), "{err}");
+        let err = err.to_string();
+        assert!(err.starts_with("solve cache ") && err.contains("libra-cache-v1"), "{err}");
+        assert!(err.contains("delete it"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -837,8 +873,10 @@ mod tests {
     }
 
     /// An injected `store.flush.torn` leaves half a record on disk —
-    /// the wire image of dying mid-append. The next open must skip the
-    /// torn line, and the following flush appends past it.
+    /// the wire image of dying mid-append. The store forgets the lost
+    /// batch, so a long-lived store stages its points again when they
+    /// are solved again and the next flush persists them; the next open
+    /// skips the torn line.
     #[test]
     fn torn_flush_heals_on_reopen() {
         use crate::fault::FaultInjector;
@@ -852,14 +890,20 @@ mod tests {
             s.stage(key(1, 1), point(2.0));
             let err = s.flush().unwrap_err();
             assert!(err.to_string().contains("store.flush.torn"), "got {err}");
+            assert!(s.lookup(key(1, 0)).is_none(), "a lost record still serves");
+            s.stage(key(1, 1), point(2.0));
+            assert_eq!(s.stats().staged, 3);
+            s.flush().unwrap();
         }
-        // The torn record must not load; the healed store works again.
+        // The torn record must not load; the re-staged one does, and the
+        // healed store works again.
         let mut s = SolveStore::open(&path).unwrap();
-        assert!(s.is_empty(), "half a record loaded as data");
+        assert_eq!(s.len(), 1, "half a record loaded as data");
+        assert_eq!(s.lookup(key(1, 1)).unwrap(), &point(2.0));
         s.stage(key(3, 0), point(3.0));
         s.flush().unwrap();
         let mut s = SolveStore::open(&path).unwrap();
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.len(), 2);
         assert_eq!(s.lookup(key(3, 0)).unwrap(), &point(3.0));
         std::fs::remove_file(&path).unwrap();
     }

@@ -358,7 +358,9 @@ impl SweepGrid {
 }
 
 /// Cache hit/miss counters, snapshotted into [`SweepReport::cache`].
-/// Every count is exact: a parallel run counts what a serial run counts.
+/// Every count is exact: a parallel run counts what a serial run counts,
+/// unless two of its workloads build equal targets on one shape (see
+/// `design_hits`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Target-expression lookups served by an earlier build in the same
@@ -366,8 +368,11 @@ pub struct CacheStats {
     pub expr_hits: usize,
     /// Target-expression builds: one per (shape, workload) pair per run.
     pub expr_misses: usize,
-    /// Design solves served from the memo of solved points (a solve of an
-    /// earlier run) or from the attached store.
+    /// Design solves served from the memo of solved points or from the
+    /// attached store. Workloads that build equal targets on one shape
+    /// share their points, so a serial run counts a hit where the second
+    /// of them reaches a point; a parallel run may solve it on two workers
+    /// at once and count two misses instead.
     pub design_hits: usize,
     /// Design solves actually performed.
     pub design_misses: usize,
@@ -921,7 +926,7 @@ impl<'a> SweepEngine<'a> {
         let targets = tables.targets.get_or_init(|| {
             built = true;
             let targets = workload.targets(shape)?;
-            let hash = PointKey::targets_hash(shape, &targets);
+            let hash = PointKey::targets_hash(shape, self.cost_model, &targets);
             Ok((targets, hash))
         });
         let counter = if built { &self.cache.expr_misses } else { &self.cache.expr_hits };
@@ -1144,6 +1149,7 @@ mod tests {
     use super::*;
     use crate::comm::{Collective, CommModel, GroupSpan};
     use crate::eval::{Analytical, ScaledBackend};
+    use crate::network::DimScope;
     use crate::scenario::Session;
     use crate::workload::CommOp;
 
@@ -1342,6 +1348,48 @@ mod tests {
         assert!(want.errors.is_empty());
         assert_eq!(report.results, want.results);
         assert_eq!(report.errors, want.errors);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Two shapes that differ only in a dimension's scope are priced
+    /// differently, so they never share a solved point: a PerfPerCost grid
+    /// over both reports, in parallel and serially, what a run over each
+    /// shape alone reports, and a store filled by one serves the other
+    /// nothing.
+    #[test]
+    fn shapes_that_differ_only_in_scope_share_no_solves() {
+        let shape: NetworkShape = "RI(4)_SW(8)".parse().unwrap();
+        let mut dims = shape.dims().to_vec();
+        dims[1].scope = DimScope::Node;
+        let rescoped = NetworkShape::with_dims(dims).unwrap();
+        let grid = |shapes: &[&NetworkShape]| {
+            SweepGrid::new()
+                .with_shapes(shapes.iter().map(|&s| s.clone()))
+                .with_budgets([100.0, 300.0])
+                .with_objectives([Objective::PerfPerCost])
+        };
+        let wls = [allreduce_workload("a", 1.0)];
+        let cm = CostModel::default();
+        let designs = |report: SweepReport| -> Vec<(NetworkShape, Design, Design)> {
+            assert!(report.errors.is_empty());
+            report.results.into_iter().map(|r| (r.shape, r.design, r.baseline)).collect()
+        };
+        let alone: Vec<_> = [&shape, &rescoped]
+            .into_iter()
+            .flat_map(|s| designs(Session::new(&cm).run(&grid(&[s]), &wls, &[]).sweep))
+            .collect();
+        assert_ne!(alone[0].1.cost, alone[2].1.cost, "the scopes are priced alike");
+        for mode in [ExecMode::Parallel, ExecMode::Serial] {
+            let both =
+                Session::new(&cm).with_mode(mode).run(&grid(&[&shape, &rescoped]), &wls, &[]);
+            assert_eq!(designs(both.sweep), alone, "{mode:?}");
+        }
+        let path = store_path("scopes");
+        Session::new(&cm).with_store(&path).unwrap().run(&grid(&[&shape]), &wls, &[]);
+        let session = Session::new(&cm).with_store(&path).unwrap();
+        let report = session.run(&grid(&[&rescoped]), &wls, &[]).sweep;
+        assert_eq!(session.engine().store_stats().unwrap().hits, 0);
+        assert_eq!(designs(report), alone[2..]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -82,6 +82,11 @@ fn parallel_sweep_is_reproducible_across_runs_and_cache_states() {
     assert!(warm.cache.design_hits >= grid.len(wls.len()));
 }
 
+/// A parallel run counts what a serial run counts. That is exact because
+/// no two of the run's workloads build equal targets on one shape: such
+/// workloads share their solved points, and a parallel run may solve one
+/// on two workers at once, counting two solves where a serial run counts
+/// a solve and a memo hit.
 #[test]
 fn parallel_counters_equal_serial_counters() {
     force_parallelism();
