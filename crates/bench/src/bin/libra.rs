@@ -86,7 +86,7 @@ use libra_bench::{default_registry, scenario_workloads, search, ExecMode, Scenar
 use libra_core::cost::CostModel;
 use libra_core::dispatch::{partial_records, resume_rows, Dispatcher};
 use libra_core::fault::{self, FaultInjector};
-use libra_core::scenario::{ConsoleTableSink, JsonLinesSink, ReportSink};
+use libra_core::scenario::{ConsoleTableSink, JsonLinesSink, ReportSink, Session};
 use libra_core::LibraError;
 use libra_server::{install_signal_handlers, Server, ServerConfig, ServiceClient};
 
@@ -414,20 +414,12 @@ fn run(validate: bool, opts: &Options) -> Result<i32, CliError> {
             eprintln!("libra: wrote {records} records to {path}");
         }
     }
-    let stats = session.engine().cache_stats();
-    eprintln!(
-        "libra: {records} grid points ({} solved, {} errors); cache: {} solves ({} hits, {} warm-seeded); {} expression builds",
-        report.sweep.results.len(),
-        report.sweep.errors.len(),
-        stats.design_misses,
-        stats.design_hits,
-        stats.warm_seeded,
-        stats.expr_misses,
-    );
-    if let Some(store) = session.engine().store_stats() {
-        let path = opts.cache.as_deref().unwrap_or("?");
-        eprintln!("libra: store: {} hits, {} staged (cache file {path})", store.hits, store.staged,);
-    }
+    let (solved, errors) = (report.sweep.results.len(), report.sweep.errors.len());
+    flush_and_report(
+        &session,
+        opts,
+        &format!("{records} grid points ({solved} solved, {errors} errors); "),
+    )?;
     if validate {
         for line in report.divergence.summary().lines() {
             eprintln!("libra: {line}");
@@ -494,16 +486,25 @@ fn run_search(opts: &Options) -> Result<i32, CliError> {
         report.sweep.results.len(),
         report.sweep.errors.len(),
     );
+    flush_and_report(&session, opts, "")?;
+    Ok(0)
+}
+
+/// Flushes `session`'s store, so a `--cache` file that cannot be written
+/// fails the command, then prints the session's `cache:` line after
+/// `head` and, with `--cache`, its `store:` line.
+fn flush_and_report(session: &Session, opts: &Options, head: &str) -> Result<(), LibraError> {
+    session.engine().flush_store()?;
     let stats = session.engine().cache_stats();
     eprintln!(
-        "libra: cache: {} solves ({} hits, {} warm-seeded); {} expression builds",
+        "libra: {head}cache: {} solves ({} hits, {} warm-seeded); {} expression builds",
         stats.design_misses, stats.design_hits, stats.warm_seeded, stats.expr_misses,
     );
     if let Some(store) = session.engine().store_stats() {
         let path = opts.cache.as_deref().unwrap_or("?");
         eprintln!("libra: store: {} hits, {} staged (cache file {path})", store.hits, store.staged);
     }
-    Ok(0)
+    Ok(())
 }
 
 fn run_dispatch(opts: &Options) -> Result<i32, CliError> {

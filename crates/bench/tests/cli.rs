@@ -193,6 +193,38 @@ fn truncated_cache_serves_its_valid_prefix() {
     );
 }
 
+/// A `--cache` file that cannot be written fails every command that
+/// runs its sessions in-process: exit 1, an error naming the file, and
+/// no file.
+#[test]
+fn an_unwritable_cache_fails_the_command_and_names_the_file() {
+    let scenario = ci_small();
+    let golden = std::fs::read_to_string(scenario.with_file_name("ci_small.golden.jsonl")).unwrap();
+    let search = scenario.with_file_name("search_small.json");
+    let (scenario, search) = (scenario.to_str().unwrap(), search.to_str().unwrap());
+    let partial = tmp("unwritable-partial.jsonl");
+    let partial = partial.to_str().unwrap();
+    let cache = tmp("no-such-dir").join("solves.jsonl");
+    let cache = cache.to_str().unwrap();
+    let commands: [&[&str]; 5] = [
+        &["crossval", scenario],
+        &["sweep", scenario],
+        &["search", search],
+        &["dispatch", scenario, "--shards", "2"],
+        &["resume", scenario, partial, "--jsonl", "-"],
+    ];
+    for command in commands {
+        let kept: String = golden.lines().take(2).map(|l| format!("{l}\n")).collect();
+        std::fs::write(partial, kept).unwrap();
+        let out = libra(&[command, &["--quiet", "--cache", cache]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        let named = format!("solve cache {cache}: cannot write");
+        assert!(stderr.contains(&named), "{command:?}: {stderr}");
+    }
+    assert!(!Path::new(cache).exists());
+}
+
 /// `libra resume` completes an interrupted stream in place,
 /// byte-identical to the uninterrupted run, pricing only the missing
 /// tail.

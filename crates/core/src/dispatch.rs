@@ -219,12 +219,13 @@ impl<'s> Dispatcher<'s> {
 
     /// Runs every shard in-process — each on a **fresh**
     /// [`Session`](crate::scenario::Session) over its own engine, so no
-    /// memo cache or seed state leaks between shards — and merges the
-    /// shards' JSON-lines streams.
+    /// in-memory solves or seed state leak between shards — and merges
+    /// the shards' JSON-lines streams.
     ///
     /// # Errors
-    /// Propagates unknown-backend-name errors and every merge-side
-    /// check ([`verify_coverage`], record/grid mismatches).
+    /// Propagates unknown-backend-name errors, a shard's failure to
+    /// write the store's file, and every merge-side check
+    /// ([`verify_coverage`], record/grid mismatches).
     pub fn run_in_process<W: SweepWorkload>(
         &self,
         cost_model: &CostModel,
@@ -247,6 +248,7 @@ impl<'s> Dispatcher<'s> {
                 range,
                 &mut [&mut sink],
             )?;
+            session.engine().flush_store()?;
             streams.push(String::from_utf8(sink.into_inner()).expect("JSON-lines are UTF-8"));
         }
         self.merge(workloads.len(), &streams, names)
@@ -437,7 +439,9 @@ pub fn partial_records(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
 /// # Errors
 /// [`LibraError::BadRequest`] when a surviving record's grid index is
 /// out of range or duplicated, on unknown backend names, and on every
-/// merge-side check ([`verify_coverage`], record/grid mismatches).
+/// merge-side check ([`verify_coverage`], record/grid mismatches);
+/// [`LibraError::Cache`] when the store's file cannot be read or
+/// written.
 pub fn resume_rows<W: SweepWorkload>(
     scenario: &Scenario,
     workloads: &[W],
@@ -494,6 +498,7 @@ pub fn resume_rows<W: SweepWorkload>(
             range,
             &mut [&mut sink],
         )?;
+        session.engine().flush_store()?;
         rows.append(&mut sink.rows);
     }
     merge_rows(scenario, workloads.len(), rows, names)

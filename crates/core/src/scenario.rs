@@ -1897,14 +1897,13 @@ impl<F: FnMut(usize, usize)> ReportSink for ProgressSink<F> {
 /// The scenario executor: one front door for plain, two-way, three-way —
 /// any-`N`-way — sweeps, and the one place a run is configured.
 ///
-/// A session owns its [`SweepEngine`] (whose memo of solved points its
-/// runs share)
-/// and carries the run's four settings: a pairwise divergence tolerance,
-/// an execution mode, an optional persistent store, and an optional
-/// fault plan. [`Session::run`] prices every grid point under each
-/// backend in the slice within one rayon fan-out;
-/// [`Session::run_with_sinks`] additionally streams per-point
-/// [`RecordRow`]s to [`ReportSink`]s.
+/// A session owns its [`SweepEngine`] (whose store of solved points its
+/// runs share) and carries the run's four settings: a pairwise
+/// divergence tolerance, an execution mode, the store (in memory unless
+/// a file-backed or shared one is attached), and an optional fault
+/// plan. [`Session::run`] prices every grid point under each backend in
+/// the slice within one rayon fan-out; [`Session::run_with_sinks`]
+/// additionally streams per-point [`RecordRow`]s to [`ReportSink`]s.
 pub struct Session<'a> {
     engine: SweepEngine<'a>,
     tolerance: f64,
@@ -1942,17 +1941,15 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Attaches the persistent solve cache at `path`
-    /// ([`crate::store::SolveStore`]): existing records load now, a point
-    /// the engine's memo of solved points lacks is read from the store
-    /// before it is solved (both hold a [`crate::store::StoredPoint`]
-    /// under a key of what its design is computed from, so any
-    /// scenario's record of the same point serves), each fresh solve is staged as it
-    /// completes, and staged records are appended after each run (and on
-    /// drop). The streamed output stays **byte-identical** with or
-    /// without the store — stored designs round-trip bit-exactly, and a
-    /// stored anchor sets its group's warm-start seed exactly as a
-    /// solved anchor does.
+    /// Swaps the session's in-memory store for the persistent solve cache
+    /// at `path` ([`crate::store::SolveStore`]): existing records load
+    /// now and serve like the session's own solves (a record is keyed by
+    /// what its design is computed from, so any scenario's record of the
+    /// same point serves), each fresh solve is staged as it completes,
+    /// and staged records are appended after each run (and on drop). The
+    /// streamed output stays **byte-identical** with or without the file
+    /// — stored designs round-trip bit-exactly, and a stored anchor sets
+    /// its group's warm-start seed exactly as a solved anchor does.
     ///
     /// # Errors
     /// Propagates [`crate::store::SolveStore::open`] failures (unreadable
@@ -1961,16 +1958,16 @@ impl<'a> Session<'a> {
         Ok(self.with_shared_store(crate::store::SolveStore::open_shared(path)?))
     }
 
-    /// Attaches an already-open shared store
-    /// ([`crate::store::SolveStore::open_shared`]) instead of opening a
-    /// file — the multi-client path: a server opens the cache once and
-    /// every job's fresh session attaches here, so concurrent clients
-    /// hit each other's solves in memory, while flushes still append to
-    /// the backing file for the next process. Byte-identity guarantees
-    /// are exactly [`Session::with_store`]'s.
+    /// Swaps the session's in-memory store for an already-open shared
+    /// store ([`crate::store::SolveStore::open_shared`]) instead of
+    /// opening a file — the multi-client path: a server opens the cache
+    /// once and every job's fresh session attaches here, so concurrent
+    /// clients hit each other's solves in memory, while flushes still
+    /// append to the backing file for the next process. Byte-identity
+    /// guarantees are exactly [`Session::with_store`]'s.
     #[must_use]
     pub fn with_shared_store(mut self, store: crate::store::SharedSolveStore) -> Self {
-        self.engine.store = Some(store);
+        self.engine.store = store;
         self
     }
 

@@ -16,14 +16,14 @@
 //! **above** the exhaustive point cap are legal in search mode.
 //!
 //! Every round is priced through the same [`Session`], so the engine's
-//! memo of solved points and an attached [`crate::store::SolveStore`]
-//! both hit for free across rounds and across runs. Each round is its
-//! own run: it builds its pairs' target expressions again, and its group
-//! anchors, re-evaluated from the memo when an earlier round solved them,
-//! set its warm-start seeds. Both key a point by what its design is
-//! computed from (see [`crate::store`]), not by its grid index, so
-//! a search shares its solves with a sweep of the same scenario and with
-//! any other scenario that prices the same points.
+//! store of solved points ([`crate::store::SolveStore`]) hits for free
+//! across rounds, and across runs when it is backed by a file. Each
+//! round is its own run: it builds its pairs' target expressions again,
+//! and its group anchors, read from the store when an earlier round
+//! solved them, set its warm-start seeds. The store keys a point by what
+//! its design is computed from (see [`crate::store`]), not by its grid
+//! index, so a search shares its solves with a sweep of the same scenario
+//! and with any other scenario that prices the same points.
 //!
 //! # Contracts (pinned by tests here and in `tests/prop_search.rs`)
 //!
@@ -777,7 +777,7 @@ mod tests {
         let (report, jsonl, stored) = search(&shared);
         assert_eq!(jsonl, want);
         assert_eq!(report.sweep.cache.design_misses, 0, "the sweep's solves are reused");
-        assert_eq!(stored.hits, report.evals, "each cell is read from the store once");
+        assert_eq!(stored.hits, report.sweep.cache.design_hits, "the store serves every hit");
         assert_eq!(stored.staged, 0);
         for path in [cold, shared] {
             let _ = std::fs::remove_file(path);

@@ -1,13 +1,17 @@
-//! Persistent cross-run solve cache: the on-disk half of the sweep
-//! engine's memo of solved points.
+//! The engine's map of solved points, and its persistent form: the
+//! cross-run solve cache.
 //!
-//! The in-memory [`SweepEngine`](crate::sweep::SweepEngine) memo dies
-//! with the process, so every `libra` invocation and every spawned
-//! dispatch shard would re-solve from cold. A [`SolveStore`] persists the
-//! expensive per-point artifacts — the optimized [`Design`] and its
-//! EqualBW baseline — under the memo's own key, a `PointKey`: what the
-//! design is computed from. A run that needs a point any earlier run
-//! solved, in whatever scenario or grid, loads it instead of solving.
+//! A [`SolveStore`] holds the expensive per-point artifacts of a sweep —
+//! the optimized [`Design`] and its EqualBW baseline — under a
+//! `PointKey`: what the design is computed from. It is the only map of
+//! solved points a [`SweepEngine`](crate::sweep::SweepEngine) keeps: a
+//! point is looked up in it, and on a miss solved and staged into it.
+//! Without a cache file the store lives in memory only, and dies with
+//! its session. Opened on a file ([`SolveStore::open`]), it loads the
+//! records every earlier run appended and appends the ones it stages, so
+//! a run that needs a point any earlier run solved, in whatever scenario,
+//! grid or process, loads it instead of solving. A failed solve is never
+//! kept: a later lookup solves it again.
 //!
 //! # File format: `libra-cache-v2`
 //!
@@ -78,13 +82,12 @@
 //! method with a primal-dual solver will): old files then fail the
 //! header check instead of serving the old code's designs.
 //!
-//! A record is a [`StoredPoint`], the same value the engine's memo
-//! holds. Warm-start *seeds* need no separate record kind: an anchor
-//! point's record already carries `design.bw`, which is exactly the
-//! vector a run seeds its group from. An anchor sets its group's seed
-//! when it is read from the store too, so a partial run that reads its
-//! cells and their group anchors reproduces the seeds of an
-//! uninterrupted run bit for bit.
+//! A record is a [`StoredPoint`], the value a lookup returns. Warm-start
+//! *seeds* need no separate record kind: an anchor point's record
+//! already carries `design.bw`, which is exactly the vector a run seeds
+//! its group from. An anchor sets its group's seed when it is read from
+//! the store too, so a partial run that reads its cells and their group
+//! anchors reproduces the seeds of an uninterrupted run bit for bit.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -100,7 +103,7 @@ use crate::opt::{Design, Objective};
 use crate::scenario::{json_f64, objective_from_name, objective_name, Json, JsonParser};
 
 /// What one solved point's design is computed from, and so the key under
-/// which the engine's memo and the store hold it (see the module docs).
+/// which the store holds it (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PointKey {
     /// [`PointKey::targets_hash`] of the point's shape and targets.
@@ -216,33 +219,37 @@ pub struct StoredPoint {
     pub baseline: Design,
 }
 
-/// Hit/append counters for one open store, surfaced by the CLI so CI
-/// can assert a warm run actually read from disk.
+/// Hit/append counters for one file-backed store, surfaced by the CLI
+/// so CI can assert a warm run actually read from disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Lookups served from the store's records (loaded or staged).
+    /// Lookups the store served, from its file or from any session's
+    /// solves.
     pub hits: usize,
     /// Fresh records staged for append since open.
     pub staged: usize,
 }
 
-/// A [`SolveStore`] shared between concurrently running engines. An
-/// engine reads the store on each memo miss, not only at run
-/// boundaries, and stages each solve as it completes, so sessions
-/// sharing a store see each other's solves at once. The mutex is coarse
-/// on purpose: each hold is one map operation, next to a solve's
-/// milliseconds.
+/// A [`SolveStore`] behind a mutex: an engine's workers look each point
+/// up in it and stage each solve as it completes, so sessions sharing
+/// one store (the sweep server's jobs) see each other's solves at once.
+/// The mutex is coarse on purpose: each hold is one map operation, next
+/// to a solve's milliseconds.
 pub type SharedSolveStore = Arc<Mutex<SolveStore>>;
 
-/// The persistent solve cache: the records of one cache file and those
+/// The map of solved points: the records of one cache file and those
 /// staged since it was read, in one map, plus the staged keys pending
 /// append. See the module docs for format and concurrency rules.
 ///
+/// The default store lives in memory only: it has no path, stages
+/// nothing for append, and its flush does nothing.
+///
 /// Dropping a store flushes pending records (best-effort); call
 /// [`SolveStore::flush`] to observe write errors.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SolveStore {
-    path: PathBuf,
+    /// The cache file; `None` for an in-memory store.
+    path: Option<PathBuf>,
     /// Every known record: loaded from the file or staged since.
     records: HashMap<PointKey, StoredPoint>,
     /// Keys staged since the last flush, in staging order (the append
@@ -277,30 +284,23 @@ impl SolveStore {
     /// names a different schema or key-hash version (a cache from an
     /// incompatible writer must not be silently misread).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, LibraError> {
-        let path = path.as_ref().to_path_buf();
-        let mut store = SolveStore {
-            path,
-            records: HashMap::new(),
-            pending: Vec::new(),
-            has_header: false,
-            hits: 0,
-            staged_total: 0,
-            fault: FaultInjector::from_env(),
-            flushes: 0,
-        };
-        let text = match std::fs::read_to_string(&store.path) {
+        let path = path.as_ref();
+        let mut store = SolveStore::default();
+        store.path = Some(path.to_path_buf());
+        store.fault = FaultInjector::from_env();
+        let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(cache_error(&store.path, format!("cannot read: {e}"))),
+            Err(e) => return Err(cache_error(path, format!("cannot read: {e}"))),
         };
-        store.load(&text)?;
+        store.load(&text).map_err(|reason| cache_error(path, reason))?;
         Ok(store)
     }
 
     /// Opens the cache at `path` wrapped for sharing across sessions
     /// (see [`SharedSolveStore`]): a long-lived process — the sweep
     /// server foremost — opens the file once and attaches every
-    /// per-job session to the same in-memory store via
+    /// per-job session to the same store via
     /// [`crate::scenario::Session::with_shared_store`], so hits and
     /// staged records accumulate across jobs instead of re-reading the
     /// file per run.
@@ -321,9 +321,9 @@ impl SolveStore {
         self
     }
 
-    /// The path this store appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The path this store appends to (`None` for an in-memory store).
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     /// Records currently known (loaded + staged).
@@ -341,7 +341,9 @@ impl SolveStore {
         StoreStats { hits: self.hits, staged: self.staged_total }
     }
 
-    fn load(&mut self, text: &str) -> Result<(), LibraError> {
+    /// Loads the records of a cache file's `text`; the error is why the
+    /// file cannot be read as a cache.
+    fn load(&mut self, text: &str) -> Result<(), String> {
         let mut offset = 0u64;
         for line in text.split_inclusive('\n') {
             let trimmed = line.trim_end_matches(['\n', '\r']);
@@ -369,7 +371,7 @@ impl SolveStore {
                             Self::SCHEMA,
                             PointKey::KEY_HASH,
                         );
-                        return Err(cache_error(&self.path, reason));
+                        return Err(reason);
                     }
                     self.has_header = true;
                 }
@@ -417,20 +419,23 @@ impl SolveStore {
         hit
     }
 
-    /// Stages `point` for append under `key` unless that key is already
-    /// loaded or staged (re-running a warm scenario appends nothing).
+    /// Keeps `point` under `key` unless that key is already loaded or
+    /// staged (re-running a warm scenario appends nothing); a file-backed
+    /// store also stages it for append.
     pub(crate) fn stage(&mut self, key: PointKey, point: StoredPoint) {
         if let Entry::Vacant(slot) = self.records.entry(key) {
             slot.insert(point);
-            self.staged_total += 1;
-            self.pending.push(key);
+            if self.path.is_some() {
+                self.staged_total += 1;
+                self.pending.push(key);
+            }
         }
     }
 
     /// Appends every staged record to the file (one `write` syscall per
     /// line), writing the header first when the file is new or empty and
     /// a newline first when the file does not end with one (a torn
-    /// tail).
+    /// tail). An in-memory store has nothing to append.
     /// Staged keys leave the pending list only on success, so a failed
     /// flush can be retried (and is, on drop). A torn append instead
     /// loses its batch, and the store forgets those records.
@@ -438,25 +443,26 @@ impl SolveStore {
     /// # Errors
     /// [`LibraError::Cache`] on I/O failures.
     pub fn flush(&mut self) -> Result<(), LibraError> {
-        if self.pending.is_empty() {
+        // Nothing to append: nothing is staged, or the store is in memory.
+        let Some(path) = self.path.as_deref().filter(|_| !self.pending.is_empty()) else {
             return Ok(());
-        }
+        };
         let flush_index = self.flushes;
         self.flushes += 1;
         if let Some(injector) = &self.fault {
             if injector.fires(fault::STORE_FLUSH_FAIL, flush_index) {
                 return Err(cache_error(
-                    &self.path,
+                    path,
                     format!("injected fault: {} on flush {flush_index}", fault::STORE_FLUSH_FAIL),
                 ));
             }
         }
-        let io = |e: std::io::Error| cache_error(&self.path, format!("cannot write: {e}"));
+        let io = |e: std::io::Error| cache_error(path, format!("cannot write: {e}"));
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .read(true)
             .append(true)
-            .open(&self.path)
+            .open(path)
             .map_err(io)?;
         if file.metadata().map_err(io)?.len() == 0 {
             if !self.has_header {
@@ -492,7 +498,7 @@ impl SolveStore {
                     self.records.remove(&key);
                 }
                 return Err(cache_error(
-                    &self.path,
+                    path,
                     format!("injected fault: {} on flush {flush_index}", fault::STORE_FLUSH_TORN),
                 ));
             }
@@ -680,6 +686,17 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The default store lives in memory: it serves what it keeps, but
+    /// has no path and stages nothing for append.
+    #[test]
+    fn an_in_memory_store_serves_its_records_and_stages_nothing() {
+        let mut s = SolveStore::default();
+        s.stage(key(1, 0), point(1.0));
+        assert_eq!(s.lookup(key(1, 0)), Some(&point(1.0)));
+        assert_eq!((s.path(), s.stats()), (None, StoreStats { hits: 1, staged: 0 }));
+        s.flush().unwrap();
+    }
+
     #[test]
     fn last_write_wins_on_duplicate_keys() {
         let path = tmp("lww.jsonl");
@@ -704,7 +721,7 @@ mod tests {
     /// before it serve; the next flush ends the torn line with a newline
     /// and appends after it, so the re-staged record loads again.
     #[test]
-    fn truncates_at_the_first_bad_record_and_heals_on_flush() {
+    fn a_torn_tail_is_skipped_and_the_next_flush_heals_it() {
         let path = tmp("corrupt.jsonl");
         let _ = std::fs::remove_file(&path);
         {

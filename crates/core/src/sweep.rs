@@ -12,10 +12,11 @@
 //! * [`crate::scenario::Session::run`] — the public front door, in the
 //!   [`crate::scenario`] module — evaluates the grid in parallel. Each run
 //!   builds a `(shape, workload)` pair's target expressions, their hash
-//!   and its plan once, for itself, and the engine keeps one memo across
-//!   runs: solved points (design plus EqualBW baseline), keyed by what
-//!   each design is computed from (see [`crate::store`]). The run prices every
-//!   grid point's [`CommPlan`] under **any number** of [`EvalBackend`]s
+//!   and its plan once, for itself. Solved points (design plus EqualBW
+//!   baseline) outlive the run in one map, the engine's
+//!   [store](crate::store), keyed by what each design is computed from:
+//!   in memory, or backed by a cache file. The run prices every grid
+//!   point's [`CommPlan`] under **any number** of [`EvalBackend`]s
 //!   in the same fan-out, reporting each pair's per-point disagreement
 //!   as a [`DivergenceReport`] — the guard against ranking thousands of
 //!   designs with a silently broken model;
@@ -61,10 +62,9 @@
 //! # Ok::<(), libra_core::LibraError>(())
 //! ```
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
@@ -95,10 +95,10 @@ pub(crate) type PointEmit<'f> = &'f mut dyn FnMut(
 /// A workload that can be swept: given a shape, produce the weighted
 /// per-iteration time expressions [`opt::optimize`] consumes.
 ///
-/// A workload's name only labels its records: the memo and the store key
-/// a point by the workload's targets (see [`crate::store`]), so workloads
-/// with equal targets share their solves, and one name with other targets
-/// never reads another's.
+/// A workload's name only labels its records: the store keys a point by
+/// the workload's targets (see [`crate::store`]), so workloads with equal
+/// targets share their solves, and one name with other targets never
+/// reads another's.
 pub trait SweepWorkload: Send + Sync {
     /// Display name, carried by every record.
     fn name(&self) -> &str;
@@ -368,11 +368,13 @@ pub struct CacheStats {
     pub expr_hits: usize,
     /// Target-expression builds: one per (shape, workload) pair per run.
     pub expr_misses: usize,
-    /// Design solves served from the memo of solved points or from the
-    /// attached store. Workloads that build equal targets on one shape
-    /// share their points, so a serial run counts a hit where the second
-    /// of them reaches a point; a parallel run may solve it on two workers
-    /// at once and count two misses instead.
+    /// Design solves the engine's store served: points this session
+    /// solved in an earlier run, points loaded from the store's file, and
+    /// points another session sharing the store solved. Workloads that
+    /// build equal targets on one shape share their points, so a serial
+    /// run counts a hit where the second of them reaches a point; a
+    /// parallel run may solve it on two workers at once and count two
+    /// misses instead.
     pub design_hits: usize,
     /// Design solves actually performed.
     pub design_misses: usize,
@@ -381,19 +383,10 @@ pub struct CacheStats {
     pub warm_seeded: usize,
 }
 
-/// The engine's memo of solved points, kept across a session's runs, and
-/// its counters. An entry is the store's own record (design plus EqualBW
-/// baseline), or the solve's error, under the store's own key.
-///
-/// The map sits behind an `RwLock`, not a mutex: warm re-runs are
-/// hit-dominated, and readers must not serialize behind each other. A
-/// miss solves outside the lock. Two cells of one run share a key only
-/// when two workloads build equal targets on one shape; a parallel run
-/// may then solve that key on two workers at once and keep either
-/// (equal) answer, so only its counters can differ from a serial run's.
+/// The engine's counters of target-expression builds and design solves,
+/// kept across a session's runs.
 #[derive(Default)]
 struct SweepCache {
-    points: RwLock<HashMap<PointKey, Result<StoredPoint, LibraError>>>,
     expr_hits: AtomicUsize,
     expr_misses: AtomicUsize,
     design_hits: AtomicUsize,
@@ -401,40 +394,36 @@ struct SweepCache {
     warm_seeded: AtomicUsize,
 }
 
-/// Why the memo's lock is never poisoned: nothing that can panic runs
-/// while it is held (a solve runs outside it).
-const UNPOISONED: &str = "the memo's lock is held only for map operations";
-
-/// Why a store's lock is never poisoned: no store operation panics.
+/// Why a store's lock is never poisoned: no store operation panics (a
+/// solve runs outside it).
 const STORE_UNPOISONED: &str = "no store operation panics";
 
 impl SweepCache {
-    /// The record of the point `key`, the one lookup path: the memo, else
-    /// the attached `store` (a hit counts in `design_hits` too), else
-    /// `solve`, whose design is staged in `store`.
+    /// The record of the point `key`, the one lookup path: `store`'s,
+    /// else `solve`'s, which is staged in `store` unless it failed.
+    ///
+    /// Two cells of one run share a key only when two workloads build
+    /// equal targets on one shape; a parallel run may then solve that key
+    /// on two workers at once, and the store keeps the first of the two
+    /// (equal) answers, so only its counters can differ from a serial
+    /// run's.
     fn point(
         &self,
         key: PointKey,
-        store: Option<&SharedSolveStore>,
+        store: &SharedSolveStore,
         solve: impl FnOnce() -> Result<StoredPoint, LibraError>,
     ) -> Result<StoredPoint, LibraError> {
-        if let Some(hit) = self.points.read().expect(UNPOISONED).get(&key) {
+        let stored = store.lock().expect(STORE_UNPOISONED).lookup(key).cloned();
+        if let Some(record) = stored {
             self.design_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
+            return Ok(record);
         }
-        let stored = store.and_then(|s| s.lock().expect(STORE_UNPOISONED).lookup(key).cloned());
-        let record = if let Some(record) = stored {
-            self.design_hits.fetch_add(1, Ordering::Relaxed);
-            Ok(record)
-        } else {
-            let solved = solve();
-            self.design_misses.fetch_add(1, Ordering::Relaxed);
-            if let (Some(store), Ok(record)) = (store, &solved) {
-                store.lock().expect(STORE_UNPOISONED).stage(key, record.clone());
-            }
-            solved
-        };
-        self.points.write().expect(UNPOISONED).entry(key).or_insert(record).clone()
+        let solved = solve();
+        self.design_misses.fetch_add(1, Ordering::Relaxed);
+        if let Ok(record) = &solved {
+            store.lock().expect(STORE_UNPOISONED).stage(key, record.clone());
+        }
+        solved
     }
 
     fn stats(&self) -> CacheStats {
@@ -502,7 +491,7 @@ impl RunTables {
 /// How a run walks the grid: rayon fan-out or a serial reference fold.
 ///
 /// Both modes are **bit-identical** on the same inputs — every point is an
-/// independent deterministic solve, the memo cache only avoids
+/// independent deterministic solve, the store only avoids
 /// recomputation, and warm-start seeding is phase-barriered — which is the
 /// engine's core determinism contract. Serial mode is the reference fold
 /// (and the right choice under an external thread pool).
@@ -774,19 +763,19 @@ impl DivergenceReport {
 }
 
 /// The sweep engine behind a [`crate::scenario::Session`]: a cost model,
-/// a memo of solved points that persists across the session's runs, an
-/// optional persistent store, and an optional fault injector. Every session owns exactly one engine and is
-/// the only place it is configured; the engine itself exposes counters
-/// and the store flush ([`crate::scenario::Session::engine`]).
+/// a store of solved points that persists across the session's runs,
+/// and an optional fault injector. Every session owns exactly one engine
+/// and is the only place it is configured; the engine itself exposes
+/// counters and the store flush ([`crate::scenario::Session::engine`]).
 pub struct SweepEngine<'a> {
     cost_model: &'a CostModel,
     cache: SweepCache,
-    /// Optional persistent solve cache (see
-    /// [`crate::scenario::Session::with_store`]), read on each memo miss
-    /// and written on each solve, and flushed after each run. An `Arc` so
-    /// a long-lived host (the sweep server) can attach many short-lived
-    /// sessions to one store.
-    pub(crate) store: Option<SharedSolveStore>,
+    /// The only map of solved points: read for each point, written on
+    /// each solve, and flushed after each run. In memory unless
+    /// [`crate::scenario::Session::with_store`] swapped in a file-backed
+    /// store; an `Arc` so a long-lived host (the sweep server) can attach
+    /// many short-lived sessions to one store.
+    pub(crate) store: SharedSolveStore,
     /// Deterministic fault injection ([`crate::fault`]); `None` — one
     /// branch per point — unless `LIBRA_FAULT_PLAN` (or
     /// [`crate::scenario::Session::with_fault`]) armed a plan.
@@ -800,28 +789,26 @@ impl<'a> SweepEngine<'a> {
         SweepEngine {
             cost_model,
             cache: SweepCache::default(),
-            store: None,
+            store: SharedSolveStore::default(),
             fault: FaultInjector::from_env(),
         }
     }
 
-    /// Persistent-store counters since the store was opened (`None`
-    /// without an attached store).
+    /// Persistent-store counters since the store was opened (`None` for
+    /// an in-memory store).
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.lock().unwrap().stats())
+        let store = self.store.lock().expect(STORE_UNPOISONED);
+        store.path().map(|_| store.stats())
     }
 
-    /// Flushes the attached store's staged records to disk (a no-op
-    /// without a store; also runs automatically after each run and on
+    /// Flushes the store's staged records to its file (a no-op for an
+    /// in-memory store; also runs automatically after each run and on
     /// drop, where errors are swallowed — call this to observe them).
     ///
     /// # Errors
     /// Propagates [`crate::store::SolveStore::flush`] I/O failures.
     pub fn flush_store(&self) -> Result<(), LibraError> {
-        match &self.store {
-            Some(s) => s.lock().unwrap().flush(),
-            None => Ok(()),
-        }
+        self.store.lock().expect(STORE_UNPOISONED).flush()
     }
 
     /// Cache counters accumulated so far.
@@ -895,13 +882,13 @@ impl<'a> SweepEngine<'a> {
         out.into_iter().map(|t| t.expect("every cell driven exactly once")).collect()
     }
 
-    /// Evaluates `point`, at global grid `index`, through the memo of
-    /// solved points and the attached store. A miss solves the design
-    /// warm-started from the group anchor's seed in `run`; a group's
-    /// anchor (the point at the grid's first budget) solves cold, and
-    /// sets that seed once its design is known, on a hit too. A point
-    /// whose anchor set no seed (its anchor failed) solves cold, and is
-    /// keyed as the cold solve it is.
+    /// Evaluates `point`, at global grid `index`, through the engine's
+    /// store of solved points. A miss solves the design warm-started from
+    /// the group anchor's seed in `run`; a group's anchor (the point at
+    /// the grid's first budget) solves cold, and sets that seed once its
+    /// design is known, on a hit too. A point whose anchor set no seed
+    /// (its anchor failed) solves cold, and is keyed as the cold solve it
+    /// is.
     // Both variants are full result records stored unboxed in the report;
     // boxing the Err would not shrink anything the caller keeps.
     #[allow(clippy::result_large_err)]
@@ -939,7 +926,7 @@ impl<'a> SweepEngine<'a> {
         let key = PointKey::new(*hash, point.budget, point.objective, seed_budget);
         let solved = self
             .cache
-            .point(key, self.store.as_ref(), || {
+            .point(key, &self.store, || {
                 if seed.is_some() {
                     self.cache.warm_seeded.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1084,8 +1071,8 @@ impl<'a> SweepEngine<'a> {
     /// `cells` order, and the warm-start seeds are exactly what the full
     /// run would set, so shard outputs concatenate back into the
     /// unsharded run bit for bit. The run builds its own [`RunTables`];
-    /// only solved points outlive it, in the engine's memo and the
-    /// attached store, which is flushed after the drive.
+    /// only solved points outlive it, in the engine's store, which is
+    /// flushed after the drive.
     pub(crate) fn run_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
@@ -1231,10 +1218,12 @@ mod tests {
         // Expressions are built once per (shape, workload)...
         assert_eq!(report.cache.expr_misses, 4);
         assert_eq!(report.cache.expr_hits, 12);
-        // ...and every distinct design is solved exactly once.
+        // ...and every distinct design is solved exactly once, into an
+        // in-memory store that reports no file counters.
         assert_eq!(report.cache.design_misses, 16);
+        assert_eq!(session.engine().store_stats(), None);
         // A serial re-run over the same grid builds its own expressions and
-        // takes every design from the memo of solved points.
+        // takes every design from the engine's store.
         let again = session.with_mode(ExecMode::Serial).run(&grid, &wls, &[]).sweep;
         assert_eq!(again.results, report.results);
         assert_eq!(again.cache.expr_misses, 8);
@@ -1242,7 +1231,7 @@ mod tests {
         assert_eq!(again.cache.design_hits, 16);
     }
 
-    /// A session's earlier runs do not change its answers: the memo keys
+    /// A session's earlier runs do not change its answers: the store keys
     /// a point by the budget whose optimum seeded it as well, so after a
     /// `[300, 400]` run a `[100, 400]` run seeds 400 from the 100 anchor,
     /// as a fresh session does ([`floored_workload`] shows a seed from
@@ -1464,22 +1453,36 @@ mod tests {
         }
     }
 
+    /// Workloads whose targets do not build, or build but do not solve,
+    /// fail at their points without stopping the sweep, and a failed
+    /// solve is not kept: a second run solves it again, and the store
+    /// stages only the good workload's points.
     #[test]
     fn workload_errors_are_collected_not_fatal() {
         let bad = FnWorkload::new("bad", |_: &NetworkShape| {
             Err(LibraError::BadRequest("unmappable".into()))
         });
+        let unsolvable = FnWorkload::new("unsolvable", |_: &NetworkShape| Ok(vec![]));
         let grid = small_grid();
         let wls: Vec<Box<dyn SweepWorkload>> =
-            vec![Box::new(allreduce_workload("good", 1.0)), Box::new(bad)];
+            vec![Box::new(allreduce_workload("good", 1.0)), Box::new(bad), Box::new(unsolvable)];
         let cm = CostModel::default();
-        let report = Session::new(&cm).run(&grid, &wls, &[]).sweep;
+        let path = store_path("failed-solves");
+        let session = Session::new(&cm).with_store(&path).unwrap();
+        let report = session.run(&grid, &wls, &[]).sweep;
         assert_eq!(report.results.len(), 4, "good workload still evaluated");
-        assert_eq!(report.errors.len(), 4, "bad workload fails at every point");
+        assert_eq!(report.errors.len(), 8, "bad and unsolvable fail at every point");
         for e in &report.errors {
-            assert_eq!(e.workload, "bad");
-            assert!(matches!(e.error, LibraError::BadRequest(_)));
+            let want = if e.workload == "bad" { "unmappable" } else { "no target workloads" };
+            assert!(matches!(&e.error, LibraError::BadRequest(m) if m == want), "{e:?}");
         }
+        assert_eq!(report.cache.design_misses, 4 + 4, "good and unsolvable solve");
+        let again = session.run(&grid, &wls, &[]).sweep;
+        assert_eq!((again.results, again.errors), (report.results, report.errors));
+        assert_eq!(again.cache.design_misses, 8 + 4, "unsolvable's points solve again");
+        assert_eq!(again.cache.design_hits, 4, "good's points are read back");
+        assert_eq!(session.engine().store_stats().unwrap().staged, 4);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1502,7 +1505,7 @@ mod tests {
         let plain = session.run(&grid, &wls, &[]).sweep;
         assert_eq!(plain.results, report.sweep.results);
         // Parallel and serial cross-validated folds agree bit-for-bit (the
-        // serial fold solves on a fresh engine, not from the memo cache).
+        // serial fold solves on a fresh engine, not from the first's store).
         let serial = Session::new(&cm).with_tolerance(0.0).with_mode(ExecMode::Serial);
         let serial = serial.run(&grid, &wls, &[&a, &a]);
         assert_eq!(serial.sweep.cache.design_hits, 0, "the serial fold solves every point");

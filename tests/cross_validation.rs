@@ -108,7 +108,7 @@ fn cross_validation_is_deterministic_and_cache_stable() {
     let warm = session.run(&grid, &workloads, &[&analytical, &event_sim]);
     assert_eq!(cold.sweep.results, warm.sweep.results);
     assert_eq!(cold.divergence, warm.divergence);
-    // The serial fold solves on a fresh engine, not from the memo cache.
+    // The serial fold solves on a fresh engine, not from the first's store.
     let serial = Session::new(&cm).with_mode(ExecMode::Serial).run(
         &grid,
         &workloads,

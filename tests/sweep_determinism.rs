@@ -70,7 +70,7 @@ fn parallel_sweep_is_reproducible_across_runs_and_cache_states() {
     let wls = workloads();
     let cm = CostModel::default();
 
-    // Cold engine vs warm engine (second run served from the memo cache)
+    // Cold engine vs warm engine (second run served from its store)
     // vs an entirely fresh engine: all bit-identical.
     let session = Session::new(&cm);
     let cold = session.run(&grid, &wls, &[]).sweep;
@@ -86,7 +86,7 @@ fn parallel_sweep_is_reproducible_across_runs_and_cache_states() {
 /// no two of the run's workloads build equal targets on one shape: such
 /// workloads share their solved points, and a parallel run may solve one
 /// on two workers at once, counting two solves where a serial run counts
-/// a solve and a memo hit.
+/// a solve and a store hit.
 #[test]
 fn parallel_counters_equal_serial_counters() {
     force_parallelism();
