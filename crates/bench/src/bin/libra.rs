@@ -56,7 +56,8 @@
 //! * `dispatch --spawn --retries N` respawns a crashed shard worker up
 //!   to `N` times (deterministic seeded exponential backoff); the
 //!   merged stream stays byte-identical to a clean run because failed
-//!   attempts' partial output is discarded whole.
+//!   attempts' partial output is discarded whole. A worker that exits 1
+//!   fails the dispatch at once, with the worker's last stderr line.
 //! * `serve` runs the sweep service: an HTTP/JSON front end that queues
 //!   submitted scenarios onto a worker pool sharing one `--cache` solve
 //!   store. `SIGTERM`/ctrl-c drain gracefully: running jobs finish,
@@ -131,12 +132,12 @@ struct Options {
 /// grammar at an I/O failure would bury the actual message).
 enum CliError {
     Usage(String),
-    Run(LibraError),
+    Run(String),
 }
 
 impl From<LibraError> for CliError {
     fn from(e: LibraError) -> Self {
-        CliError::Run(e)
+        CliError::Run(e.to_string())
     }
 }
 
@@ -547,7 +548,7 @@ fn run_dispatch(opts: &Options) -> Result<i32, CliError> {
                 .args(&args)
                 .env(fault::ATTEMPT_ENV_VAR, attempt.to_string())
                 .stdout(Stdio::piped())
-                .stderr(Stdio::null())
+                .stderr(Stdio::piped())
                 .spawn()
                 .map_err(|e| LibraError::BadRequest(format!("spawning shard worker: {e}")))
         };
@@ -567,19 +568,22 @@ fn run_dispatch(opts: &Options) -> Result<i32, CliError> {
                     .wait_with_output()
                     .map_err(|e| LibraError::BadRequest(format!("waiting on shard {k}: {e}")))?;
                 // Exit 2 is a shard-local divergence verdict; the merged
-                // matrix re-judges the whole grid, so only hard failures
-                // (usage, I/O, scenario errors, crashes) count against
-                // the retry budget.
-                if matches!(out.status.code(), Some(0 | 2)) {
+                // matrix re-judges the whole grid. Exit 1 is the worker's
+                // own usage, I/O or scenario error, which a retry would
+                // only repeat, so only crashes spend the retry budget.
+                let code = out.status.code();
+                if matches!(code, Some(0 | 2)) {
                     break out.stdout;
                 }
-                if attempt >= retries {
-                    return Err(CliError::Run(LibraError::BadRequest(format!(
-                        "shard {k} worker failed with status {:?} (attempt {} of {})",
-                        out.status.code(),
+                if code == Some(1) || attempt >= retries {
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    let last = stderr.lines().rfind(|l| !l.trim().is_empty());
+                    return Err(CliError::Run(format!(
+                        "shard {k} worker failed with status {code:?} (attempt {} of {}): {}",
                         attempt + 1,
                         retries + 1,
-                    ))));
+                        last.unwrap_or("no message on stderr"),
+                    )));
                 }
                 // A failed attempt's partial stdout is discarded whole;
                 // only a clean attempt's stream enters the merge, which
@@ -587,9 +591,8 @@ fn run_dispatch(opts: &Options) -> Result<i32, CliError> {
                 attempt += 1;
                 let delay = fault::backoff_delay_ms(backoff_seed, attempt, 10, 2_000);
                 eprintln!(
-                    "libra: shard {k} worker failed with status {:?}; \
+                    "libra: shard {k} worker failed with status {code:?}; \
                      retrying ({attempt}/{retries}) in {delay} ms",
-                    out.status.code(),
                 );
                 std::thread::sleep(Duration::from_millis(delay));
                 child = spawn_shard(&r, attempt)?;
@@ -875,7 +878,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitOptions, String> {
 
 fn run_submit(opts: &SubmitOptions) -> Result<i32, CliError> {
     let body = std::fs::read(&opts.scenario_path).map_err(|e| {
-        CliError::Run(LibraError::BadRequest(format!("cannot read {}: {e}", opts.scenario_path)))
+        CliError::from(LibraError::BadRequest(format!("cannot read {}: {e}", opts.scenario_path)))
     })?;
     // Ride out a server that is still binding (e.g. a script that
     // starts `serve` and `submit` back to back) — connection-refused

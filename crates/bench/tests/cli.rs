@@ -195,7 +195,8 @@ fn truncated_cache_serves_its_valid_prefix() {
 
 /// A `--cache` file that cannot be written fails every command that
 /// runs its sessions in-process: exit 1, an error naming the file, and
-/// no file.
+/// no file. A spawned shard worker fails the same way, and its dispatch
+/// passes the worker's error on at once instead of retrying it.
 #[test]
 fn an_unwritable_cache_fails_the_command_and_names_the_file() {
     let scenario = ci_small();
@@ -206,11 +207,12 @@ fn an_unwritable_cache_fails_the_command_and_names_the_file() {
     let partial = partial.to_str().unwrap();
     let cache = tmp("no-such-dir").join("solves.jsonl");
     let cache = cache.to_str().unwrap();
-    let commands: [&[&str]; 5] = [
+    let commands: [&[&str]; 6] = [
         &["crossval", scenario],
         &["sweep", scenario],
         &["search", search],
         &["dispatch", scenario, "--shards", "2"],
+        &["dispatch", scenario, "--shards", "2", "--spawn", "--retries", "2"],
         &["resume", scenario, partial, "--jsonl", "-"],
     ];
     for command in commands {
@@ -221,6 +223,7 @@ fn an_unwritable_cache_fails_the_command_and_names_the_file() {
         assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
         let named = format!("solve cache {cache}: cannot write");
         assert!(stderr.contains(&named), "{command:?}: {stderr}");
+        assert!(!stderr.contains("retrying"), "{command:?}: {stderr}");
     }
     assert!(!Path::new(cache).exists());
 }

@@ -18,9 +18,9 @@
 //! single-process run** — same records, same summary line, same exit
 //! code — for every K and both worker modes. Two properties carry it:
 //!
-//! 1. Range-restricted drives solve any out-of-range warm-start group
-//!    anchors before their seeded points, so every shard's solves see
-//!    exactly the seeds the full run would have published.
+//! 1. A range-restricted drive seeds each of its points from the group
+//!    anchor the full run seeds it from, reading or solving an anchor
+//!    outside its range once, when the first of its points needs it.
 //! 2. JSON-lines records round-trip floats bit-identically, so the
 //!    merge side recomputes each pair's relative errors from exactly
 //!    the times the workers measured.
@@ -426,15 +426,16 @@ pub fn partial_records(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
     Ok(rows)
 }
 
-/// Prices only the grid indices missing from `rows` — each contiguous
-/// missing range on a **fresh** session (optionally backed by the
-/// persistent solve store at `store`) — and merges surviving + fresh
-/// records into one [`MergedRun`] whose [`MergedRun::to_jsonl`] stream
-/// is byte-identical to an uninterrupted single-process run.
+/// Prices only the grid indices missing from `rows` — all of them in one
+/// run on a **fresh** session (optionally backed by the persistent
+/// solve store at `store`) — and merges surviving + fresh records into
+/// one [`MergedRun`] whose [`MergedRun::to_jsonl`] stream is
+/// byte-identical to an uninterrupted single-process run.
 ///
 /// Surviving rows round-trip bit-exactly through the JSON-lines record
-/// format, and the ranged drive is deterministic point-for-point, so
-/// the merged stream does not depend on where the original run stopped.
+/// format, and the drive is deterministic point-for-point over any set
+/// of cells, so the merged stream does not depend on where the original
+/// run stopped.
 ///
 /// # Errors
 /// [`LibraError::BadRequest`] when a surviving record's grid index is
@@ -472,30 +473,18 @@ pub fn resume_rows<W: SweepWorkload>(
         have[row.index] = true;
     }
     let mut rows = rows;
-    let mut missing: Vec<Range<usize>> = Vec::new();
-    let mut i = 0;
-    while i < grid_len {
-        if have[i] {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < grid_len && !have[i] {
-            i += 1;
-        }
-        missing.push(start..i);
-    }
-    for range in missing {
+    let missing: Vec<usize> = (0..grid_len).filter(|&i| !have[i]).collect();
+    if !missing.is_empty() {
         let mut session = scenario.session(cost_model).with_mode(mode);
         if let Some(path) = store {
             session = session.with_store(path)?;
         }
         let mut sink = CollectorSink::new();
-        session.run_scenario_range_with_sinks(
+        session.run_scenario_cells_with_sinks(
             scenario,
             workloads,
             registry,
-            range,
+            &missing,
             &mut [&mut sink],
         )?;
         session.engine().flush_store()?;

@@ -1948,8 +1948,8 @@ impl<'a> Session<'a> {
     /// same point serves), each fresh solve is staged as it completes,
     /// and staged records are appended after each run (and on drop). The
     /// streamed output stays **byte-identical** with or without the file
-    /// — stored designs round-trip bit-exactly, and a stored anchor sets
-    /// its group's warm-start seed exactly as a solved anchor does.
+    /// — stored designs round-trip bit-exactly, and a stored anchor seeds
+    /// its group exactly as a solved anchor does.
     ///
     /// # Errors
     /// Propagates [`crate::store::SolveStore::open`] failures (unreadable
@@ -2024,8 +2024,8 @@ impl<'a> Session<'a> {
         backends: &[&dyn EvalBackend],
         sinks: &mut [&mut dyn ReportSink],
     ) -> SessionReport {
-        let full = 0..grid.len(workloads.len());
-        self.run_inner(None, self.tolerance, grid, workloads, backends, full, sinks)
+        let cells: Vec<usize> = (0..grid.len(workloads.len())).collect();
+        self.run_inner(None, self.tolerance, grid, workloads, backends, &cells, sinks)
     }
 
     /// Runs a [`Scenario`]'s grid with backends built from `registry`.
@@ -2064,12 +2064,12 @@ impl<'a> Session<'a> {
 
     /// [`Session::run_scenario_with_sinks`] restricted to the contiguous
     /// grid-index `range` — one shard of a distributed scenario run.
-    /// Emitted record indices stay **global**, and warm-start seeding
-    /// solves any out-of-range group anchors the shard depends on, so for
-    /// every partition of the grid the concatenation of shard outputs is
-    /// bit-identical to the unsharded run (see [`crate::dispatch`]). This
-    /// is what `libra crossval --range a..b` executes in a spawned
-    /// worker.
+    /// Emitted record indices stay **global**, and a seeded point whose
+    /// group anchor lies outside the range seeds from that anchor all the
+    /// same (the run reads or solves it once), so for every partition of
+    /// the grid the concatenation of shard outputs is bit-identical to
+    /// the unsharded run (see [`crate::dispatch`]). This is what
+    /// `libra crossval --range a..b` executes in a spawned worker.
     ///
     /// # Errors
     /// Propagates unknown-backend-name errors; [`LibraError::BadRequest`]
@@ -2082,19 +2082,28 @@ impl<'a> Session<'a> {
         range: std::ops::Range<usize>,
         sinks: &mut [&mut dyn ReportSink],
     ) -> Result<SessionReport, LibraError> {
+        check_range(&range, scenario.grid().len(workloads.len()))?;
+        let cells: Vec<usize> = range.collect();
+        self.run_scenario_cells_with_sinks(scenario, workloads, registry, &cells, sinks)
+    }
+
+    /// [`Session::run_scenario_range_with_sinks`] over any ascending
+    /// in-grid `cells`, such as the indices a resumed stream is missing.
+    ///
+    /// # Errors
+    /// Propagates unknown-backend-name errors.
+    pub(crate) fn run_scenario_cells_with_sinks<W: SweepWorkload>(
+        &self,
+        scenario: &Scenario,
+        workloads: &[W],
+        registry: &BackendRegistry,
+        cells: &[usize],
+        sinks: &mut [&mut dyn ReportSink],
+    ) -> Result<SessionReport, LibraError> {
         let built = scenario.build_backends(registry)?;
         let refs: Vec<&dyn EvalBackend> = built.iter().map(|b| b.as_ref()).collect();
-        let grid = scenario.grid();
-        check_range(&range, grid.len(workloads.len()))?;
-        Ok(self.run_inner(
-            Some(&scenario.name),
-            scenario.tolerance,
-            &grid,
-            workloads,
-            &refs,
-            range,
-            sinks,
-        ))
+        let (name, tolerance) = (Some(scenario.name.as_str()), scenario.tolerance);
+        Ok(self.run_inner(name, tolerance, &scenario.grid(), workloads, &refs, cells, sinks))
     }
 
     #[allow(clippy::too_many_arguments)] // private fan-in behind the public run entry points
@@ -2105,21 +2114,20 @@ impl<'a> Session<'a> {
         grid: &SweepGrid,
         workloads: &[W],
         backends: &[&dyn EvalBackend],
-        range: std::ops::Range<usize>,
+        cells: &[usize],
         sinks: &mut [&mut dyn ReportSink],
     ) -> SessionReport {
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
-        let meta = RunMeta { scenario, backends: &names, n_points: range.len(), tolerance };
+        let meta = RunMeta { scenario, backends: &names, n_points: cells.len(), tolerance };
         for sink in sinks.iter_mut() {
             sink.on_run_start(&meta);
         }
         let mut divergence = DivergenceMatrix::new(names, tolerance);
-        let cells: Vec<usize> = range.collect();
         let sweep = self.engine.run_priced(
             grid,
             workloads,
             backends,
-            &cells,
+            cells,
             self.mode,
             &mut |index, outcome, priced| {
                 let row = RecordRow::from_outcome(index, outcome, priced);

@@ -19,19 +19,19 @@
 //! store of solved points ([`crate::store::SolveStore`]) hits for free
 //! across rounds, and across runs when it is backed by a file. Each
 //! round is its own run: it builds its pairs' target expressions again,
-//! and its group anchors, read from the store when an earlier round
-//! solved them, set its warm-start seeds. The store keys a point by what
+//! and reads its group anchors, which seed its other cells, from the
+//! store when an earlier round solved them. The store keys a point by what
 //! its design is computed from (see [`crate::store`]), not by its grid
 //! index, so a search shares its solves with a sweep of the same scenario
 //! and with any other scenario that prices the same points.
 //!
 //! # Contracts (pinned by tests here and in `tests/prop_search.rs`)
 //!
-//! * **Exactness on small grids.** The drive solves each group's anchor
-//!   (the grid's first budget) before any seeded cell, as it does for a
-//!   shard, so warm-start seeds are exactly the ones the exhaustive run
-//!   sets and every evaluated cell's design is **bit-identical** to
-//!   the exhaustive run's. On any grid the exhaustive engine can also
+//! * **Exactness on small grids.** Each seeded cell seeds from its
+//!   group's anchor (the grid's first budget), which the round reads or
+//!   solves once whether or not the round prices it, as a shard does;
+//!   so every evaluated cell's design is **bit-identical** to the
+//!   exhaustive run's. On any grid the exhaustive engine can also
 //!   sweep, the adaptive front equals [`SweepReport::pareto_front`] of
 //!   the exhaustive run exactly — same designs, same order. (Pruning is
 //!   conservative: an interval is only dropped when an evaluated point
@@ -283,9 +283,9 @@ fn run_inner<W: SweepWorkload>(
             break;
         }
         // The round's cells of the nominal grid, ascending: every group
-        // at the round's budget indices. The drive solves each group's
-        // anchor first when the round lacks it, so every cell solves from
-        // the seed its exhaustive twin solves from.
+        // at the round's budget indices. The run reads or solves each
+        // group's anchor when the round lacks it, so every cell solves
+        // from the seed its exhaustive twin solves from.
         let mut cells = Vec::with_capacity(groups * next.len());
         for group in 0..grid.shapes().len() * axes.n_wl {
             for &bud in &next {
@@ -699,10 +699,9 @@ mod tests {
         };
         let (clean, clean_jsonl) = run(None);
         // Point faults key on the nominal grid index, here the budget
-        // index. The plan fires at 2, 3 and 8 of 0..9 and spares 0, the
-        // warm-start anchor every other cell seeds from (a poisoned anchor
-        // publishes no seed, so its group's survivors would solve
-        // unseeded and drift from the clean run).
+        // index. The plan fires at 2, 3 and 8 of 0..9. (A fault at 0, the
+        // warm-start anchor, would poison only its own record: the other
+        // cells would still seed from the anchor's solve.)
         let plan = "seed=10;sweep.point.error=0.3";
         let injector = FaultInjector::from_spec(plan).unwrap();
         let fired: Vec<u64> =

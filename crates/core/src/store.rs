@@ -85,9 +85,10 @@
 //! A record is a [`StoredPoint`], the value a lookup returns. Warm-start
 //! *seeds* need no separate record kind: an anchor point's record
 //! already carries `design.bw`, which is exactly the vector a run seeds
-//! its group from. An anchor sets its group's seed when it is read from
-//! the store too, so a partial run that reads its cells and their group
-//! anchors reproduces the seeds of an uninterrupted run bit for bit.
+//! its group from. A run reads or solves each anchor its cells seed
+//! from once, on demand, whether or not the anchor is among its cells,
+//! so a partial run reproduces the seeds of an uninterrupted run bit for
+//! bit.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Seek, SeekFrom, Write};

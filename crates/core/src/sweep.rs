@@ -25,16 +25,18 @@
 //! * design solves are **warm-started** along the budget axis: each
 //!   shape × workload × objective group's anchor (the grid's first
 //!   budget) solves cold, and every other budget seeds its interior-point
-//!   solve from that anchor's optimum ([`opt::optimize_seeded`]) —
-//!   phase-barriered so parallel and serial runs stay bit-identical, and
-//!   a design is a pure function of its key.
+//!   solve from that anchor's optimum ([`opt::optimize_seeded`]). A run
+//!   reads or solves each anchor it needs once, when the first of the
+//!   group's cells needs it, whether or not the anchor is one of the
+//!   run's cells; so a design is a pure function of its key, whatever
+//!   the worker scheduling.
 //!
 //! Every session run and every adaptive-search round funnels into the
-//! same internal [`ExecMode`]-parameterized drive over ascending global
-//! grid indices — a session's range, or a round's cells of the nominal
-//! grid — so the serial-vs-parallel bit-identity contract, and the rule
-//! that a partial run first solves the warm-start anchors its cells seed
-//! from, are each enforced in exactly one place.
+//! same internal [`ExecMode`]-parameterized drive, one pass over
+//! ascending global grid indices — a session's range, a resumed
+//! stream's missing cells, or a round's cells of the nominal grid — so
+//! the serial-vs-parallel bit-identity contract is enforced in exactly
+//! one place.
 //!
 //! ```
 //! use libra_core::comm::{Collective, CommModel, GroupSpan};
@@ -349,11 +351,10 @@ impl SweepGrid {
         }
     }
 
-    /// The global index of `index`'s warm-start group anchor: the same
+    /// Whether global `index` is its warm-start group's anchor: its
     /// shape, workload and objective at the grid's first budget.
-    pub(crate) fn anchor_of(&self, index: usize) -> usize {
-        let n_obj = self.objectives.len();
-        index - index / n_obj % self.budgets.len() * n_obj
+    fn is_anchor(&self, index: usize) -> bool {
+        (index / self.objectives.len()).is_multiple_of(self.budgets.len())
     }
 }
 
@@ -443,18 +444,19 @@ type HashedTargets = (Vec<(f64, BwExpr)>, u64);
 
 /// What one run builds at most once for a (shape, workload) pair it
 /// touches: the hashed target expressions, the communication plan, and,
-/// per objective, the warm-start seed that the group's anchor sets once
-/// its design solves. A build that panics leaves its cell empty, so each
-/// point that needs it builds it again instead of reading a half-built
-/// value.
+/// per objective, the group anchor's solved point, which the first of
+/// the group's cells to need it reads from the store or solves. A build
+/// or solve that panics leaves its cell empty, so each point that needs
+/// it tries again instead of reading a half-built value.
 struct PairTables {
     targets: OnceLock<Result<HashedTargets, LibraError>>,
     plan: OnceLock<Result<Option<CommPlan>, LibraError>>,
-    seeds: Vec<OnceLock<Vec<f64>>>,
+    anchors: Vec<OnceLock<Result<StoredPoint, LibraError>>>,
 }
 
 /// One run's [`PairTables`], for the (shape, workload) pairs its cells
-/// touch (an outside anchor shares its pair with the cells it seeds).
+/// touch (an anchor outside the cells shares its pair with the cells it
+/// seeds).
 struct RunTables {
     /// Grid points per pair: budgets × objectives.
     per_pair: usize,
@@ -475,7 +477,7 @@ impl RunTables {
             .map(|_| PairTables {
                 targets: OnceLock::new(),
                 plan: OnceLock::new(),
-                seeds: (0..n_obj).map(|_| OnceLock::new()).collect(),
+                anchors: (0..n_obj).map(|_| OnceLock::new()).collect(),
             })
             .collect();
         RunTables { per_pair, pairs, tables }
@@ -492,9 +494,9 @@ impl RunTables {
 ///
 /// Both modes are **bit-identical** on the same inputs — every point is an
 /// independent deterministic solve, the store only avoids
-/// recomputation, and warm-start seeding is phase-barriered — which is the
-/// engine's core determinism contract. Serial mode is the reference fold
-/// (and the right choice under an external thread pool).
+/// recomputation, and a seeded solve waits for its group anchor's point
+/// — which is the engine's core determinism contract. Serial mode is the
+/// reference fold (and the right choice under an external thread pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Fan grid points out with rayon (the default).
@@ -816,78 +818,42 @@ impl<'a> SweepEngine<'a> {
         self.cache.stats()
     }
 
-    /// The group anchors that `cells`' seeded cells depend on but that
-    /// are not themselves among `cells` (ascending, deduplicated).
-    fn outside_anchors(grid: &SweepGrid, cells: &[usize]) -> Vec<usize> {
-        let mut out: Vec<usize> = cells
-            .iter()
-            .map(|&i| grid.anchor_of(i))
-            .filter(|a| cells.binary_search(a).is_err())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Drives `f` over `cells` — ascending global grid indices: a
-    /// session's range, or one search round's cells of the nominal grid —
-    /// parallel or serial, returning the results in `cells` order.
-    /// **Every** run path funnels through this one function, so the
-    /// serial-vs-parallel bit-identity contract is enforced in exactly
-    /// one place.
-    ///
-    /// The cells are processed in two barrier-separated phases (anchors
-    /// first — the cells at the grid's first budget — then everything
-    /// else, seeded), so every seeded solve sees its group anchor's seed
-    /// already set, whatever the worker scheduling. Serial runs use the
-    /// same phase order, keeping the bit-identical parallel ≡ serial
-    /// contract.
-    ///
-    /// A seeded cell's group anchor (its shape × workload × objective at
-    /// the grid's first budget) may lie `outside` the cells. Those
-    /// anchors are handed to `prepare` in phase 1 — the caller evaluates
-    /// them for their seed and discards the result — so every seed a
-    /// cell consumes is exactly the seed the full run sets: **a partial
+    /// session's range, a resumed stream's missing cells, or one search
+    /// round's cells of the nominal grid — in one parallel or serial
+    /// pass, returning the results in `cells` order. **Every** run path
+    /// funnels through this one function, so the serial-vs-parallel
+    /// bit-identity contract is enforced in exactly one place. The order
+    /// the cells run in changes no answer: each seeded cell reads its
+    /// group anchor's point from the run's [`PairTables`], and so does
+    /// a partial run whose anchors lie outside its cells, so **a partial
     /// drive's results are bit-identical to the same cells of the full
     /// drive's.**
     fn drive<T: Send>(
         grid: &SweepGrid,
         cells: &[usize],
-        outside: &[usize],
         exec: ExecMode,
         f: impl Fn(usize) -> T + Sync,
-        prepare: impl Fn(usize) + Sync,
     ) -> Vec<T> {
-        let apply = |ks: &[usize]| -> Vec<(usize, T)> {
-            match exec {
-                ExecMode::Parallel => ks.par_iter().map(|&k| (k, f(cells[k]))).collect(),
-                ExecMode::Serial => ks.iter().map(|&k| (k, f(cells[k]))).collect(),
-            }
+        let mut order: Vec<usize> = (0..cells.len()).collect();
+        // Anchors first, so that a seeded cell seldom waits for its
+        // anchor's solve on another worker.
+        order.sort_by_key(|&k| !grid.is_anchor(cells[k]));
+        let run = |&k: &usize| (k, f(cells[k]));
+        let mut out: Vec<(usize, T)> = match exec {
+            ExecMode::Parallel => order.par_iter().map(run).collect(),
+            ExecMode::Serial => order.iter().map(run).collect(),
         };
-        let (anchors, rest): (Vec<usize>, Vec<usize>) =
-            (0..cells.len()).partition(|&k| grid.anchor_of(cells[k]) == cells[k]);
-        let mut out: Vec<Option<T>> = Vec::with_capacity(cells.len());
-        out.resize_with(cells.len(), || None);
-        // Phase 1: anchors (outside ones seed-only)...
-        match exec {
-            ExecMode::Parallel => outside.par_iter().for_each(|&i| prepare(i)),
-            ExecMode::Serial => outside.iter().for_each(|&i| prepare(i)),
-        }
-        for ks in [&anchors, &rest] {
-            // ...then the barrier, then phase 2: everything else, seeded.
-            for (k, t) in apply(ks) {
-                out[k] = Some(t);
-            }
-        }
-        out.into_iter().map(|t| t.expect("every cell driven exactly once")).collect()
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Evaluates `point`, at global grid `index`, through the engine's
-    /// store of solved points. A miss solves the design warm-started from
-    /// the group anchor's seed in `run`; a group's anchor (the point at
-    /// the grid's first budget) solves cold, and sets that seed once its
-    /// design is known, on a hit too. A point whose anchor set no seed
-    /// (its anchor failed) solves cold, and is keyed as the cold solve it
+    /// store of solved points: a store hit, else a solve it stages. A
+    /// group's anchor (the point at the grid's first budget) solves cold,
+    /// once per run, when the first of the group's cells needs it; every
+    /// other point seeds its solve from the anchor's design. A point
+    /// whose anchor failed solves cold, and is keyed as the cold solve it
     /// is.
     // Both variants are full result records stored unboxed in the report;
     // boxing the Err would not shrink anything the caller keeps.
@@ -919,14 +885,13 @@ impl<'a> SweepEngine<'a> {
         let counter = if built { &self.cache.expr_misses } else { &self.cache.expr_hits };
         counter.fetch_add(1, Ordering::Relaxed);
         let (targets, hash) = targets.as_ref().map_err(|e| fail(e.clone()))?;
-        let is_anchor = grid.anchor_of(index) == index;
-        let seed_cell = &tables.seeds[index % grid.objectives().len()];
-        let seed = if is_anchor { None } else { seed_cell.get() };
-        let seed_budget = if seed.is_some() { grid.budgets()[0] } else { point.budget };
-        let key = PointKey::new(*hash, point.budget, point.objective, seed_budget);
-        let solved = self
-            .cache
-            .point(key, &self.store, || {
+        let anchor_budget = grid.budgets()[0];
+        // The point at `budget`, seeded from the anchor's design when
+        // `seed` holds it, else solved cold.
+        let solve_at = |budget: f64, seed: Option<&StoredPoint>| {
+            let seed_budget = if seed.is_some() { anchor_budget } else { budget };
+            let key = PointKey::new(*hash, budget, point.objective, seed_budget);
+            self.cache.point(key, &self.store, || {
                 if seed.is_some() {
                     self.cache.warm_seeded.fetch_add(1, Ordering::Relaxed);
                 }
@@ -937,20 +902,24 @@ impl<'a> SweepEngine<'a> {
                         shape,
                         targets: targets.clone(),
                         objective: point.objective,
-                        constraints: vec![Constraint::TotalBw(point.budget)],
+                        constraints: vec![Constraint::TotalBw(budget)],
                         cost_model: self.cost_model,
                     },
-                    seed.map(Vec::as_slice),
+                    seed.map(|s| s.design.bw.as_slice()),
                 )?;
-                let equal = opt::equal_bw(shape.ndims(), point.budget);
+                let equal = opt::equal_bw(shape.ndims(), budget);
                 let baseline = opt::evaluate(shape, targets, &equal, self.cost_model);
                 Ok(StoredPoint { design, baseline })
             })
-            .map_err(fail)?;
-        if is_anchor {
-            // A run evaluates each anchor once, so the seed is unset here.
-            let _ = seed_cell.set(solved.design.bw.clone());
-        }
+        };
+        let anchor = tables.anchors[index % grid.objectives().len()]
+            .get_or_init(|| solve_at(anchor_budget, None));
+        let solved = if grid.is_anchor(index) {
+            anchor.clone()
+        } else {
+            solve_at(point.budget, anchor.as_ref().ok())
+        };
+        let solved = solved.map_err(fail)?;
         Ok(SweepResult {
             point,
             shape: shape.clone(),
@@ -1068,8 +1037,8 @@ impl<'a> SweepEngine<'a> {
     /// enumeration — under `backends`: the single driver behind every
     /// [`crate::scenario::Session`] run and every adaptive-search round.
     /// Each cell's outcome goes to `emit` with its global index, in
-    /// `cells` order, and the warm-start seeds are exactly what the full
-    /// run would set, so shard outputs concatenate back into the
+    /// `cells` order, and every seeded cell seeds from the anchor the
+    /// full run seeds it from, so shard outputs concatenate back into the
     /// unsharded run bit for bit. The run builds its own [`RunTables`];
     /// only solved points outlive it, in the engine's store, which is
     /// flushed after the drive.
@@ -1082,7 +1051,6 @@ impl<'a> SweepEngine<'a> {
         exec: ExecMode,
         emit: PointEmit<'_>,
     ) -> SweepReport {
-        let outside = Self::outside_anchors(grid, cells);
         let run = RunTables::new(grid, cells);
         // Per-point failure isolation: a panicking eval (a buggy
         // backend, a poisoned workload closure, an injected chaos
@@ -1090,30 +1058,15 @@ impl<'a> SweepEngine<'a> {
         // no times, JSONL-representable — instead of tearing down the
         // whole rayon fan-out. `catch_unwind` costs nothing on the
         // non-panicking path.
-        let outcomes = Self::drive(
-            grid,
-            cells,
-            &outside,
-            exec,
-            |i| {
-                let p = grid.point(i, workloads.len());
-                catch_unwind(AssertUnwindSafe(|| {
-                    self.eval_priced(grid, workloads, &run, i, p, backends)
-                }))
-                .unwrap_or_else(|payload| {
-                    (Err(Self::panic_to_error(grid, workloads, p, payload.as_ref())), None)
-                })
-            },
-            |i| {
-                // A panicking outside-anchor pre-solve only costs its
-                // group the warm-start seed; the cells still solve
-                // (cold) and record their own outcomes.
-                let p = grid.point(i, workloads.len());
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let _ = self.eval(grid, workloads, &run, i, p);
-                }));
-            },
-        );
+        let outcomes = Self::drive(grid, cells, exec, |i| {
+            let p = grid.point(i, workloads.len());
+            catch_unwind(AssertUnwindSafe(|| {
+                self.eval_priced(grid, workloads, &run, i, p, backends)
+            }))
+            .unwrap_or_else(|payload| {
+                (Err(Self::panic_to_error(grid, workloads, p, payload.as_ref())), None)
+            })
+        });
         // Best-effort persistence at the run boundary (so an interrupted
         // *next* run still finds this one's solves); flush errors stay
         // observable via `flush_store`, and drop retries.
@@ -1283,10 +1236,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A fault-poisoned anchor does not poison the store: its group's
-    /// other points solve cold and are stored as the cold solves they
-    /// are, so a clean run over that store seeds them from its anchor
-    /// and reports what a clean store-less run reports.
+    /// A fault-poisoned anchor poisons only its own record, and not the
+    /// store: its group still seeds from the anchor's solve, so the
+    /// surviving 400 GB/s record is a clean run's ([`floored_workload`]
+    /// shows a cold solve in its bits), and a clean run over that store
+    /// reports what a clean store-less run reports.
     #[test]
     fn a_fault_poisoned_anchor_does_not_poison_the_store() {
         let grid = SweepGrid::new()
@@ -1295,16 +1249,17 @@ mod tests {
             .with_objectives([Objective::PerfPerCost]);
         let wls = [floored_workload()];
         let cm = CostModel::default();
+        let want = Session::new(&cm).run(&grid, &wls, &[]).sweep;
+        assert!(want.errors.is_empty());
         let path = store_path("poisoned-anchor");
         let chaos = FaultInjector::from_spec("sweep.point.error=#1").unwrap();
         let poisoned = Session::new(&cm).with_store(&path).unwrap().with_fault(chaos).unwrap();
         let report = poisoned.run(&grid, &wls, &[]).sweep;
         assert_eq!(report.errors.len(), 1, "the anchor is poisoned");
-        assert_eq!(report.cache.warm_seeded, 0, "so its group solves cold");
+        assert_eq!(report.cache.warm_seeded, 1, "its group still seeds from the anchor's solve");
+        assert_eq!(report.results, want.results[1..], "the survivor is a clean run's");
         drop(poisoned);
         let clean = Session::new(&cm).with_store(&path).unwrap().run(&grid, &wls, &[]).sweep;
-        let want = Session::new(&cm).run(&grid, &wls, &[]).sweep;
-        assert!(want.errors.is_empty());
         assert_eq!(clean.results, want.results);
         assert_eq!(clean.errors, want.errors);
         let _ = std::fs::remove_file(&path);
@@ -1680,8 +1635,8 @@ mod tests {
         let cm = CostModel::default();
         let warm = Session::new(&cm).run(&grid, &wls, &[]).sweep;
         assert!(warm.errors.is_empty());
-        // Per objective, 3 of the 4 budgets are non-anchor and found a
-        // published seed.
+        // Per objective, 3 of the 4 budgets are non-anchor and seed from
+        // the anchor.
         assert_eq!(warm.cache.warm_seeded, 6);
         // Each point agrees with a cold solve on the metric it optimizes.
         // PerfPerCost optima are a plateau in `weighted_time × cost`, so
@@ -1754,10 +1709,9 @@ mod tests {
         assert!(clean.errors.is_empty());
         assert_eq!(clean.results.len(), 4);
         assert_eq!(run(Some("seed=3;sweep.point.error=0")), clean, "a silent site perturbed");
-        // A poisoned point publishes no warm-start seed, so a survivor
-        // matches the clean run only while its group's anchor survives.
-        // `#2` poisons all of shape 0's group, anchor included; shape 1's
-        // survivors seed from the same anchor as in the clean run.
+        // An injected fault poisons a point's record, not its solve: a
+        // group whose anchor is poisoned still seeds from the anchor's
+        // design, so every survivor matches the clean run.
         for r in &report.results {
             let c = clean.results.iter().find(|c| c.point == r.point).unwrap();
             assert_eq!(r, c, "survivor at {:?} differs from the clean run", r.point);

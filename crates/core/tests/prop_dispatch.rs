@@ -1,9 +1,9 @@
 //! Property test of the shard dispatcher's headline contract: for random
 //! grids and random shard counts K ∈ 1..=8, shard-then-merge equals the
 //! unsharded `Session::run` **bit for bit** — every record and the
-//! summary line — even though warm-started range-restricted drives must
-//! re-solve out-of-range group anchors to publish exactly the seeds the
-//! full run would have.
+//! summary line — even though a shard's seeded points must seed from
+//! group anchors that may lie in another shard's range, which each shard
+//! reads or solves once, when its first point needs one.
 
 use libra_core::comm::{Collective, CommModel, GroupSpan};
 use libra_core::cost::CostModel;

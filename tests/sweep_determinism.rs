@@ -1,7 +1,7 @@
 //! Determinism contract of the sweep engine: the rayon-parallel run returns
 //! **bit-identical** results to a serial fold over the same grid, point for
 //! point, on a ≥ 50-point grid evaluated with ≥ 4 worker threads, and
-//! counts the same cache work.
+//! counts the same cache work — for a partial run too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use libra::core::comm::{Collective, CommModel, GroupSpan};
 use libra::core::cost::CostModel;
 use libra::core::network::NetworkShape;
 use libra::core::opt::Objective;
-use libra::core::scenario::Session;
+use libra::core::scenario::{BackendRegistry, CollectorSink, Scenario, Session};
 use libra::core::sweep::{ExecMode, FnWorkload, SweepGrid};
 
 /// Force ≥ 4 workers even on single-core CI runners: the shimmed (and real)
@@ -114,4 +114,51 @@ fn parallel_counters_equal_serial_counters() {
     assert_eq!(parallel.results, serial.results);
     assert_eq!(parallel.cache, serial.cache);
     assert_eq!(parallel.cache.expr_misses, pairs);
+}
+
+/// A range that starts mid-group is priced in parallel as a serial fold
+/// prices it. Its cells are the first pair's budgets 250..700 under both
+/// objectives, so all of them seed from the pair's two anchors (indices
+/// 0 and 1), which lie outside the range: the first 4 workers start two
+/// cells per anchor at once. Each anchor is still solved exactly once.
+#[test]
+fn a_range_that_starts_mid_group_is_bit_identical_to_serial() {
+    force_parallelism();
+    let grid = grid();
+    let scenario = Scenario::builder("mid-group")
+        .with_shapes(grid.shapes().iter().cloned())
+        .with_budgets(grid.budgets().iter().copied())
+        .with_objectives(grid.objectives().iter().copied())
+        .with_workloads(["allreduce-2g", "allreduce-8g"])
+        .build()
+        .unwrap();
+    let wls = workloads();
+    let registry = BackendRegistry::new();
+    let cm = CostModel::default();
+    let range = 2..10;
+    let run = |mode: ExecMode| {
+        let mut sink = CollectorSink::new();
+        let report = Session::new(&cm)
+            .with_mode(mode)
+            .run_scenario_range_with_sinks(
+                &scenario,
+                &wls,
+                &registry,
+                range.clone(),
+                &mut [&mut sink],
+            )
+            .unwrap();
+        (sink.rows, report.sweep)
+    };
+
+    let (parallel_rows, parallel) = run(ExecMode::Parallel);
+    let (serial_rows, serial) = run(ExecMode::Serial);
+    assert!(parallel.errors.is_empty());
+    assert_eq!(parallel_rows.len(), range.len());
+    assert_eq!(parallel_rows, serial_rows);
+    assert_eq!(parallel.results, serial.results);
+    assert_eq!(parallel.cache, serial.cache);
+    // One solve per cell, each seeded, plus one per outside anchor.
+    assert_eq!(parallel.cache.design_misses, range.len() + 2);
+    assert_eq!(parallel.cache.warm_seeded, range.len());
 }
