@@ -53,6 +53,8 @@
 //!   is what the CI golden diff pins.
 //! * `--serial` uses the serial reference fold (bit-identical to the
 //!   default rayon fan-out by the engine's determinism contract).
+//!   `dispatch --spawn` passes it on to every worker, as it does
+//!   `--cache`.
 //! * `dispatch --spawn --retries N` respawns a crashed shard worker up
 //!   to `N` times (deterministic seeded exponential backoff); the
 //!   merged stream stays byte-identical to a clean run because failed
@@ -79,15 +81,18 @@
 
 use std::io::Write;
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::str::FromStr;
 use std::time::Duration;
 
 use libra_bench::{default_registry, scenario_workloads, search, ExecMode, Scenario};
 use libra_core::cost::CostModel;
-use libra_core::dispatch::{partial_records, resume_rows, Dispatcher};
+use libra_core::dispatch::{partial_records, resume_rows, Dispatcher, MergedRun};
 use libra_core::fault::{self, FaultInjector};
-use libra_core::scenario::{ConsoleTableSink, JsonLinesSink, ReportSink, Session};
+use libra_core::scenario::{
+    ConsoleTableSink, DivergenceMatrix, JsonLinesSink, ReportSink, Session,
+};
 use libra_core::LibraError;
 use libra_server::{install_signal_handlers, Server, ServerConfig, ServiceClient};
 
@@ -111,25 +116,10 @@ EXIT CODES:
     2  crossval/dispatch/resume/submit divergence beyond the scenario's tolerance
 ";
 
-struct Options {
-    scenario_path: String,
-    /// `resume`'s second positional: the interrupted JSON-lines stream.
-    partial_path: Option<String>,
-    serial: bool,
-    quiet: bool,
-    jsonl: Option<String>,
-    range: Option<Range<usize>>,
-    shards: Option<usize>,
-    spawn: bool,
-    /// `dispatch --spawn` only: respawn a crashed shard worker up to
-    /// this many times.
-    retries: Option<u32>,
-    cache: Option<String>,
-}
-
 /// A run can fail two ways with exit 1: a usage error (earns the USAGE
 /// block on stderr) or a runtime error (does not — repeating the flag
 /// grammar at an I/O failure would bury the actual message).
+#[derive(Debug)]
 enum CliError {
     Usage(String),
     Run(String),
@@ -141,168 +131,168 @@ impl From<LibraError> for CliError {
     }
 }
 
-fn parse_range(s: &str) -> Result<Range<usize>, String> {
-    let bad = || format!("--range wants A..B (got {s:?})");
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+/// A run error naming the file an I/O step failed on (`-` is stdout).
+fn file_error<'a>(verb: &'a str, path: &'a str) -> impl FnOnce(std::io::Error) -> CliError + 'a {
+    move |e| {
+        let path = if path == "-" { "stdout" } else { path };
+        CliError::Run(format!("cannot {verb} {path}: {e}"))
+    }
+}
+
+/// A subcommand's flag table: its positional arguments (named as in
+/// `USAGE`), its switches, and its flags that take a value.
+struct Grammar {
+    positionals: &'static [&'static str],
+    switches: &'static [&'static str],
+    valued: &'static [&'static str],
+}
+
+/// One subcommand's arguments, split by [`scan`].
+struct Args {
+    positionals: Vec<String>,
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+/// Splits a subcommand's arguments by its grammar. Every flag may
+/// appear at most once: a duplicate is a usage error, not a silent
+/// last-one-wins. A value may not start with `--`, but `-` (stdout) is
+/// a value.
+fn scan(args: &[String], grammar: &Grammar) -> Result<Args, CliError> {
+    let mut positionals = Vec::new();
+    let mut flags: Vec<(&'static str, Option<String>)> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let known = grammar.switches.iter().chain(grammar.valued).find(|f| **f == arg);
+        let Some(&flag) = known else {
+            if arg.starts_with("--") {
+                return Err(usage(format!("unknown flag {arg:?}")));
+            }
+            positionals.push(arg.clone());
+            continue;
+        };
+        if flags.iter().any(|(f, _)| *f == flag) {
+            return Err(usage(format!("duplicate flag {flag}")));
+        }
+        let value = if grammar.valued.contains(&flag) {
+            let value = it.next().filter(|v| !v.starts_with("--"));
+            Some(value.ok_or_else(|| usage(format!("{flag} requires a value")))?.clone())
+        } else {
+            None
+        };
+        flags.push((flag, value));
+    }
+    if let Some(extra) = positionals.get(grammar.positionals.len()) {
+        return Err(usage(format!("unexpected extra argument {extra:?}")));
+    }
+    if let Some(missing) = grammar.positionals.get(positionals.len()) {
+        return Err(usage(format!("missing {missing}")));
+    }
+    Ok(Args { positionals, flags })
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(f, _)| *f == flag).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The flag's value parsed as `T`; `what` names the wanted form in
+    /// the usage error.
+    fn parse<T: FromStr>(&self, flag: &str, what: &str) -> Result<Option<T>, CliError> {
+        let parse =
+            |v: &str| v.parse().map_err(|_| usage(format!("{flag} wants {what} (got {v:?})")));
+        self.value(flag).map(parse).transpose()
+    }
+
+    /// A count of at least 1.
+    fn positive(&self, flag: &str) -> Result<Option<usize>, CliError> {
+        match self.parse(flag, "a number")? {
+            Some(0) => Err(usage(format!("{flag} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    /// A positive number of seconds that a `Duration` can hold.
+    fn seconds(&self, flag: &str) -> Result<Option<Duration>, CliError> {
+        let positive = |v: &str| {
+            let secs = v.parse().ok().and_then(|s| Duration::try_from_secs_f64(s).ok());
+            secs.filter(|d| !d.is_zero())
+                .ok_or_else(|| usage(format!("{flag} wants a positive duration (got {v:?})")))
+        };
+        self.value(flag).map(positive).transpose()
+    }
+}
+
+// Each subcommand's flag table, the grammar `USAGE` shows.
+const SCENARIO: &[&str] = &["<SCENARIO.json>"];
+const LOCAL: &[&str] = &["--serial", "--quiet"];
+const LIST_BACKENDS: Grammar = Grammar { positionals: &[], switches: &["--json"], valued: &[] };
+/// `sweep` and `crossval`.
+const GRID: Grammar =
+    Grammar { positionals: SCENARIO, switches: LOCAL, valued: &["--jsonl", "--range", "--cache"] };
+const SEARCH: Grammar =
+    Grammar { positionals: SCENARIO, switches: LOCAL, valued: &["--jsonl", "--cache"] };
+const DISPATCH: Grammar = Grammar {
+    positionals: SCENARIO,
+    switches: &["--serial", "--quiet", "--spawn"],
+    valued: &["--shards", "--retries", "--jsonl", "--cache"],
+};
+const RESUME: Grammar = Grammar {
+    positionals: &["<SCENARIO.json>", "<PARTIAL.jsonl>"],
+    switches: LOCAL,
+    valued: &["--jsonl", "--cache"],
+};
+const SERVE: Grammar = Grammar {
+    positionals: &[],
+    switches: &[],
+    valued: &[
+        "--addr",
+        "--workers",
+        "--queue",
+        "--cache",
+        "--port-file",
+        "--job-timeout",
+        "--max-failed-points",
+    ],
+};
+const SUBMIT: Grammar = Grammar {
+    positionals: SCENARIO,
+    switches: &["--quiet"],
+    valued: &["--url", "--jsonl", "--timeout"],
+};
+
+fn parse_range(s: &str) -> Result<Range<usize>, CliError> {
+    let bad = || usage(format!("--range wants A..B (got {s:?})"));
     let (a, b) = s.split_once("..").ok_or_else(bad)?;
     let start: usize = a.parse().map_err(|_| bad())?;
     let end: usize = b.parse().map_err(|_| bad())?;
     if start > end {
-        return Err(format!("--range {s} is reversed (start exceeds end)"));
+        return Err(usage(format!("--range {s} is reversed (start exceeds end)")));
     }
     if start == end {
-        return Err(format!("--range {s} is empty (start equals end)"));
+        return Err(usage(format!("--range {s} is empty (start equals end)")));
     }
     Ok(start..end)
 }
 
-fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
-    let mut positionals: Vec<String> = Vec::new();
-    let mut serial = false;
-    let mut quiet = false;
-    let mut jsonl = None;
-    let mut range = None;
-    let mut shards = None;
-    let mut spawn = false;
-    let mut retries = None;
-    let mut cache = None;
-    let mut seen: Vec<&str> = Vec::new();
-    // Every flag is set-at-most-once: a duplicate is a usage error, not
-    // a silent last-one-wins (or worse, first-one-wins for booleans).
-    let mut once = |flag: &'static str| -> Result<(), String> {
-        if seen.contains(&flag) {
-            return Err(format!("duplicate flag {flag}"));
-        }
-        seen.push(flag);
-        Ok(())
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--serial" => {
-                once("--serial")?;
-                serial = true;
-            }
-            "--quiet" => {
-                once("--quiet")?;
-                quiet = true;
-            }
-            "--spawn" => {
-                once("--spawn")?;
-                spawn = true;
-            }
-            "--jsonl" => {
-                once("--jsonl")?;
-                let path = it.next().filter(|p| *p == "-" || !p.starts_with("--"));
-                jsonl = Some(path.ok_or_else(|| "--jsonl requires a path".to_string())?.clone());
-            }
-            "--cache" => {
-                once("--cache")?;
-                let path = it.next().filter(|p| !p.starts_with("--"));
-                cache = Some(path.ok_or_else(|| "--cache requires a path".to_string())?.clone());
-            }
-            "--range" => {
-                once("--range")?;
-                let spec = it.next().ok_or_else(|| "--range requires A..B".to_string())?;
-                range = Some(parse_range(spec)?);
-            }
-            "--shards" => {
-                once("--shards")?;
-                let n = it.next().ok_or_else(|| "--shards requires a count".to_string())?;
-                let n: usize =
-                    n.parse().map_err(|_| format!("--shards wants a number (got {n:?})"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                shards = Some(n);
-            }
-            "--retries" => {
-                once("--retries")?;
-                let n = it.next().ok_or_else(|| "--retries requires a count".to_string())?;
-                let n: u32 =
-                    n.parse().map_err(|_| format!("--retries wants a number (got {n:?})"))?;
-                retries = Some(n);
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            path => positionals.push(path.to_string()),
-        }
-    }
-    let wants = if cmd == "resume" { 2 } else { 1 };
-    if positionals.len() > wants {
-        return Err(format!("unexpected extra argument {:?}", positionals[wants]));
-    }
-    let mut positionals = positionals.into_iter();
-    let scenario_path = positionals.next().ok_or_else(|| "missing scenario file".to_string())?;
-    let partial_path = if cmd == "resume" {
-        Some(
-            positionals
-                .next()
-                .ok_or_else(|| "resume needs the partial JSON-lines file".to_string())?,
-        )
-    } else {
-        None
-    };
-    match cmd {
-        "dispatch" => {
-            if shards.is_none() {
-                return Err("dispatch requires --shards K".to_string());
-            }
-            if range.is_some() {
-                return Err("--range applies to sweep/crossval workers, not dispatch".to_string());
-            }
-            if retries.is_some() && !spawn {
-                return Err("--retries applies to dispatch --spawn \
-                     (in-process shards have no worker process to respawn)"
-                    .to_string());
-            }
-        }
-        "resume" => {
-            if shards.is_some() || spawn || retries.is_some() {
-                return Err("--shards/--spawn/--retries apply to dispatch, not resume".to_string());
-            }
-            if range.is_some() {
-                return Err("--range applies to sweep/crossval workers, not resume \
-                     (resume derives its own ranges from the partial stream)"
-                    .to_string());
-            }
-        }
-        "search" => {
-            if shards.is_some() || spawn || retries.is_some() {
-                return Err("--shards/--spawn/--retries apply to dispatch, not search".to_string());
-            }
-            if range.is_some() {
-                return Err("--range applies to sweep/crossval workers, not search \
-                     (the adaptive driver picks its own cells)"
-                    .to_string());
-            }
-        }
-        _ => {
-            if shards.is_some() || spawn || retries.is_some() {
-                return Err(format!("--shards/--spawn/--retries apply to dispatch, not {cmd}"));
-            }
-        }
-    }
-    // Interleaving records with the table on one stream would corrupt both.
-    if jsonl.as_deref() == Some("-") {
-        quiet = true;
-    }
-    Ok(Options {
-        scenario_path,
-        partial_path,
-        serial,
-        quiet,
-        jsonl,
-        range,
-        shards,
-        spawn,
-        retries,
-        cache,
-    })
+/// Reads and parses the scenario file at `path`.
+fn read_scenario(path: &str) -> Result<Scenario, CliError> {
+    let text = std::fs::read_to_string(path).map_err(file_error("read", path))?;
+    Ok(Scenario::from_json(&text)?)
 }
 
 /// Loads the scenario and enforces the crossval two-backend floor
-/// (`validate` is false for plain sweeps, which ignore backends).
-fn load_scenario(validate: bool, opts: &Options) -> Result<Scenario, LibraError> {
-    let mut scenario = Scenario::load(&opts.scenario_path)?;
+/// (`validate` is false for sweeps and searches, which ignore backends).
+fn load_scenario(validate: bool, path: &str) -> Result<Scenario, CliError> {
+    let mut scenario = read_scenario(path)?;
     if !validate {
         scenario.backends.clear();
     } else if scenario.backends.len() < 2 {
@@ -310,7 +300,8 @@ fn load_scenario(validate: bool, opts: &Options) -> Result<Scenario, LibraError>
             "crossval needs at least two backends; scenario {:?} names {}",
             scenario.name,
             scenario.backends.len()
-        )));
+        ))
+        .into());
     }
     Ok(scenario)
 }
@@ -336,25 +327,130 @@ fn check_exhaustive_cap(
     Ok(())
 }
 
-/// Opens the `--jsonl` destination (stdout for `-`).
-fn jsonl_writer(path: &str) -> Result<Box<dyn Write>, LibraError> {
+/// Opens a JSON-lines destination (stdout for `-`).
+fn jsonl_writer(path: &str) -> Result<Box<dyn Write>, CliError> {
     Ok(if path == "-" {
         Box::new(std::io::stdout().lock())
     } else {
         Box::new(std::io::BufWriter::new(
-            std::fs::File::create(path)
-                .map_err(|e| LibraError::BadRequest(format!("cannot create {path}: {e}")))?,
+            std::fs::File::create(path).map_err(file_error("create", path))?,
         ))
     })
 }
 
-fn run(validate: bool, opts: &Options) -> Result<i32, CliError> {
+/// Writes a whole JSON-lines stream to `path` (stdout for `-`).
+fn write_jsonl(path: &str, bytes: &[u8]) -> Result<(), CliError> {
+    let mut out = jsonl_writer(path)?;
+    out.write_all(bytes).and_then(|()| out.flush()).map_err(file_error("write", path))
+}
+
+/// The local session `sweep`, `crossval` and `search` share: the
+/// scenario's tolerance with `--serial` and `--cache`, streaming to the
+/// console table (unless `--quiet` or `--jsonl -`) and to `--jsonl`.
+/// `run` drives the session and returns its report and record count.
+/// `summary` prints the command's own report lines and returns the head
+/// of the `cache:` line, which follows with the `store:` line.
+fn run_local<R>(
+    a: &Args,
+    scenario: &Scenario,
+    run: impl FnOnce(&Session, &mut [&mut dyn ReportSink]) -> Result<(R, usize), LibraError>,
+    summary: impl FnOnce(&R) -> String,
+) -> Result<R, CliError> {
+    let cost_model = CostModel::default();
+    let mut session = scenario.session(&cost_model);
+    if a.has("--serial") {
+        session = session.with_mode(ExecMode::Serial);
+    }
+    if let Some(path) = a.value("--cache") {
+        session = session.with_store(path)?;
+    }
+    let jsonl_path = a.value("--jsonl");
+    // Interleaving records with the table on one stream would corrupt both.
+    let quiet = a.has("--quiet") || jsonl_path == Some("-");
+    let mut console = (!quiet).then(|| ConsoleTableSink::new(std::io::stdout().lock()));
+    let mut jsonl = jsonl_path.map(jsonl_writer).transpose()?.map(JsonLinesSink::new);
+    let mut sinks: Vec<&mut dyn ReportSink> = Vec::new();
+    if let Some(c) = console.as_mut() {
+        sinks.push(c);
+    }
+    if let Some(j) = jsonl.as_mut() {
+        sinks.push(j);
+    }
+
+    let (report, records) = run(&session, &mut sinks)?;
+    if let (Some(j), Some(path)) = (jsonl, jsonl_path) {
+        j.into_inner().flush().map_err(file_error("write", path))?;
+        if path != "-" {
+            eprintln!("libra: wrote {records} records to {path}");
+        }
+    }
+    let head = summary(&report);
+    // A `--cache` file that cannot be written fails the command.
+    session.engine().flush_store()?;
+    let stats = session.engine().cache_stats();
+    eprintln!(
+        "libra: {head}cache: {} solves ({} hits, {} warm-seeded); {} expression builds",
+        stats.design_misses, stats.design_hits, stats.warm_seeded, stats.expr_misses,
+    );
+    if let Some(store) = session.engine().store_stats() {
+        let path = a.value("--cache").unwrap_or("?");
+        eprintln!("libra: store: {} hits, {} staged (cache file {path})", store.hits, store.staged);
+    }
+    Ok(report)
+}
+
+/// Prints a divergence matrix's summary, and a FAIL line when it is
+/// beyond `tolerance`; returns the exit code its verdict maps to.
+fn judge(divergence: &DivergenceMatrix, tolerance: f64) -> i32 {
+    for line in divergence.summary().lines() {
+        eprintln!("libra: {line}");
+    }
+    if divergence.within_tolerance() {
+        return 0;
+    }
+    eprintln!("libra: FAIL — divergence beyond tolerance {tolerance}");
+    2
+}
+
+/// The tail `dispatch` and `resume` share: writes the merged stream to
+/// `dest`, prints `note`, and judges the merged divergence.
+fn finish_merged(merged: &MergedRun, dest: Option<&str>, note: &str) -> Result<i32, CliError> {
+    if let Some(path) = dest {
+        write_jsonl(path, merged.to_jsonl().as_bytes())?;
+        if path != "-" {
+            eprintln!("libra: wrote {} merged records to {path}", merged.rows.len());
+        }
+    }
+    eprintln!("libra: {note}");
+    Ok(judge(&merged.divergence, merged.tolerance))
+}
+
+fn list_backends(args: &[String]) -> Result<i32, CliError> {
+    let a = scan(args, &LIST_BACKENDS)?;
+    let registry = default_registry();
+    if a.has("--json") {
+        // The same bytes GET /v1/backends serves, by construction:
+        // both print `BackendRegistry::to_json` of the one registry.
+        print!("{}", registry.to_json());
+    } else {
+        for name in registry.names() {
+            println!("{name}");
+        }
+    }
+    Ok(0)
+}
+
+/// `sweep` (the design space only) or `crossval` (`validate`: every
+/// point priced under each of the scenario's backends, then judged).
+fn run_grid(validate: bool, args: &[String]) -> Result<i32, CliError> {
+    let a = scan(args, &GRID)?;
+    let range = a.value("--range").map(parse_range).transpose()?;
     // The shard-crash injection site: a `--range` run is what a spawned
     // shard worker executes, so an armed `dispatch.shard.crash` kills
     // this process abnormally before any output — the wire image of a
     // worker dying — keyed by the spawn-attempt ordinal the dispatcher
     // passed down, so retried attempts deterministically survive.
-    if opts.range.is_some() {
+    if range.is_some() {
         if let Some(injector) = FaultInjector::from_env() {
             let attempt = fault::attempt_from_env();
             if injector.fires(fault::DISPATCH_SHARD_CRASH, attempt) {
@@ -366,541 +462,294 @@ fn run(validate: bool, opts: &Options) -> Result<i32, CliError> {
             }
         }
     }
-    let scenario = load_scenario(validate, opts)?;
+    let scenario = load_scenario(validate, &a.positionals[0])?;
     let workloads = scenario_workloads(&scenario)?;
     check_exhaustive_cap(&scenario, workloads.len(), if validate { "crossval" } else { "sweep" })?;
-    let registry = default_registry();
-    let cost_model = CostModel::default();
     let grid_len = scenario.grid().len(workloads.len());
-    if let Some(r) = &opts.range {
-        // Grid-dependent, so checked here rather than in parse_options:
-        // a silently clamped range would emit fewer records than asked.
-        if r.end > grid_len {
-            return Err(CliError::Usage(format!(
-                "--range {}..{} does not fit the grid's {grid_len} points",
-                r.start, r.end
-            )));
-        }
+    // Grid-dependent, so checked here rather than by the scan: a
+    // silently clamped range would emit fewer records than asked.
+    if let Some(r) = range.as_ref().filter(|r| r.end > grid_len) {
+        return Err(usage(format!(
+            "--range {}..{} does not fit the grid's {grid_len} points",
+            r.start, r.end
+        )));
     }
-    let mut session = scenario.session(&cost_model);
-    if opts.serial {
-        session = session.with_mode(ExecMode::Serial);
-    }
-    if let Some(path) = &opts.cache {
-        session = session.with_store(path)?;
-    }
-
-    let mut console = (!opts.quiet).then(|| ConsoleTableSink::new(std::io::stdout().lock()));
-    let mut jsonl = match &opts.jsonl {
-        None => None,
-        Some(path) => Some(JsonLinesSink::new(jsonl_writer(path)?)),
-    };
-    let mut sinks: Vec<&mut dyn ReportSink> = Vec::new();
-    if let Some(c) = console.as_mut() {
-        sinks.push(c);
-    }
-    if let Some(j) = jsonl.as_mut() {
-        sinks.push(j);
-    }
-
-    let range = opts.range.clone().unwrap_or(0..grid_len);
-    let report = session
-        .run_scenario_range_with_sinks(&scenario, &workloads, &registry, range, &mut sinks)?;
-    // Every grid point in range streams one record — failed points included.
-    let records = report.sweep.results.len() + report.sweep.errors.len();
-    if let Some(j) = jsonl {
-        let mut out = j.into_inner();
-        out.flush().map_err(|e| LibraError::BadRequest(format!("flushing JSON-lines: {e}")))?;
-        if let Some(path) = opts.jsonl.as_deref().filter(|p| *p != "-") {
-            eprintln!("libra: wrote {records} records to {path}");
-        }
-    }
-    let (solved, errors) = (report.sweep.results.len(), report.sweep.errors.len());
-    flush_and_report(
-        &session,
-        opts,
-        &format!("{records} grid points ({solved} solved, {errors} errors); "),
+    let registry = default_registry();
+    let range = range.unwrap_or(0..grid_len);
+    let report = run_local(
+        &a,
+        &scenario,
+        |session, sinks| {
+            let report = session
+                .run_scenario_range_with_sinks(&scenario, &workloads, &registry, range, sinks)?;
+            // Every grid point in range streams one record — failed points included.
+            let records = report.sweep.results.len() + report.sweep.errors.len();
+            Ok((report, records))
+        },
+        |report| {
+            let (solved, errors) = (report.sweep.results.len(), report.sweep.errors.len());
+            format!("{} grid points ({solved} solved, {errors} errors); ", solved + errors)
+        },
     )?;
-    if validate {
-        for line in report.divergence.summary().lines() {
-            eprintln!("libra: {line}");
-        }
-        if !report.divergence.within_tolerance() {
-            eprintln!("libra: FAIL — divergence beyond tolerance {}", session.tolerance());
-            return Ok(2);
-        }
-    }
-    Ok(0)
+    Ok(if validate { judge(&report.divergence, scenario.tolerance) } else { 0 })
 }
 
-fn run_search(opts: &Options) -> Result<i32, CliError> {
+fn run_search(args: &[String]) -> Result<i32, CliError> {
+    let a = scan(args, &SEARCH)?;
     // Backends are ignored like `sweep`'s: search prices the design
     // space only, so a search scenario may name zero backends.
-    let mut scenario = Scenario::load(&opts.scenario_path)?;
-    scenario.backends.clear();
+    let scenario = load_scenario(false, &a.positionals[0])?;
     let workloads = scenario_workloads(&scenario)?;
-    let cost_model = CostModel::default();
-    let mut session = scenario.session(&cost_model);
-    if opts.serial {
-        session = session.with_mode(ExecMode::Serial);
-    }
-    if let Some(path) = &opts.cache {
-        session = session.with_store(path)?;
-    }
-
-    let mut console = (!opts.quiet).then(|| ConsoleTableSink::new(std::io::stdout().lock()));
-    let mut jsonl = match &opts.jsonl {
-        None => None,
-        Some(path) => Some(JsonLinesSink::new(jsonl_writer(path)?)),
-    };
-    let mut sinks: Vec<&mut dyn ReportSink> = Vec::new();
-    if let Some(c) = console.as_mut() {
-        sinks.push(c);
-    }
-    if let Some(j) = jsonl.as_mut() {
-        sinks.push(j);
-    }
-
-    let report = search::run_scenario(&session, &scenario, &workloads, &mut sinks)?;
-    let records = report.evals;
-    if let Some(j) = jsonl {
-        let mut out = j.into_inner();
-        out.flush().map_err(|e| LibraError::BadRequest(format!("flushing JSON-lines: {e}")))?;
-        if let Some(path) = opts.jsonl.as_deref().filter(|p| *p != "-") {
-            eprintln!("libra: wrote {records} records to {path}");
-        }
-    }
-    for r in &report.rounds {
-        eprintln!(
-            "libra: search round {}: {} budgets refined, {} new evals, front size {}",
-            r.round, r.budgets_added, r.new_evals, r.front_size
-        );
-    }
-    eprintln!(
-        "libra: search evaluated {} of {} nominal grid points ({:.2}%) in {} rounds; \
-         front size {} ({} solved, {} errors)",
-        report.evals,
-        report.nominal_points,
-        100.0 * report.coverage(),
-        report.rounds.len(),
-        report.front().len(),
-        report.sweep.results.len(),
-        report.sweep.errors.len(),
-    );
-    flush_and_report(&session, opts, "")?;
+    run_local(
+        &a,
+        &scenario,
+        |session, sinks| {
+            let report = search::run_scenario(session, &scenario, &workloads, sinks)?;
+            let evals = report.evals;
+            Ok((report, evals))
+        },
+        |report| {
+            for r in &report.rounds {
+                eprintln!(
+                    "libra: search round {}: {} budgets refined, {} new evals, front size {}",
+                    r.round, r.budgets_added, r.new_evals, r.front_size
+                );
+            }
+            eprintln!(
+                "libra: search evaluated {} of {} nominal grid points ({:.2}%) in {} rounds; \
+                 front size {} ({} solved, {} errors)",
+                report.evals,
+                report.nominal_points,
+                100.0 * report.coverage(),
+                report.rounds.len(),
+                report.front().len(),
+                report.sweep.results.len(),
+                report.sweep.errors.len(),
+            );
+            String::new()
+        },
+    )?;
     Ok(0)
 }
 
-/// Flushes `session`'s store, so a `--cache` file that cannot be written
-/// fails the command, then prints the session's `cache:` line after
-/// `head` and, with `--cache`, its `store:` line.
-fn flush_and_report(session: &Session, opts: &Options, head: &str) -> Result<(), LibraError> {
-    session.engine().flush_store()?;
-    let stats = session.engine().cache_stats();
-    eprintln!(
-        "libra: {head}cache: {} solves ({} hits, {} warm-seeded); {} expression builds",
-        stats.design_misses, stats.design_hits, stats.warm_seeded, stats.expr_misses,
-    );
-    if let Some(store) = session.engine().store_stats() {
-        let path = opts.cache.as_deref().unwrap_or("?");
-        eprintln!("libra: store: {} hits, {} staged (cache file {path})", store.hits, store.staged);
-    }
-    Ok(())
-}
-
-fn run_dispatch(opts: &Options) -> Result<i32, CliError> {
-    let scenario = load_scenario(true, opts)?;
+fn run_dispatch(args: &[String]) -> Result<i32, CliError> {
+    let a = scan(args, &DISPATCH)?;
+    let shards = a.positive("--shards")?.ok_or_else(|| usage("dispatch requires --shards K"))?;
+    let spawn = a.has("--spawn");
+    let retries: u32 = match a.parse("--retries", "a number")? {
+        Some(_) if !spawn => {
+            return Err(usage(
+                "--retries applies to dispatch --spawn \
+                 (in-process shards have no worker process to respawn)",
+            ))
+        }
+        n => n.unwrap_or(0),
+    };
+    let scenario = load_scenario(true, &a.positionals[0])?;
     let workloads = scenario_workloads(&scenario)?;
     check_exhaustive_cap(&scenario, workloads.len(), "dispatch")?;
     let registry = default_registry();
-    let cost_model = CostModel::default();
-    let shards = opts.shards.expect("parse_options requires --shards for dispatch");
     let mut dispatcher = Dispatcher::new(&scenario, shards)?;
-    if opts.serial {
+    if a.has("--serial") {
         dispatcher = dispatcher.with_mode(ExecMode::Serial);
     }
-    if let Some(path) = &opts.cache {
+    if let Some(path) = a.value("--cache") {
         dispatcher = dispatcher.with_store(path);
     }
-
-    let merged = if opts.spawn {
-        let exe = std::env::current_exe()
-            .map_err(|e| LibraError::BadRequest(format!("cannot locate own binary: {e}")))?;
-        let ranges = dispatcher.ranges(workloads.len());
-        let retries = opts.retries.unwrap_or(0);
-        // Backoff jitter rides the fault plan's seed when one is armed,
-        // so a chaos run's full retry timing is reproducible.
-        let backoff_seed = FaultInjector::from_env().map_or(0, |f| f.seed());
-        let spawn_shard = |r: &Range<usize>, attempt: u32| -> Result<_, LibraError> {
-            let mut args = vec![
-                "crossval".to_string(),
-                opts.scenario_path.clone(),
-                "--jsonl".to_string(),
-                "-".to_string(),
-                "--range".to_string(),
-                format!("{}..{}", r.start, r.end),
-            ];
-            if let Some(path) = &opts.cache {
-                args.push("--cache".to_string());
-                args.push(path.clone());
-            }
-            Command::new(&exe)
-                .args(&args)
-                .env(fault::ATTEMPT_ENV_VAR, attempt.to_string())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped())
-                .spawn()
-                .map_err(|e| LibraError::BadRequest(format!("spawning shard worker: {e}")))
-        };
-        // Fork one `crossval --range` worker per shard, all running
-        // concurrently; each streams its records to stdout. Empty tail
-        // shards (more shards than points) get no worker: the CLI
-        // rejects empty ranges, and there is nothing to run anyway.
-        let mut children = Vec::new();
-        for r in ranges.iter().filter(|r| !r.is_empty()) {
-            children.push((r.clone(), spawn_shard(r, 0)?));
-        }
-        let mut streams = Vec::with_capacity(children.len());
-        for (k, (r, mut child)) in children.into_iter().enumerate() {
-            let mut attempt: u32 = 0;
-            let stdout = loop {
-                let out = child
-                    .wait_with_output()
-                    .map_err(|e| LibraError::BadRequest(format!("waiting on shard {k}: {e}")))?;
-                // Exit 2 is a shard-local divergence verdict; the merged
-                // matrix re-judges the whole grid. Exit 1 is the worker's
-                // own usage, I/O or scenario error, which a retry would
-                // only repeat, so only crashes spend the retry budget.
-                let code = out.status.code();
-                if matches!(code, Some(0 | 2)) {
-                    break out.stdout;
-                }
-                if code == Some(1) || attempt >= retries {
-                    let stderr = String::from_utf8_lossy(&out.stderr);
-                    let last = stderr.lines().rfind(|l| !l.trim().is_empty());
-                    return Err(CliError::Run(format!(
-                        "shard {k} worker failed with status {code:?} (attempt {} of {}): {}",
-                        attempt + 1,
-                        retries + 1,
-                        last.unwrap_or("no message on stderr"),
-                    )));
-                }
-                // A failed attempt's partial stdout is discarded whole;
-                // only a clean attempt's stream enters the merge, which
-                // is what keeps chaotic runs byte-identical to clean ones.
-                attempt += 1;
-                let delay = fault::backoff_delay_ms(backoff_seed, attempt, 10, 2_000);
-                eprintln!(
-                    "libra: shard {k} worker failed with status {code:?}; \
-                     retrying ({attempt}/{retries}) in {delay} ms",
-                );
-                std::thread::sleep(Duration::from_millis(delay));
-                child = spawn_shard(&r, attempt)?;
-            };
-            streams.push(String::from_utf8(stdout).map_err(|e| {
-                LibraError::BadRequest(format!("shard {k} wrote non-UTF-8 output: {e}"))
-            })?);
-        }
+    let merged = if spawn {
+        let streams = run_workers(&a, &dispatcher.ranges(workloads.len()), retries)?;
         dispatcher.merge_streams(workloads.len(), &streams, &registry)?
     } else {
-        dispatcher.run_in_process(&cost_model, &workloads, &registry)?
+        dispatcher.run_in_process(&CostModel::default(), &workloads, &registry)?
     };
-
-    if let Some(path) = &opts.jsonl {
-        let mut out = jsonl_writer(path)?;
-        out.write_all(merged.to_jsonl().as_bytes())
-            .and_then(|()| out.flush())
-            .map_err(|e| LibraError::BadRequest(format!("writing merged JSON-lines: {e}")))?;
-        if path != "-" {
-            eprintln!("libra: wrote {} merged records to {path}", merged.rows.len());
-        }
-    }
-    let mode = if opts.spawn { "spawned workers" } else { "in-process sessions" };
-    eprintln!(
-        "libra: dispatch merged {} shards ({mode}) over {} grid points ({} solved, {} errors)",
-        shards,
+    let mode = if spawn { "spawned workers" } else { "in-process sessions" };
+    let note = format!(
+        "dispatch merged {shards} shards ({mode}) over {} grid points ({} solved, {} errors)",
         merged.rows.len(),
         merged.results(),
         merged.errors(),
     );
-    for line in merged.divergence.summary().lines() {
-        eprintln!("libra: {line}");
-    }
-    if !merged.within_tolerance() {
-        eprintln!("libra: FAIL — divergence beyond tolerance {}", merged.tolerance);
-    }
-    Ok(merged.exit_code())
+    finish_merged(&merged, a.value("--jsonl"), &note)
 }
 
-fn run_resume(opts: &Options) -> Result<i32, CliError> {
+/// A spawned shard worker's arguments: `crossval --range` over its
+/// shard, streaming records to stdout, with the dispatch's `--serial`
+/// and `--cache`.
+fn worker_args(a: &Args, r: &Range<usize>) -> Vec<String> {
+    let mut args = vec![
+        "crossval".to_string(),
+        a.positionals[0].clone(),
+        "--jsonl".to_string(),
+        "-".to_string(),
+        "--range".to_string(),
+        format!("{}..{}", r.start, r.end),
+    ];
+    for (flag, value) in a.flags.iter().filter(|(f, _)| matches!(*f, "--serial" | "--cache")) {
+        args.push(flag.to_string());
+        args.extend(value.clone());
+    }
+    args
+}
+
+/// Forks one worker per shard, all running concurrently, and returns
+/// their JSON-lines streams in shard order. Empty tail shards (more
+/// shards than points) get no worker: the CLI rejects empty ranges, and
+/// there is nothing to run anyway. A crashed worker is respawned up to
+/// `retries` times.
+fn run_workers(a: &Args, ranges: &[Range<usize>], retries: u32) -> Result<Vec<String>, CliError> {
+    let exe = std::env::current_exe()
+        .map_err(|e| CliError::Run(format!("cannot locate own binary: {e}")))?;
+    // Backoff jitter rides the fault plan's seed when one is armed,
+    // so a chaos run's full retry timing is reproducible.
+    let backoff_seed = FaultInjector::from_env().map_or(0, |f| f.seed());
+    let spawn_worker = |r: &Range<usize>, attempt: u32| {
+        Command::new(&exe)
+            .args(worker_args(a, r))
+            .env(fault::ATTEMPT_ENV_VAR, attempt.to_string())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| CliError::Run(format!("cannot spawn {}: {e}", exe.display())))
+    };
+    let mut children = Vec::new();
+    for r in ranges.iter().filter(|r| !r.is_empty()) {
+        children.push((r, spawn_worker(r, 0)?));
+    }
+    let mut streams = Vec::with_capacity(children.len());
+    for (k, (r, mut child)) in children.into_iter().enumerate() {
+        let mut attempt: u32 = 0;
+        let stdout = loop {
+            let out = child
+                .wait_with_output()
+                .map_err(|e| CliError::Run(format!("waiting on shard {k}: {e}")))?;
+            // Exit 2 is a shard-local divergence verdict; the merged
+            // matrix re-judges the whole grid. Exit 1 is the worker's
+            // own usage, I/O or scenario error, which a retry would
+            // only repeat, so only crashes spend the retry budget.
+            let code = out.status.code();
+            if matches!(code, Some(0 | 2)) {
+                break out.stdout;
+            }
+            if code == Some(1) || attempt >= retries {
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                let last = stderr.lines().rfind(|l| !l.trim().is_empty());
+                return Err(CliError::Run(format!(
+                    "shard {k} worker failed with status {code:?} (attempt {} of {}): {}",
+                    attempt + 1,
+                    retries + 1,
+                    last.unwrap_or("no message on stderr"),
+                )));
+            }
+            // A failed attempt's partial stdout is discarded whole;
+            // only a clean attempt's stream enters the merge, which
+            // is what keeps chaotic runs byte-identical to clean ones.
+            attempt += 1;
+            let delay = fault::backoff_delay_ms(backoff_seed, attempt, 10, 2_000);
+            eprintln!(
+                "libra: shard {k} worker failed with status {code:?}; \
+                 retrying ({attempt}/{retries}) in {delay} ms",
+            );
+            std::thread::sleep(Duration::from_millis(delay));
+            child = spawn_worker(r, attempt)?;
+        };
+        let stream = String::from_utf8(stdout)
+            .map_err(|e| CliError::Run(format!("shard {k} wrote non-UTF-8 output: {e}")))?;
+        streams.push(stream);
+    }
+    Ok(streams)
+}
+
+fn run_resume(args: &[String]) -> Result<i32, CliError> {
+    let a = scan(args, &RESUME)?;
+    let (scenario_path, partial_path) = (&a.positionals[0], &a.positionals[1]);
     // No two-backend floor: resume re-prices with whatever backend list
     // the scenario names, so a plain sweep stream resumes too.
-    let scenario = Scenario::load(&opts.scenario_path)?;
+    let scenario = read_scenario(scenario_path)?;
     let workloads = scenario_workloads(&scenario)?;
     check_exhaustive_cap(&scenario, workloads.len(), "resume")?;
-    let registry = default_registry();
-    let cost_model = CostModel::default();
-    let partial_path = opts.partial_path.as_deref().expect("parse_options requires the partial");
-    let partial = std::fs::read_to_string(partial_path)
-        .map_err(|e| LibraError::BadRequest(format!("cannot read {partial_path}: {e}")))?;
+    let partial =
+        std::fs::read_to_string(partial_path).map_err(file_error("read", partial_path))?;
     let rows = partial_records(&partial)?;
     let present = rows.len();
-    let mode = if opts.serial { ExecMode::Serial } else { ExecMode::Parallel };
+    let mode = if a.has("--serial") { ExecMode::Serial } else { ExecMode::Parallel };
     let merged = resume_rows(
         &scenario,
         &workloads,
-        &registry,
-        &cost_model,
+        &default_registry(),
+        &CostModel::default(),
         rows,
         mode,
-        opts.cache.as_deref().map(std::path::Path::new),
+        a.value("--cache").map(Path::new),
     )?;
-    // The merged stream replaces the partial file unless --jsonl
-    // redirects it (`-` for stdout).
-    let dest = opts.jsonl.as_deref().unwrap_or(partial_path);
-    let mut out = jsonl_writer(dest)?;
-    out.write_all(merged.to_jsonl().as_bytes())
-        .and_then(|()| out.flush())
-        .map_err(|e| LibraError::BadRequest(format!("writing merged JSON-lines: {e}")))?;
-    if dest != "-" {
-        eprintln!("libra: wrote {} merged records to {dest}", merged.rows.len());
-    }
-    eprintln!(
-        "libra: resume: {present} surviving records, {} re-priced, {} total",
+    let note = format!(
+        "resume: {present} surviving records, {} re-priced, {} total",
         merged.rows.len() - present,
         merged.rows.len(),
     );
-    for line in merged.divergence.summary().lines() {
-        eprintln!("libra: {line}");
-    }
-    if !merged.within_tolerance() {
-        eprintln!("libra: FAIL — divergence beyond tolerance {}", merged.tolerance);
-    }
-    Ok(merged.exit_code())
+    // The merged stream replaces the partial file unless --jsonl
+    // redirects it (`-` for stdout).
+    finish_merged(&merged, Some(a.value("--jsonl").unwrap_or(partial_path)), &note)
 }
 
-struct ServeOptions {
-    addr: String,
-    workers: usize,
-    queue: usize,
-    cache: Option<String>,
-    /// Write the bound port here once listening — how scripts (and the
-    /// CI smoke job) discover an ephemeral `--addr HOST:0` port.
-    port_file: Option<String>,
-    /// Per-job wall-clock deadline in seconds (the watchdog).
-    job_timeout: Option<f64>,
-    /// Failed-point quota: more errored grid points than this fails the
-    /// whole job.
-    max_failed_points: Option<usize>,
-}
-
-fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
+fn run_serve(args: &[String]) -> Result<i32, CliError> {
+    let a = scan(args, &SERVE)?;
     let defaults = ServerConfig::default();
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut workers = defaults.workers;
-    let mut queue = defaults.queue_capacity;
-    let mut cache = None;
-    let mut port_file = None;
-    let mut job_timeout = None;
-    let mut max_failed_points = None;
-    let mut seen: Vec<&str> = Vec::new();
-    let mut once = |flag: &'static str| -> Result<(), String> {
-        if seen.contains(&flag) {
-            return Err(format!("duplicate flag {flag}"));
-        }
-        seen.push(flag);
-        Ok(())
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match a.as_str() {
-            "--addr" => {
-                once("--addr")?;
-                addr = value("--addr")?;
-            }
-            "--workers" => {
-                once("--workers")?;
-                let v = value("--workers")?;
-                workers = v.parse().map_err(|_| format!("--workers wants a number (got {v:?})"))?;
-                if workers == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-            }
-            "--queue" => {
-                once("--queue")?;
-                let v = value("--queue")?;
-                queue = v.parse().map_err(|_| format!("--queue wants a number (got {v:?})"))?;
-                if queue == 0 {
-                    return Err("--queue must be at least 1".to_string());
-                }
-            }
-            "--cache" => {
-                once("--cache")?;
-                cache = Some(value("--cache")?);
-            }
-            "--port-file" => {
-                once("--port-file")?;
-                port_file = Some(value("--port-file")?);
-            }
-            "--job-timeout" => {
-                once("--job-timeout")?;
-                let v = value("--job-timeout")?;
-                let secs: f64 =
-                    v.parse().map_err(|_| format!("--job-timeout wants seconds (got {v:?})"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("--job-timeout wants a positive duration (got {v:?})"));
-                }
-                job_timeout = Some(secs);
-            }
-            "--max-failed-points" => {
-                once("--max-failed-points")?;
-                let v = value("--max-failed-points")?;
-                max_failed_points = Some(
-                    v.parse()
-                        .map_err(|_| format!("--max-failed-points wants a number (got {v:?})"))?,
-                );
-            }
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    Ok(ServeOptions { addr, workers, queue, cache, port_file, job_timeout, max_failed_points })
-}
-
-fn run_serve(opts: &ServeOptions) -> Result<i32, CliError> {
-    // SIGTERM/ctrl-c flip the shutdown flag; `join` then drains.
-    install_signal_handlers();
     let config = ServerConfig {
-        addr: opts.addr.clone(),
-        workers: opts.workers,
-        queue_capacity: opts.queue,
-        cache: opts.cache.as_ref().map(PathBuf::from),
-        job_timeout: opts.job_timeout.map(Duration::from_secs_f64),
-        failed_point_quota: opts.max_failed_points,
+        addr: a.value("--addr").unwrap_or("127.0.0.1:8080").to_string(),
+        workers: a.positive("--workers")?.unwrap_or(defaults.workers),
+        queue_capacity: a.positive("--queue")?.unwrap_or(defaults.queue_capacity),
+        cache: a.value("--cache").map(PathBuf::from),
+        job_timeout: a.seconds("--job-timeout")?,
+        failed_point_quota: a.parse("--max-failed-points", "a number")?,
         // None = fall back to the LIBRA_FAULT_PLAN environment variable.
         fault_spec: None,
     };
+    let cache_note = a.value("--cache").map_or(String::new(), |path| format!(", cache {path}"));
+    let note =
+        format!("{} workers, queue capacity {}{cache_note}", config.workers, config.queue_capacity);
+    // SIGTERM/ctrl-c flip the shutdown flag; `join` then drains.
+    install_signal_handlers();
     // The same registry + workload resolver `crossval` runs with, so a
     // served job's records are byte-identical to the local command's.
     let server = Server::start(config, default_registry(), Box::new(scenario_workloads))?;
     let addr = server.addr();
-    let cache_note = match &opts.cache {
-        Some(path) => format!(", cache {path}"),
-        None => String::new(),
-    };
-    eprintln!(
-        "libra: serving on http://{addr} ({} workers, queue capacity {}{cache_note})",
-        opts.workers, opts.queue
-    );
-    if let Some(path) = &opts.port_file {
-        std::fs::write(path, format!("{}\n", addr.port()))
-            .map_err(|e| LibraError::BadRequest(format!("cannot write {path}: {e}")))?;
+    eprintln!("libra: serving on http://{addr} ({note})");
+    // Scripts (and the CI smoke job) read an ephemeral `--addr HOST:0`
+    // port from here once the server listens.
+    if let Some(path) = a.value("--port-file") {
+        std::fs::write(path, format!("{}\n", addr.port())).map_err(file_error("write", path))?;
     }
     server.join()?;
     eprintln!("libra: serve: drained and shut down");
     Ok(0)
 }
 
-struct SubmitOptions {
-    scenario_path: String,
-    url: String,
-    /// Records destination; `-` (the default) streams to stdout.
-    jsonl: String,
-    quiet: bool,
-    /// Bound on the wait for the job, in seconds (`None` waits forever).
-    timeout: Option<f64>,
-}
-
-fn parse_submit(args: &[String]) -> Result<SubmitOptions, String> {
-    let mut positionals: Vec<String> = Vec::new();
-    let mut url = None;
-    let mut jsonl = None;
-    let mut quiet = false;
-    let mut timeout = None;
-    let mut seen: Vec<&str> = Vec::new();
-    let mut once = |flag: &'static str| -> Result<(), String> {
-        if seen.contains(&flag) {
-            return Err(format!("duplicate flag {flag}"));
-        }
-        seen.push(flag);
-        Ok(())
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quiet" => {
-                once("--quiet")?;
-                quiet = true;
-            }
-            "--url" => {
-                once("--url")?;
-                let v = it.next().filter(|v| !v.starts_with("--"));
-                url = Some(v.ok_or_else(|| "--url requires a value".to_string())?.clone());
-            }
-            "--jsonl" => {
-                once("--jsonl")?;
-                let path = it.next().filter(|p| *p == "-" || !p.starts_with("--"));
-                jsonl = Some(path.ok_or_else(|| "--jsonl requires a path".to_string())?.clone());
-            }
-            "--timeout" => {
-                once("--timeout")?;
-                let v = it.next().ok_or_else(|| "--timeout requires seconds".to_string())?;
-                let secs: f64 =
-                    v.parse().map_err(|_| format!("--timeout wants seconds (got {v:?})"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("--timeout wants a positive duration (got {v:?})"));
-                }
-                timeout = Some(secs);
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            path => positionals.push(path.to_string()),
-        }
-    }
-    if positionals.len() > 1 {
-        return Err(format!("unexpected extra argument {:?}", positionals[1]));
-    }
-    let scenario_path =
-        positionals.into_iter().next().ok_or_else(|| "missing scenario file".to_string())?;
-    let url = url.ok_or_else(|| "submit requires --url http://HOST:PORT".to_string())?;
-    Ok(SubmitOptions {
-        scenario_path,
-        url,
-        jsonl: jsonl.unwrap_or_else(|| "-".to_string()),
-        quiet,
-        timeout,
-    })
-}
-
-fn run_submit(opts: &SubmitOptions) -> Result<i32, CliError> {
-    let body = std::fs::read(&opts.scenario_path).map_err(|e| {
-        CliError::from(LibraError::BadRequest(format!("cannot read {}: {e}", opts.scenario_path)))
-    })?;
+fn run_submit(args: &[String]) -> Result<i32, CliError> {
+    let a = scan(args, &SUBMIT)?;
+    let url = a.value("--url").ok_or_else(|| usage("submit requires --url http://HOST:PORT"))?;
+    // Bounds the wait for the job (unbounded without it).
+    let timeout = a.seconds("--timeout")?;
+    let quiet = a.has("--quiet");
+    let dest = a.value("--jsonl").unwrap_or("-");
+    let path = &a.positionals[0];
+    let body = std::fs::read(path).map_err(file_error("read", path))?;
     // Ride out a server that is still binding (e.g. a script that
     // starts `serve` and `submit` back to back) — connection-refused
     // submits retry for a short budget; application errors never do.
-    let client = ServiceClient::new(&opts.url)?.with_connect_retry(Duration::from_secs(2));
+    let client = ServiceClient::new(url)?.with_connect_retry(Duration::from_secs(2));
     let (job, position) = client.submit(&body)?;
-    if !opts.quiet {
+    if !quiet {
         eprintln!(
             "libra: submitted {job} (queue position {position}) to http://{}",
             client.authority()
         );
     }
-    let summary =
-        client.wait(&job, Duration::from_millis(25), opts.timeout.map(Duration::from_secs_f64))?;
+    let summary = client.wait(&job, Duration::from_millis(25), timeout)?;
     let records = client.records(&job)?;
-    let mut out = jsonl_writer(&opts.jsonl)?;
-    out.write_all(&records)
-        .and_then(|()| out.flush())
-        .map_err(|e| LibraError::BadRequest(format!("writing served JSON-lines: {e}")))?;
-    if !opts.quiet {
-        if opts.jsonl != "-" {
-            eprintln!("libra: wrote {} served bytes to {}", records.len(), opts.jsonl);
+    write_jsonl(dest, &records)?;
+    if !quiet {
+        if dest != "-" {
+            eprintln!("libra: wrote {} served bytes to {dest}", records.len());
         }
         eprintln!(
             "libra: {job}: {} solved, {} errors; max rel error {:.6}; within tolerance: {}",
@@ -912,84 +761,69 @@ fn run_submit(opts: &SubmitOptions) -> Result<i32, CliError> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("list-backends") => match args.get(1).map(String::as_str) {
-            None => {
-                for name in default_registry().names() {
-                    println!("{name}");
-                }
-                0
-            }
-            // The same bytes GET /v1/backends serves, by construction:
-            // both print `BackendRegistry::to_json` of the one registry.
-            Some("--json") if args.len() == 2 => {
-                print!("{}", default_registry().to_json());
-                0
-            }
-            Some(other) => {
-                eprintln!("libra list-backends: unexpected argument {other:?}\n\n{USAGE}");
-                1
-            }
-        },
-        Some(cmd @ ("serve" | "submit")) => {
-            let outcome = if cmd == "serve" {
-                parse_serve(&args[1..]).map_err(CliError::Usage).and_then(|o| run_serve(&o))
-            } else {
-                parse_submit(&args[1..]).map_err(CliError::Usage).and_then(|o| run_submit(&o))
-            };
-            match outcome {
-                Ok(code) => code,
-                Err(CliError::Usage(msg)) => {
-                    eprintln!("libra {cmd}: {msg}\n\n{USAGE}");
-                    1
-                }
-                Err(CliError::Run(e)) => {
-                    eprintln!("libra {cmd}: {e}");
-                    1
-                }
-            }
-        }
-        Some(cmd @ ("sweep" | "search" | "crossval" | "dispatch" | "resume")) => {
-            match parse_options(cmd, &args[1..]) {
-                Err(msg) => {
-                    eprintln!("libra {cmd}: {msg}\n\n{USAGE}");
-                    1
-                }
-                Ok(opts) => {
-                    let outcome = match cmd {
-                        "dispatch" => run_dispatch(&opts),
-                        "resume" => run_resume(&opts),
-                        "search" => run_search(&opts),
-                        _ => run(cmd == "crossval", &opts),
-                    };
-                    match outcome {
-                        Ok(code) => code,
-                        Err(CliError::Usage(msg)) => {
-                            eprintln!("libra {cmd}: {msg}\n\n{USAGE}");
-                            1
-                        }
-                        Err(CliError::Run(e)) => {
-                            eprintln!("libra {cmd}: {e}");
-                            1
-                        }
-                    }
-                }
-            }
-        }
-        Some("--help" | "-h" | "help") => {
+    let Some(cmd) = args.first() else {
+        // No command is a usage error: usage to stderr, exit 1 —
+        // only an explicit `--help` earns the success exit.
+        eprint!("{USAGE}");
+        std::process::exit(1);
+    };
+    let rest = &args[1..];
+    let outcome = match cmd.as_str() {
+        "--help" | "-h" | "help" => {
             print!("{USAGE}");
-            0
+            Ok(0)
         }
-        None => {
-            // No command is a usage error: usage to stderr, exit 1 —
-            // only an explicit `--help` earns the success exit.
-            eprint!("{USAGE}");
+        "list-backends" => list_backends(rest),
+        "sweep" => run_grid(false, rest),
+        "crossval" => run_grid(true, rest),
+        "search" => run_search(rest),
+        "dispatch" => run_dispatch(rest),
+        "resume" => run_resume(rest),
+        "serve" => run_serve(rest),
+        "submit" => run_submit(rest),
+        _ => Err(usage("unknown command")),
+    };
+    let code = match outcome {
+        Ok(code) => code,
+        Err(CliError::Usage(msg)) => {
+            eprintln!("libra {cmd}: {msg}\n\n{USAGE}");
             1
         }
-        Some(other) => {
-            eprintln!("libra: unknown command {other:?}\n\n{USAGE}");
+        Err(CliError::Run(e)) => {
+            eprintln!("libra {cmd}: {e}");
             1
         }
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn a_value_may_be_stdout_but_not_a_flag() {
+        let a = scan(&words(&["s.json", "--jsonl", "-", "--quiet"]), &GRID).unwrap();
+        assert_eq!(a.value("--jsonl"), Some("-"));
+        assert!(a.has("--quiet") && !a.has("--serial"));
+        let err = scan(&words(&["s.json", "--jsonl", "--quiet"]), &GRID).err();
+        assert!(matches!(err, Some(CliError::Usage(m)) if m == "--jsonl requires a value"));
+    }
+
+    #[test]
+    fn spawned_workers_get_the_dispatch_serial_and_cache_flags() {
+        let dispatch = |args: &[&str]| scan(&words(args), &DISPATCH).unwrap();
+        let a = dispatch(&["s.json", "--serial", "--shards", "2", "--spawn", "--cache", "c.jsonl"]);
+        let want = ["crossval", "s.json", "--jsonl", "-", "--range", "3..7"];
+        assert_eq!(
+            worker_args(&a, &(3..7)),
+            [&want[..], &["--serial", "--cache", "c.jsonl"]].concat()
+        );
+        let a = dispatch(&["s.json", "--shards", "2", "--spawn"]);
+        assert_eq!(worker_args(&a, &(3..7)), want);
+    }
 }

@@ -77,6 +77,73 @@ fn unknown_and_duplicate_flags_exit_1() {
     assert_eq!(out.status.code(), Some(1), "out-of-bounds --range");
 }
 
+/// Every subcommand splits its arguments by one grammar: a duplicated
+/// flag, an unknown flag and a valued flag with nothing after it are
+/// each a usage error whose message names the flag.
+#[test]
+fn every_subcommand_rejects_duplicate_unknown_and_valueless_flags() {
+    let scenario = ci_small();
+    let scenario = scenario.to_str().unwrap();
+    let url = ["--url", "http://127.0.0.1:1"];
+    // (command and its required arguments, a valued flag, a valid value)
+    let commands: [(&[&str], &str, &str); 7] = [
+        (&["sweep", scenario], "--range", "0..1"),
+        (&["search", scenario], "--cache", "c.jsonl"),
+        (&["crossval", scenario], "--jsonl", "-"),
+        (&["dispatch", scenario], "--shards", "2"),
+        (&["resume", scenario, "partial.jsonl"], "--jsonl", "-"),
+        (&["serve"], "--port-file", "port.txt"),
+        (&["submit", scenario, url[0], url[1]], "--timeout", "1"),
+    ];
+    for (command, flag, value) in commands {
+        for (extra, named) in [
+            (&[flag, value, flag, value][..], flag),
+            (&["--bogus"][..], "--bogus"),
+            (&[flag][..], flag),
+        ] {
+            let args = [command, extra].concat();
+            let out = libra(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+            // The USAGE block lists every flag, so look at the message.
+            let message = stderr.lines().next().unwrap_or_default();
+            assert!(message.contains(named), "{args:?}: {stderr}");
+        }
+    }
+}
+
+/// The CLI's own file errors are run errors that name the file: exit 1,
+/// no USAGE block, and not reported as an invalid design request.
+#[test]
+fn file_errors_name_the_file_and_are_not_design_requests() {
+    let scenario = ci_small();
+    let scenario = scenario.to_str().unwrap();
+    let missing = tmp("missing.json");
+    let missing = missing.to_str().unwrap();
+    let out_in_missing_dir = tmp("no-such-jsonl-dir").join("out.jsonl");
+    let out_in_missing_dir = out_in_missing_dir.to_str().unwrap();
+    let url = "http://127.0.0.1:1";
+    let commands: [(&[&str], &str); 5] = [
+        (&["crossval", scenario, "--quiet", "--jsonl", out_in_missing_dir], out_in_missing_dir),
+        (&["crossval", missing], missing),
+        (
+            &["dispatch", scenario, "--shards", "2", "--jsonl", out_in_missing_dir],
+            out_in_missing_dir,
+        ),
+        (&["resume", scenario, missing], missing),
+        (&["submit", missing, "--url", url], missing),
+    ];
+    for (args, path) in commands {
+        let out = libra(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(path), "{args:?}: {stderr}");
+        assert!(!stderr.contains("USAGE"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("invalid design request"), "{args:?}: {stderr}");
+    }
+}
+
 /// Reversed, empty, and out-of-grid `--range` specs are usage errors:
 /// usage to stderr, exit 1, nothing on stdout — never a silent
 /// zero-record "success".

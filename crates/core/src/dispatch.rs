@@ -406,7 +406,7 @@ pub fn partial_records(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
         } else if v.get("summary").is_some() {
             seen_summary = true;
         } else if v.get("index").is_some() {
-            match RecordRow::from_json_line(line) {
+            match RecordRow::from_json_value(&v) {
                 Ok(row) => rows.push(row),
                 Err(_) if is_last => break,
                 Err(e) => return Err(at(lineno, &e.to_string())),

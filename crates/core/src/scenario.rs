@@ -1525,9 +1525,9 @@ impl RecordRow {
     }
 
     /// The parsed-value form of [`RecordRow::from_json_line`], so callers
-    /// that already hold the line's [`Json`] (the JSON-lines aggregator)
-    /// do not parse twice.
-    fn from_json_value(v: &Json) -> Result<Self, LibraError> {
+    /// that already hold the line's [`Json`] (the JSON-lines aggregator,
+    /// [`crate::dispatch::partial_records`]) do not parse twice.
+    pub(crate) fn from_json_value(v: &Json) -> Result<Self, LibraError> {
         let bad = |what: String| LibraError::BadRequest(what);
         let num = |key: &str| -> Result<f64, LibraError> {
             v.get(key)
