@@ -84,7 +84,6 @@ fn unknown_and_duplicate_flags_exit_1() {
 fn every_subcommand_rejects_duplicate_unknown_and_valueless_flags() {
     let scenario = ci_small();
     let scenario = scenario.to_str().unwrap();
-    let url = ["--url", "http://127.0.0.1:1"];
     // (command and its required arguments, a valued flag, a valid value)
     let commands: [(&[&str], &str, &str); 7] = [
         (&["sweep", scenario], "--range", "0..1"),
@@ -93,7 +92,7 @@ fn every_subcommand_rejects_duplicate_unknown_and_valueless_flags() {
         (&["dispatch", scenario], "--shards", "2"),
         (&["resume", scenario, "partial.jsonl"], "--jsonl", "-"),
         (&["serve"], "--port-file", "port.txt"),
-        (&["submit", scenario, url[0], url[1]], "--timeout", "1"),
+        (&["submit", scenario, "--url", "http://127.0.0.1:1"], "--timeout", "1"),
     ];
     for (command, flag, value) in commands {
         for (extra, named) in [
@@ -123,7 +122,6 @@ fn file_errors_name_the_file_and_are_not_design_requests() {
     let missing = missing.to_str().unwrap();
     let out_in_missing_dir = tmp("no-such-jsonl-dir").join("out.jsonl");
     let out_in_missing_dir = out_in_missing_dir.to_str().unwrap();
-    let url = "http://127.0.0.1:1";
     let commands: [(&[&str], &str); 5] = [
         (&["crossval", scenario, "--quiet", "--jsonl", out_in_missing_dir], out_in_missing_dir),
         (&["crossval", missing], missing),
@@ -132,7 +130,7 @@ fn file_errors_name_the_file_and_are_not_design_requests() {
             out_in_missing_dir,
         ),
         (&["resume", scenario, missing], missing),
-        (&["submit", missing, "--url", url], missing),
+        (&["submit", missing, "--url", "http://127.0.0.1:1"], missing),
     ];
     for (args, path) in commands {
         let out = libra(args);
