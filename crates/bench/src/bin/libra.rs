@@ -669,7 +669,12 @@ fn run_resume(args: &[String]) -> Result<i32, CliError> {
     check_exhaustive_cap(&scenario, workloads.len(), "resume")?;
     let partial =
         std::fs::read_to_string(partial_path).map_err(file_error("read", partial_path))?;
-    let rows = partial_records(&partial)?;
+    // A malformed record stream is the partial file's fault: name it.
+    let in_partial = |e: LibraError| match e {
+        LibraError::RecordStream(_) => CliError::Run(format!("{partial_path}: {e}")),
+        e => e.into(),
+    };
+    let rows = partial_records(&partial).map_err(in_partial)?;
     let present = rows.len();
     let mode = if a.has("--serial") { ExecMode::Serial } else { ExecMode::Parallel };
     let merged = resume_rows(
@@ -680,7 +685,8 @@ fn run_resume(args: &[String]) -> Result<i32, CliError> {
         rows,
         mode,
         a.value("--cache").map(Path::new),
-    )?;
+    )
+    .map_err(in_partial)?;
     let note = format!(
         "resume: {present} surviving records, {} re-priced, {} total",
         merged.rows.len() - present,

@@ -112,8 +112,9 @@ fn every_subcommand_rejects_duplicate_unknown_and_valueless_flags() {
     }
 }
 
-/// The CLI's own file errors are run errors that name the file: exit 1,
-/// no USAGE block, and not reported as an invalid design request.
+/// The CLI's own file errors, and a malformed partial stream, are run
+/// errors that name the file (and the stream's line): exit 1, no USAGE
+/// block, and not reported as an invalid design request.
 #[test]
 fn file_errors_name_the_file_and_are_not_design_requests() {
     let scenario = ci_small();
@@ -122,21 +123,38 @@ fn file_errors_name_the_file_and_are_not_design_requests() {
     let missing = missing.to_str().unwrap();
     let out_in_missing_dir = tmp("no-such-jsonl-dir").join("out.jsonl");
     let out_in_missing_dir = out_in_missing_dir.to_str().unwrap();
-    let commands: [(&[&str], &str); 5] = [
-        (&["crossval", scenario, "--quiet", "--jsonl", out_in_missing_dir], out_in_missing_dir),
-        (&["crossval", missing], missing),
+    // Partial streams whose line 2 is a record with a negative index,
+    // and whose line 1 is not JSON, each followed by a good record.
+    let golden = std::fs::read_to_string(ci_small().with_file_name("ci_small.golden.jsonl"))
+        .expect("the ci_small golden stream");
+    let golden: Vec<&str> = golden.lines().collect();
+    let doctored = golden[1].replacen("\"index\": 0", "\"index\": -1", 1);
+    let bad_index = tmp("bad-index-partial.jsonl");
+    std::fs::write(&bad_index, format!("{}\n{doctored}\n{}\n", golden[0], golden[2])).unwrap();
+    let bad_index = bad_index.to_str().unwrap();
+    let garbage = tmp("garbage-partial.jsonl");
+    std::fs::write(&garbage, format!("garbage\n{}\n{}\n", golden[1], golden[2])).unwrap();
+    let garbage = garbage.to_str().unwrap();
+    // (arguments, what stderr must name)
+    let commands: [(&[&str], &[&str]); 7] = [
+        (&["crossval", scenario, "--quiet", "--jsonl", out_in_missing_dir], &[out_in_missing_dir]),
+        (&["crossval", missing], &[missing]),
         (
             &["dispatch", scenario, "--shards", "2", "--jsonl", out_in_missing_dir],
-            out_in_missing_dir,
+            &[out_in_missing_dir],
         ),
-        (&["resume", scenario, missing], missing),
-        (&["submit", missing, "--url", "http://127.0.0.1:1"], missing),
+        (&["resume", scenario, missing], &[missing]),
+        (&["resume", scenario, bad_index, "--quiet"], &[bad_index, "line 2"]),
+        (&["resume", scenario, garbage, "--quiet"], &[garbage, "line 1"]),
+        (&["submit", missing, "--url", "http://127.0.0.1:1"], &[missing]),
     ];
-    for (args, path) in commands {
+    for (args, names) in commands {
         let out = libra(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains(path), "{args:?}: {stderr}");
+        for name in names {
+            assert!(stderr.contains(name), "{args:?}: {stderr}");
+        }
         assert!(!stderr.contains("USAGE"), "{args:?}: {stderr}");
         assert!(!stderr.contains("invalid design request"), "{args:?}: {stderr}");
     }

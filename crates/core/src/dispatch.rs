@@ -7,11 +7,13 @@
 //! its range through a **fresh** engine (in-process
 //! [`Session`](crate::scenario::Session)s here, or
 //! `libra crossval --range a..b` child processes forked by the CLI's
-//! `dispatch --spawn`), and the shards' JSON-lines streams are merged
-//! back: concatenated, re-parsed with [`records_from_jsonl`], re-sorted
-//! by grid index, coverage-checked against the grid ([`verify_coverage`]
-//! — exactly `0..grid_len`, no gaps, no duplicates), and re-judged into
-//! a fresh [`DivergenceMatrix`] at the scenario's own tolerance.
+//! `dispatch --spawn`), and the shards' records are merged back.
+//! In-process shards hand their records straight to the merge; only
+//! spawned shards' JSON-lines streams are parsed, with
+//! [`records_from_jsonl`]. The merge re-sorts the records by grid
+//! index, checks their coverage against the grid ([`verify_coverage`]
+//! — exactly `0..grid_len`, no gaps, no duplicates), and re-judges them
+//! into a fresh [`DivergenceMatrix`] at the scenario's own tolerance.
 //!
 //! The headline contract, pinned by `prop_dispatch` and the CI golden
 //! diff: **the K-shard merged output is bit-identical to the
@@ -31,8 +33,8 @@ use std::path::{Path, PathBuf};
 use crate::cost::CostModel;
 use crate::error::LibraError;
 use crate::scenario::{
-    jsonl_header_line, jsonl_summary_line, records_from_jsonl, BackendRegistry, CollectorSink,
-    DivergenceMatrix, JsonLinesSink, JsonParser, RecordRow, RunMeta, Scenario,
+    jsonl_header_line, jsonl_summary_line, read_records, records_from_jsonl, BackendRegistry,
+    CollectorSink, DivergenceMatrix, RecordRow, RunMeta, Scenario,
 };
 use crate::sweep::{ExecMode, SweepWorkload};
 
@@ -64,19 +66,19 @@ pub fn shard_ranges(n_points: usize, shards: usize) -> Vec<Range<usize>> {
 /// of a silently smaller "clean" merge.
 ///
 /// # Errors
-/// [`LibraError::BadRequest`] naming the first missing or duplicated
+/// [`LibraError::RecordStream`] naming the first missing or duplicated
 /// grid index.
 pub fn verify_coverage(rows: &[RecordRow], grid_len: usize) -> Result<(), LibraError> {
     let mut expect = 0usize;
     for row in rows {
         if row.index < expect {
-            return Err(LibraError::BadRequest(format!(
+            return Err(LibraError::RecordStream(format!(
                 "merged shard streams carry grid index {} more than once",
                 row.index
             )));
         }
         if row.index > expect {
-            return Err(LibraError::BadRequest(format!(
+            return Err(LibraError::RecordStream(format!(
                 "merged shard streams are missing grid index {expect} \
                  (expected exactly 0..{grid_len})"
             )));
@@ -84,7 +86,7 @@ pub fn verify_coverage(rows: &[RecordRow], grid_len: usize) -> Result<(), LibraE
         expect += 1;
     }
     if expect != grid_len {
-        return Err(LibraError::BadRequest(format!(
+        return Err(LibraError::RecordStream(format!(
             "merged shard streams cover {expect} of the grid's {grid_len} points \
              (missing the tail from index {expect})"
         )));
@@ -141,7 +143,8 @@ impl MergedRun {
 
     /// Re-emits the merged run as one JSON-lines stream — header,
     /// records in grid order, summary — byte-identical to what a
-    /// single-process [`JsonLinesSink`] run over the whole grid writes.
+    /// single-process [`JsonLinesSink`](crate::scenario::JsonLinesSink)
+    /// run over the whole grid writes.
     pub fn to_jsonl(&self) -> String {
         let meta = RunMeta {
             scenario: Some(&self.scenario),
@@ -220,7 +223,7 @@ impl<'s> Dispatcher<'s> {
     /// Runs every shard in-process — each on a **fresh**
     /// [`Session`](crate::scenario::Session) over its own engine, so no
     /// in-memory solves or seed state leak between shards — and merges
-    /// the shards' JSON-lines streams.
+    /// the shards' records.
     ///
     /// # Errors
     /// Propagates unknown-backend-name errors, a shard's failure to
@@ -232,26 +235,15 @@ impl<'s> Dispatcher<'s> {
         workloads: &[W],
         registry: &BackendRegistry,
     ) -> Result<MergedRun, LibraError> {
-        let built = self.scenario.build_backends(registry)?;
-        let names: Vec<String> = built.iter().map(|b| b.name().to_string()).collect();
-        let mut streams = Vec::with_capacity(self.shards);
+        let mut rows = Vec::new();
         for range in self.ranges(workloads.len()) {
-            let mut session = self.scenario.session(cost_model).with_mode(self.mode);
-            if let Some(path) = &self.store {
-                session = session.with_store(path)?;
-            }
-            let mut sink = JsonLinesSink::new(Vec::<u8>::new());
-            session.run_scenario_range_with_sinks(
-                self.scenario,
-                workloads,
-                registry,
-                range,
-                &mut [&mut sink],
-            )?;
-            session.engine().flush_store()?;
-            streams.push(String::from_utf8(sink.into_inner()).expect("JSON-lines are UTF-8"));
+            let cells: Vec<usize> = range.collect();
+            let (scenario, mode, store) = (self.scenario, self.mode, self.store.as_deref());
+            rows.extend(price_cells(
+                scenario, workloads, registry, cost_model, &cells, mode, store,
+            )?);
         }
-        self.merge(workloads.len(), &streams, names)
+        merge_rows(self.scenario, workloads.len(), rows, registry)
     }
 
     /// Merges shard JSON-lines streams produced by external workers
@@ -261,53 +253,107 @@ impl<'s> Dispatcher<'s> {
     /// than the scenario's named workloads.
     ///
     /// # Errors
-    /// [`LibraError::BadRequest`] on unknown backend names, malformed
-    /// records, coverage gaps or duplicates, and records that disagree
-    /// with the scenario's grid.
+    /// [`LibraError::BadRequest`] on unknown backend names;
+    /// [`LibraError::RecordStream`] on malformed records (naming the
+    /// shard and line), coverage gaps or duplicates, and records that
+    /// disagree with the scenario's grid.
     pub fn merge_streams<S: AsRef<str>>(
         &self,
         n_workloads: usize,
         streams: &[S],
         registry: &BackendRegistry,
     ) -> Result<MergedRun, LibraError> {
-        // Resolve display names exactly as the in-process path does;
-        // the stream headers echo these same names.
-        let built = self.scenario.build_backends(registry)?;
-        let names: Vec<String> = built.iter().map(|b| b.name().to_string()).collect();
-        self.merge(n_workloads, streams, names)
-    }
-
-    fn merge<S: AsRef<str>>(
-        &self,
-        n_workloads: usize,
-        streams: &[S],
-        names: Vec<String>,
-    ) -> Result<MergedRun, LibraError> {
-        let mut rows: Vec<RecordRow> = Vec::new();
+        let mut rows = Vec::new();
         for (k, stream) in streams.iter().enumerate() {
-            rows.extend(
-                records_from_jsonl(stream.as_ref())
-                    .map_err(|e| LibraError::BadRequest(format!("shard {k}: {e}")))?,
-            );
+            rows.extend(records_from_jsonl(stream.as_ref()).map_err(|e| match e {
+                LibraError::RecordStream(what) => {
+                    LibraError::RecordStream(format!("shard {k}: {what}"))
+                }
+                e => e,
+            })?);
         }
-        merge_rows(self.scenario, n_workloads, rows, names)
+        merge_rows(self.scenario, n_workloads, rows, registry)
     }
 }
 
-/// Merges already-parsed records — the shared back half of
-/// [`Dispatcher::merge_streams`] and [`resume_rows`]: sort by grid
-/// index, verify exact coverage, re-judge divergence at the scenario's
-/// tolerance.
+/// Prices `cells` (ascending indices into `scenario`'s grid) on a
+/// **fresh** session in `mode`, optionally backed by the persistent
+/// solve store at `store`, and returns their records in cell order —
+/// one shard of [`Dispatcher::run_in_process`], or the cells a resumed
+/// stream is missing. Empty `cells` open no session and no store file.
+fn price_cells<W: SweepWorkload>(
+    scenario: &Scenario,
+    workloads: &[W],
+    registry: &BackendRegistry,
+    cost_model: &CostModel,
+    cells: &[usize],
+    mode: ExecMode,
+    store: Option<&Path>,
+) -> Result<Vec<RecordRow>, LibraError> {
+    if cells.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut session = scenario.session(cost_model).with_mode(mode);
+    if let Some(path) = store {
+        session = session.with_store(path)?;
+    }
+    let mut sink = CollectorSink::new();
+    session.run_scenario_cells_with_sinks(
+        scenario,
+        workloads,
+        registry,
+        cells,
+        &mut [&mut sink],
+    )?;
+    session.engine().flush_store()?;
+    Ok(sink.rows)
+}
+
+/// Merges records — the shared back half of [`Dispatcher`]'s runs and
+/// [`resume_rows`]: sorts them by grid index, verifies exact coverage,
+/// and re-judges them at the scenario's tolerance, under the display
+/// names of the backends `registry` builds for it, with the judge a live
+/// run uses ([`DivergenceMatrix::judge`]). Relative errors are
+/// recomputed from the workers' (bit-identical) backend times, so the
+/// rebuilt matrix equals the single run's. Each record is first checked
+/// against the scenario's grid, so a stream from some other scenario
+/// cannot merge quietly.
 fn merge_rows(
     scenario: &Scenario,
     n_workloads: usize,
     mut rows: Vec<RecordRow>,
-    names: Vec<String>,
+    registry: &BackendRegistry,
 ) -> Result<MergedRun, LibraError> {
+    let built = scenario.build_backends(registry)?;
+    let names: Vec<String> = built.iter().map(|b| b.name().to_string()).collect();
+    let mut divergence = DivergenceMatrix::new(names, scenario.tolerance);
+    let grid = scenario.grid();
     rows.sort_by_key(|r| r.index);
-    let grid_len = scenario.grid().len(n_workloads);
-    verify_coverage(&rows, grid_len)?;
-    let divergence = rejudge(scenario, &rows, n_workloads, names)?;
+    verify_coverage(&rows, grid.len(n_workloads))?;
+    for row in &rows {
+        let point = grid.point(row.index, n_workloads);
+        let shape = &grid.shapes()[point.shape];
+        if row.shape != shape.to_string()
+            || row.budget.to_bits() != point.budget.to_bits()
+            || row.objective != point.objective
+        {
+            return Err(LibraError::RecordStream(format!(
+                "record at grid index {} ({}, {}, budget {}) does not match \
+                 the scenario's grid — merged streams from a different run?",
+                row.index, row.shape, row.workload, row.budget
+            )));
+        }
+        let n = divergence.n_backends();
+        if row.weighted_time.is_some() && !row.secs.is_empty() && row.secs.len() != n {
+            return Err(LibraError::RecordStream(format!(
+                "record at grid index {} carries {} backend times, \
+                 but the scenario names {n} backends",
+                row.index,
+                row.secs.len(),
+            )));
+        }
+        divergence.judge(point, shape, row);
+    }
     Ok(MergedRun {
         scenario: scenario.name.clone(),
         backends: divergence.backends.clone(),
@@ -317,120 +363,30 @@ fn merge_rows(
     })
 }
 
-/// Rebuilds the pairwise divergence matrix from merged records,
-/// judging at the scenario's tolerance with the judge a live run uses
-/// ([`DivergenceMatrix::judge`]). Relative errors are recomputed from
-/// the round-tripped (bit-identical) backend times, so the rebuilt
-/// matrix equals the single run's. Each record is first checked against
-/// the scenario's grid, so a stream from some other scenario cannot
-/// merge quietly.
-fn rejudge(
-    scenario: &Scenario,
-    rows: &[RecordRow],
-    n_workloads: usize,
-    names: Vec<String>,
-) -> Result<DivergenceMatrix, LibraError> {
-    let grid = scenario.grid();
-    let mut divergence = DivergenceMatrix::new(names, scenario.tolerance);
-    for row in rows {
-        let point = grid.point(row.index, n_workloads);
-        let shape = &grid.shapes()[point.shape];
-        if row.shape != shape.to_string()
-            || row.budget.to_bits() != point.budget.to_bits()
-            || row.objective != point.objective
-        {
-            return Err(LibraError::BadRequest(format!(
-                "record at grid index {} ({}, {}, budget {}) does not match \
-                 the scenario's grid — merged streams from a different run?",
-                row.index, row.shape, row.workload, row.budget
-            )));
-        }
-        let n = divergence.n_backends();
-        if row.weighted_time.is_some() && !row.secs.is_empty() && row.secs.len() != n {
-            return Err(LibraError::BadRequest(format!(
-                "record at grid index {} carries {} backend times, \
-                 but the scenario names {n} backends",
-                row.index,
-                row.secs.len(),
-            )));
-        }
-        divergence.judge(point, shape, row);
-    }
-    Ok(divergence)
-}
-
-/// Leniently reads the valid prefix of a partial (interrupted)
-/// JSON-lines stream: the run header is skipped, records are collected,
-/// and the stream may stop anywhere — including halfway through its
-/// final line, which a torn write produces. Only the **last** line may
-/// be malformed; corruption earlier in the stream (a duplicate run
-/// header, garbage between records, or anything after the summary line)
-/// is an error naming the 1-based line, because it means the file is
-/// not a clean prefix of one run.
+/// Reads the valid prefix of a partial (interrupted) JSON-lines stream,
+/// with the rules of [`records_from_jsonl`] but one: the stream may stop
+/// anywhere, even halfway through its final line, which a torn write
+/// produces. A last line before any summary that does not parse, or
+/// parses as a malformed record or some other object, ends the prefix
+/// instead of failing it. Corruption earlier in the stream (a duplicate
+/// run header, garbage between records, or anything after the summary
+/// line) is still an error, because it means the file is not a clean
+/// prefix of one run.
 ///
 /// # Errors
-/// [`LibraError::BadRequest`] on a duplicate run header, a malformed
-/// non-final line, or content after the summary line.
+/// [`LibraError::RecordStream`] naming the 1-based line: a duplicate run
+/// header, a malformed non-final line, or content after the summary
+/// line.
 pub fn partial_records(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
-    let at = |lineno: usize, what: &str| {
-        LibraError::BadRequest(format!("partial JSON-lines input line {lineno}: {what}"))
-    };
-    let lines: Vec<&str> = stream.lines().collect();
-    let mut rows = Vec::new();
-    let mut seen_header = false;
-    let mut seen_summary = false;
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = i + 1;
-        let is_last = i + 1 == lines.len();
-        if seen_summary {
-            return Err(at(
-                lineno,
-                "content after the summary line — not a clean prefix of one run",
-            ));
-        }
-        let v = match JsonParser::parse(line) {
-            Ok(v) => v,
-            // A torn final line is exactly what an interrupted writer
-            // leaves behind; everything before it is still good.
-            Err(_) if is_last => break,
-            Err(e) => return Err(at(lineno, &e.to_string())),
-        };
-        if v.get("schema").is_some() {
-            if seen_header {
-                return Err(at(lineno, "duplicate run header — two streams concatenated?"));
-            }
-            seen_header = true;
-        } else if v.get("summary").is_some() {
-            seen_summary = true;
-        } else if v.get("index").is_some() {
-            match RecordRow::from_json_value(&v) {
-                Ok(row) => rows.push(row),
-                Err(_) if is_last => break,
-                Err(e) => return Err(at(lineno, &e.to_string())),
-            }
-        } else if is_last {
-            // A torn line can still parse as a smaller valid object
-            // (e.g. cut inside a string); treat it like any torn tail.
-            break;
-        } else {
-            return Err(at(
-                lineno,
-                "JSON object is neither a record (no \"index\") nor a known \
-                 header/summary line — corrupted stream?",
-            ));
-        }
-    }
-    Ok(rows)
+    read_records(stream, true)
 }
 
 /// Prices only the grid indices missing from `rows` — all of them in one
 /// run on a **fresh** session (optionally backed by the persistent
 /// solve store at `store`) — and merges surviving + fresh records into
 /// one [`MergedRun`] whose [`MergedRun::to_jsonl`] stream is
-/// byte-identical to an uninterrupted single-process run.
+/// byte-identical to an uninterrupted single-process run. Read `rows`
+/// from an interrupted stream with [`partial_records`].
 ///
 /// Surviving rows round-trip bit-exactly through the JSON-lines record
 /// format, and the drive is deterministic point-for-point over any set
@@ -438,9 +394,10 @@ pub fn partial_records(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
 /// run stopped.
 ///
 /// # Errors
-/// [`LibraError::BadRequest`] when a surviving record's grid index is
-/// out of range or duplicated, on unknown backend names, and on every
-/// merge-side check ([`verify_coverage`], record/grid mismatches);
+/// [`LibraError::RecordStream`] when a surviving record's grid index is
+/// out of range or duplicated, and on every merge-side check
+/// ([`verify_coverage`], record/grid mismatches);
+/// [`LibraError::BadRequest`] on unknown backend names;
 /// [`LibraError::Cache`] when the store's file cannot be read or
 /// written.
 pub fn resume_rows<W: SweepWorkload>(
@@ -448,68 +405,31 @@ pub fn resume_rows<W: SweepWorkload>(
     workloads: &[W],
     registry: &BackendRegistry,
     cost_model: &CostModel,
-    rows: Vec<RecordRow>,
+    mut rows: Vec<RecordRow>,
     mode: ExecMode,
     store: Option<&Path>,
 ) -> Result<MergedRun, LibraError> {
-    let built = scenario.build_backends(registry)?;
-    let names: Vec<String> = built.iter().map(|b| b.name().to_string()).collect();
     let grid_len = scenario.grid().len(workloads.len());
     let mut have = vec![false; grid_len];
     for row in &rows {
         if row.index >= grid_len {
-            return Err(LibraError::BadRequest(format!(
+            return Err(LibraError::RecordStream(format!(
                 "surviving record carries grid index {} but the grid has only \
                  {grid_len} points — partial stream from a different scenario?",
                 row.index
             )));
         }
         if have[row.index] {
-            return Err(LibraError::BadRequest(format!(
+            return Err(LibraError::RecordStream(format!(
                 "surviving records carry grid index {} more than once",
                 row.index
             )));
         }
         have[row.index] = true;
     }
-    let mut rows = rows;
     let missing: Vec<usize> = (0..grid_len).filter(|&i| !have[i]).collect();
-    if !missing.is_empty() {
-        let mut session = scenario.session(cost_model).with_mode(mode);
-        if let Some(path) = store {
-            session = session.with_store(path)?;
-        }
-        let mut sink = CollectorSink::new();
-        session.run_scenario_cells_with_sinks(
-            scenario,
-            workloads,
-            registry,
-            &missing,
-            &mut [&mut sink],
-        )?;
-        session.engine().flush_store()?;
-        rows.append(&mut sink.rows);
-    }
-    merge_rows(scenario, workloads.len(), rows, names)
-}
-
-/// [`partial_records`] + [`resume_rows`] in one call: reads the valid
-/// prefix of an interrupted JSON-lines stream and prices only what is
-/// missing.
-///
-/// # Errors
-/// Everything [`partial_records`] and [`resume_rows`] reject.
-pub fn resume_scenario<W: SweepWorkload>(
-    scenario: &Scenario,
-    workloads: &[W],
-    registry: &BackendRegistry,
-    cost_model: &CostModel,
-    partial_stream: &str,
-    mode: ExecMode,
-    store: Option<&Path>,
-) -> Result<MergedRun, LibraError> {
-    let rows = partial_records(partial_stream)?;
-    resume_rows(scenario, workloads, registry, cost_model, rows, mode, store)
+    rows.extend(price_cells(scenario, workloads, registry, cost_model, &missing, mode, store)?);
+    merge_rows(scenario, workloads.len(), rows, registry)
 }
 
 #[cfg(test)]
@@ -553,7 +473,7 @@ mod tests {
     use crate::eval::{Analytical, CommPlan, ScaledBackend};
     use crate::network::NetworkShape;
     use crate::opt::Objective;
-    use crate::scenario::CollectorSink;
+    use crate::scenario::JsonLinesSink;
     use crate::sweep::FnWorkload;
     use crate::workload::CommOp;
 

@@ -43,6 +43,11 @@ pub enum LibraError {
         /// What went wrong.
         reason: String,
     },
+    /// A JSON-lines record stream is malformed: a line that does not
+    /// parse, or is not a record, run header or summary where it stands,
+    /// or records that do not cover or match the scenario's grid (see
+    /// [`crate::scenario::records_from_jsonl`]).
+    RecordStream(String),
     /// A bounded wait ran out of time (e.g. a service client's deadline
     /// expired while a job was still queued or running). Typed so
     /// callers can tell "the server is slow" from "the request was
@@ -73,6 +78,7 @@ impl fmt::Display for LibraError {
             LibraError::Cache { path, reason } => {
                 write!(f, "solve cache {}: {reason}", path.display())
             }
+            LibraError::RecordStream(what) => write!(f, "malformed record stream: {what}"),
             LibraError::Timeout { what, after_ms } => {
                 write!(f, "timed out after {after_ms} ms waiting for {what}")
             }

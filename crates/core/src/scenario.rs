@@ -1307,9 +1307,9 @@ impl DivergenceMatrix {
         DivergenceMatrix { backends, pairs }
     }
 
-    /// Judges one record — streamed by a live run, or parsed back from a
-    /// shard or partial stream — at grid cell `point` on `shape`, so a
-    /// live run and a merged one reach the same matrix. A record whose
+    /// Judges one record — streamed by a live run, or merged from shards
+    /// or a resumed stream — at grid cell `point` on `shape`, so a live
+    /// run and a merged one reach the same matrix. A record whose
     /// design solve failed lives in the sweep errors, not in any pair; a
     /// priced record is compared pair by pair; an unpriced one with an
     /// error is a backend error (the record keeps only the message); the
@@ -1516,18 +1516,9 @@ impl RecordRow {
         )
     }
 
-    /// Parses one JSON-lines record produced by [`RecordRow::to_json_line`].
-    ///
-    /// # Errors
-    /// [`LibraError::BadRequest`] on malformed JSON or missing fields.
-    pub fn from_json_line(line: &str) -> Result<Self, LibraError> {
-        Self::from_json_value(&JsonParser::parse(line)?)
-    }
-
-    /// The parsed-value form of [`RecordRow::from_json_line`], so callers
-    /// that already hold the line's [`Json`] (the JSON-lines aggregator,
-    /// [`crate::dispatch::partial_records`]) do not parse twice.
-    pub(crate) fn from_json_value(v: &Json) -> Result<Self, LibraError> {
+    /// Reads one record from its parsed JSON-lines object, the inverse
+    /// of [`RecordRow::to_json_line`].
+    fn from_json_value(v: &Json) -> Result<Self, LibraError> {
         let bad = |what: String| LibraError::BadRequest(what);
         let num = |key: &str| -> Result<f64, LibraError> {
             v.get(key)
@@ -1569,70 +1560,79 @@ impl RecordRow {
     }
 }
 
-/// Extracts every [`RecordRow`] from a JSON-lines stream, skipping the
-/// header and summary lines [`JsonLinesSink`] interleaves (records are
-/// the lines carrying an `"index"` field; headers carry `"schema"`,
-/// summaries `"summary"`).
+/// Reads every [`RecordRow`] of a complete JSON-lines stream, in stream
+/// order, skipping the run header and summary line [`JsonLinesSink`]
+/// writes around them (records are the lines carrying an `"index"`
+/// field; headers carry `"schema"`, summaries `"summary"`).
 ///
-/// Only those two known non-record shapes are skipped, and each at most
-/// once, in order: a second run header, a second summary, or any
-/// content after the summary line is an error — two concatenated
-/// streams must never merge as if they were one run. Anything else —
-/// unparseable JSON, or a parsed object that is neither a record nor a
-/// header/summary (e.g. a record whose line was truncated before its
-/// `"index"` field survived) — is an error naming the offending line
-/// number, so a partially-written shard stream can never merge
+/// The header and the summary may each appear once, in that order, and
+/// nothing may follow the summary, so two concatenated streams never
+/// read as one run. Every other line must be a well-formed record:
+/// unparseable JSON, or an object that is neither a record nor a
+/// header or summary (e.g. a record truncated before its `"index"`
+/// field), is an error, so a partially-written shard stream never reads
 /// "cleanly" with points silently missing.
+/// [`crate::dispatch::partial_records`] reads the same format but lets
+/// the last line be torn.
 ///
 /// # Errors
-/// [`LibraError::BadRequest`] on malformed JSON, a malformed record, an
-/// unrecognized line, a duplicate header or summary, or content after
-/// the summary, each prefixed with its 1-based line number.
+/// [`LibraError::RecordStream`] naming the 1-based line at fault: a
+/// malformed line or record, an unrecognized object, a duplicate
+/// header, or content after the summary.
 pub fn records_from_jsonl(stream: &str) -> Result<Vec<RecordRow>, LibraError> {
-    let at = |lineno: usize, what: &str| {
-        LibraError::BadRequest(format!("JSON-lines input line {lineno}: {what}"))
+    read_records(stream, false)
+}
+
+/// The one reader behind [`records_from_jsonl`] and
+/// [`crate::dispatch::partial_records`]. With `torn_tail`, the stream may
+/// stop anywhere, even halfway through its last line, as an interrupted
+/// writer leaves it: a last line before any summary that does not parse,
+/// or parses as a malformed record or some other object, ends the
+/// stream instead of failing it.
+pub(crate) fn read_records(stream: &str, torn_tail: bool) -> Result<Vec<RecordRow>, LibraError> {
+    // A parse or record error's reason, which the stream error labels.
+    let reason = |e: LibraError| match e {
+        LibraError::BadRequest(what) => what,
+        e => e.to_string(),
     };
     let mut rows = Vec::new();
-    let mut seen_header = false;
-    let mut seen_summary = false;
-    for (i, line) in stream.lines().enumerate() {
+    let (mut seen_header, mut seen_summary) = (false, false);
+    let mut lines = stream.lines().enumerate().peekable();
+    while let Some((i, line)) = lines.next() {
         if line.trim().is_empty() {
             continue;
         }
-        let lineno = i + 1;
-        let v = JsonParser::parse(line).map_err(|e| at(lineno, &e.to_string()))?;
+        let at = |what: &str| LibraError::RecordStream(format!("line {}: {what}", i + 1));
+        let parsed = JsonParser::parse(line);
+        if seen_summary {
+            let what = match &parsed {
+                Ok(v) if v.get("summary").is_some() => "duplicate summary line",
+                _ => "content after the summary line — two runs concatenated into one stream?",
+            };
+            return Err(at(what));
+        }
+        let torn = torn_tail && lines.peek().is_none();
+        let v = match parsed {
+            Ok(v) => v,
+            Err(_) if torn => break,
+            Err(e) => return Err(at(&reason(e))),
+        };
         if v.get("index").is_some() {
-            if seen_summary {
-                return Err(at(
-                    lineno,
-                    "record after the summary line — two runs concatenated \
-                     into one stream?",
-                ));
+            match RecordRow::from_json_value(&v) {
+                Ok(row) => rows.push(row),
+                Err(_) if torn => break,
+                Err(e) => return Err(at(&reason(e))),
             }
-            rows.push(RecordRow::from_json_value(&v).map_err(|e| at(lineno, &e.to_string()))?);
         } else if v.get("schema").is_some() {
             if seen_header {
-                return Err(at(lineno, "duplicate run header — two streams concatenated?"));
-            }
-            if seen_summary {
-                return Err(at(
-                    lineno,
-                    "run header after the summary line — two runs \
-                     concatenated into one stream?",
-                ));
+                return Err(at("duplicate run header — two streams concatenated?"));
             }
             seen_header = true;
         } else if v.get("summary").is_some() {
-            if seen_summary {
-                return Err(at(lineno, "duplicate summary line"));
-            }
             seen_summary = true;
-        } else {
-            return Err(at(
-                lineno,
-                "JSON object is neither a record (no \"index\") nor a known \
-                 header/summary line — truncated or corrupted stream?",
-            ));
+        } else if !torn {
+            return Err(at("JSON object is neither a record (no \"index\") nor a known \
+                 header/summary line — truncated or corrupted stream?"));
         }
     }
     Ok(rows)
@@ -1756,8 +1756,7 @@ impl<W: Write> ReportSink for ConsoleTableSink<W> {
 
 /// A sink that streams JSON-lines: one header object, one record object
 /// per grid point, one summary object. Every line is self-contained
-/// JSON, so shard outputs can be concatenated and re-aggregated with
-/// [`records_from_jsonl`].
+/// JSON, which [`records_from_jsonl`] reads back.
 pub struct JsonLinesSink<W: Write> {
     out: W,
 }
@@ -1838,8 +1837,6 @@ impl<W: Write> ReportSink for JsonLinesSink<W> {
 pub struct CollectorSink {
     /// Collected rows, in grid order.
     pub rows: Vec<RecordRow>,
-    /// The run header, captured at `on_run_start`.
-    pub scenario: Option<String>,
 }
 
 impl CollectorSink {
@@ -1850,10 +1847,6 @@ impl CollectorSink {
 }
 
 impl ReportSink for CollectorSink {
-    fn on_run_start(&mut self, meta: &RunMeta<'_>) {
-        self.scenario = meta.scenario.map(str::to_string);
-    }
-
     fn on_record(&mut self, row: &RecordRow) {
         self.rows.push(row.clone());
     }
@@ -2123,21 +2116,18 @@ impl<'a> Session<'a> {
             sink.on_run_start(&meta);
         }
         let mut divergence = DivergenceMatrix::new(names, tolerance);
-        let sweep = self.engine.run_priced(
-            grid,
-            workloads,
-            backends,
-            cells,
-            self.mode,
-            &mut |index, outcome, priced| {
-                let row = RecordRow::from_outcome(index, outcome, priced);
-                let point = grid.point(index, workloads.len());
-                divergence.judge(point, &grid.shapes()[point.shape], &row);
-                for sink in sinks.iter_mut() {
-                    sink.on_record(&row);
-                }
-            },
-        );
+        let outcomes = self.engine.run_priced(grid, workloads, backends, cells, self.mode);
+        let cache = self.engine.cache_stats();
+        let mut sweep = SweepReport { results: Vec::new(), errors: Vec::new(), cache };
+        for (&index, (outcome, priced)) in cells.iter().zip(outcomes) {
+            let row = RecordRow::from_outcome(index, &outcome, priced.as_ref());
+            let point = grid.point(index, workloads.len());
+            divergence.judge(point, &grid.shapes()[point.shape], &row);
+            for sink in sinks.iter_mut() {
+                sink.on_record(&row);
+            }
+            sweep.push(outcome);
+        }
         let report = SessionReport { sweep, divergence };
         for sink in sinks.iter_mut() {
             sink.on_run_end(&report);
@@ -2736,8 +2726,7 @@ mod tests {
         assert!(row.error.as_deref().unwrap().contains("unmappable"));
         assert_eq!(row.weighted_time, None);
         // Error rows round-trip through JSON-lines too.
-        let back = RecordRow::from_json_line(&row.to_json_line()).unwrap();
-        assert_eq!(&back, row);
+        assert_eq!(records_from_jsonl(&row.to_json_line()).unwrap(), vec![row.clone()]);
     }
 
     #[test]
@@ -2795,8 +2784,12 @@ mod tests {
     /// hard error naming the line — not silently dropped, which would let
     /// a partially-written shard stream merge "cleanly" with missing
     /// points. Unparseable JSON gets the same line-numbered treatment.
+    /// A partial stream ([`crate::dispatch::partial_records`], the same
+    /// reader) drops such a line as a torn tail when it is the last line,
+    /// and rejects it earlier.
     #[test]
     fn records_from_jsonl_errors_on_unrecognized_or_truncated_lines() {
+        use crate::dispatch::partial_records;
         let header = "{\"schema\": \"libra-run-v1\", \"scenario\": null, \"backends\": [], \
                       \"points\": 1, \"tolerance\": 0.1}";
         let summary = "{\"summary\": {\"results\": 1}}";
@@ -2805,45 +2798,52 @@ mod tests {
                       \"cost\": 1.0, \"speedup\": 1.0, \"secs\": [], \"error\": null}";
         let ok = format!("{header}\n{record}\n{summary}\n");
         assert_eq!(records_from_jsonl(&ok).unwrap().len(), 1);
+        assert_eq!(partial_records(&ok), records_from_jsonl(&ok));
 
         // A truncated record that still parses as JSON but lost "index".
         let truncated = format!("{header}\n{{\"shape\": \"RI(4)\", \"budget\": 100}}\n");
         let err = records_from_jsonl(&truncated).unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
         assert!(err.contains("neither a record"), "{err}");
+        assert_eq!(partial_records(&truncated), Ok(vec![]));
+        let err = partial_records(&format!("{truncated}{record}\n")).unwrap_err().to_string();
+        assert!(err.contains("line 2") && err.contains("neither a record"), "{err}");
 
-        // A line that is not JSON at all.
+        // A line that is not JSON at all: a record torn mid-line.
         let mangled = format!("{header}\n{record}\n{{\"index\": 1, \"shape");
         let err = records_from_jsonl(&mangled).unwrap_err().to_string();
         assert!(err.contains("line 3"), "{err}");
+        assert_eq!(partial_records(&mangled).unwrap().len(), 1);
 
         // A record with "index" but a missing required field.
         let partial = format!("{header}\n{{\"index\": 0, \"shape\": \"RI(4)\"}}\n");
         let err = records_from_jsonl(&partial).unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
+        assert_eq!(partial_records(&partial), Ok(vec![]));
 
         // A record whose index is negative, fractional or not a number
-        // (each once read as index 0 or 1). A partial stream drops one
-        // on its last line as a torn tail, and rejects one earlier.
+        // (each once read as index 0 or 1). The stream error labels the
+        // record's reason once, as a malformed stream.
         for index in ["-1", "0.9", "1.5", "\"NaN\""] {
             let bad = record.replacen("\"index\": 0", &format!("\"index\": {index}"), 1);
-            let err = records_from_jsonl(&format!("{header}\n{bad}\n{summary}\n"))
-                .unwrap_err()
-                .to_string();
+            let err = records_from_jsonl(&format!("{header}\n{bad}\n{summary}\n")).unwrap_err();
+            assert!(matches!(err, LibraError::RecordStream(_)), "{err}");
+            let err = err.to_string();
             assert!(err.contains("line 2"), "{index}: {err}");
             assert!(err.contains("field \"index\" must be a non-negative integer"), "{err}");
-            assert_eq!(crate::dispatch::partial_records(&format!("{header}\n{bad}\n")), Ok(vec![]));
-            let err = crate::dispatch::partial_records(&format!("{header}\n{bad}\n{record}\n"))
-                .unwrap_err()
-                .to_string();
+            assert!(!err.contains("invalid design request"), "{err}");
+            assert_eq!(partial_records(&format!("{header}\n{bad}\n")), Ok(vec![]));
+            let err =
+                partial_records(&format!("{header}\n{bad}\n{record}\n")).unwrap_err().to_string();
             assert!(err.contains("line 2") && err.contains("field \"index\""), "{err}");
         }
     }
 
     /// Two streams pasted together must never merge as one run: a second
-    /// header, a second summary, or any record/header after the summary
-    /// is a hard error naming the 1-based line (see the dispatcher's
-    /// shard-merge path, which feeds one stream per shard).
+    /// header, a second summary, or anything after the summary is a hard
+    /// error naming the 1-based line (see the dispatcher's shard-merge
+    /// path, which feeds one stream per shard) — for a partial stream
+    /// too, even when the offending line is the last one.
     #[test]
     fn records_from_jsonl_rejects_concatenated_streams() {
         let header = "{\"schema\": \"libra-run-v1\", \"scenario\": null, \"backends\": [], \
@@ -2852,29 +2852,27 @@ mod tests {
         let record = "{\"index\": 0, \"shape\": \"RI(4)\", \"workload\": \"w\", \
                       \"budget\": 100, \"objective\": \"perf\", \"weighted_time\": 1.0, \
                       \"cost\": 1.0, \"speedup\": 1.0, \"secs\": [], \"error\": null}";
-
-        // Duplicate header mid-stream.
-        let two_headers = format!("{header}\n{record}\n{header}\n");
-        let err = records_from_jsonl(&two_headers).unwrap_err().to_string();
-        assert!(err.contains("line 3"), "{err}");
-        assert!(err.contains("duplicate run header"), "{err}");
-
-        // A record after the summary.
-        let tail_record = format!("{header}\n{record}\n{summary}\n{record}\n");
-        let err = records_from_jsonl(&tail_record).unwrap_err().to_string();
-        assert!(err.contains("line 4"), "{err}");
-        assert!(err.contains("after the summary"), "{err}");
-
-        // A full second run appended (header right after the summary).
-        let two_runs = format!("{header}\n{record}\n{summary}\n{header}\n{record}\n{summary}\n");
-        let err = records_from_jsonl(&two_runs).unwrap_err().to_string();
-        assert!(err.contains("line 4"), "{err}");
-
-        // Duplicate summary.
-        let two_summaries = format!("{header}\n{record}\n{summary}\n{summary}\n");
-        let err = records_from_jsonl(&two_summaries).unwrap_err().to_string();
-        assert!(err.contains("line 4"), "{err}");
-        assert!(err.contains("duplicate summary"), "{err}");
+        let run = format!("{header}\n{record}\n{summary}\n");
+        // (stream, the line at fault, what the error says)
+        let cases = [
+            // Duplicate header mid-stream.
+            (format!("{header}\n{record}\n{header}\n"), "line 3", "duplicate run header"),
+            // A record after the summary.
+            (format!("{run}{record}\n"), "line 4", "after the summary"),
+            // A full second run appended (header right after the summary).
+            (format!("{run}{run}"), "line 4", "after the summary"),
+            // Duplicate summary.
+            (format!("{run}{summary}\n"), "line 4", "duplicate summary"),
+            // Torn garbage after the summary.
+            (format!("{run}{{\"ind"), "line 4", "after the summary"),
+        ];
+        for (stream, line, why) in cases {
+            for read in [records_from_jsonl, crate::dispatch::partial_records] {
+                let err = read(&stream).unwrap_err().to_string();
+                assert!(err.contains(line), "{err}");
+                assert!(err.contains(why), "{err}");
+            }
+        }
     }
 
     /// `pair(a, b)` and `pair(b, a)` resolve to the same report, so a

@@ -293,27 +293,13 @@ fn run_inner<W: SweepWorkload>(
                 cells.extend(first..first + axes.n_obj);
             }
         }
-        let mut healthy = Vec::with_capacity(cells.len());
-        let priced = session.engine().run_priced(
-            grid,
-            workloads,
-            &[],
-            &cells,
-            session.mode,
-            &mut |index, outcome, _| {
-                let row = RecordRow::from_outcome(index, outcome, None);
-                for sink in sinks.iter_mut() {
-                    sink.on_record(&row);
-                }
-                healthy.push(outcome.is_ok());
-            },
-        );
-        // The report holds the cells' results and errors, each in cell
-        // order: move them back to their cells instead of cloning them.
-        let (mut results, mut errors) = (priced.results.into_iter(), priced.errors.into_iter());
-        for (&index, ok) in cells.iter().zip(healthy) {
-            let outcome = if ok { results.next().map(Ok) } else { errors.next().map(Err) };
-            outcomes.insert(index, outcome.expect("one report entry per priced cell"));
+        let priced = session.engine().run_priced(grid, workloads, &[], &cells, session.mode);
+        for (&index, (outcome, _)) in cells.iter().zip(priced) {
+            let row = RecordRow::from_outcome(index, &outcome, None);
+            for sink in sinks.iter_mut() {
+                sink.on_record(&row);
+            }
+            outcomes.insert(index, outcome);
         }
         let new_evals = cells.len();
         evals += new_evals;
@@ -334,15 +320,9 @@ fn run_inner<W: SweepWorkload>(
         next = candidates(&outcomes, &evaluated, grid, &axes, config.refine_radius);
     }
 
-    let mut results = Vec::new();
-    let mut errors = Vec::new();
-    for (_, outcome) in outcomes {
-        match outcome {
-            Ok(r) => results.push(r),
-            Err(e) => errors.push(e),
-        }
-    }
-    let sweep = SweepReport { results, errors, cache: session.engine().cache_stats() };
+    let cache = session.engine().cache_stats();
+    let mut sweep = SweepReport { results: Vec::new(), errors: Vec::new(), cache };
+    outcomes.into_values().for_each(|outcome| sweep.push(outcome));
     let report = SearchReport { sweep, rounds, evals, nominal_points: nominal };
     let session_report = SessionReport {
         sweep: report.sweep.clone(),

@@ -85,15 +85,6 @@ use crate::store::{PointKey, SharedSolveStore, StoreStats, StoredPoint};
 pub(crate) type PricedOutcome =
     (Result<SweepResult, SweepError>, Option<Result<Vec<f64>, SweepError>>);
 
-/// The streaming hook [`SweepEngine::run_priced`] calls once per priced
-/// cell, with its global grid index, in cell order, as the fold
-/// assembles the report.
-pub(crate) type PointEmit<'f> = &'f mut dyn FnMut(
-    usize,
-    &Result<SweepResult, SweepError>,
-    Option<&Result<Vec<f64>, SweepError>>,
-);
-
 /// A workload that can be swept: given a shape, produce the weighted
 /// per-iteration time expressions [`opt::optimize`] consumes.
 ///
@@ -548,6 +539,24 @@ pub struct SweepError {
     pub error: LibraError,
 }
 
+impl SweepError {
+    /// `error` at `point` of `grid`, labelled with the point's shape and
+    /// workload name.
+    fn new<W: SweepWorkload>(
+        grid: &SweepGrid,
+        workloads: &[W],
+        point: GridPoint,
+        error: LibraError,
+    ) -> Self {
+        SweepError {
+            point,
+            shape: grid.shapes()[point.shape].clone(),
+            workload: workloads[point.workload].name().to_string(),
+            error,
+        }
+    }
+}
+
 /// How to rank sweep results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankBy {
@@ -574,6 +583,14 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
+    /// Files one point's `outcome` under the results or the errors.
+    pub(crate) fn push(&mut self, outcome: Result<SweepResult, SweepError>) {
+        match outcome {
+            Ok(r) => self.results.push(r),
+            Err(e) => self.errors.push(e),
+        }
+    }
+
     /// Results re-ranked by `metric` (ties keep grid order).
     pub fn ranked(&self, metric: RankBy) -> Vec<&SweepResult> {
         let mut out: Vec<&SweepResult> = self.results.iter().collect();
@@ -868,12 +885,7 @@ impl<'a> SweepEngine<'a> {
     ) -> Result<SweepResult, SweepError> {
         let shape = &grid.shapes()[point.shape];
         let workload = &workloads[point.workload];
-        let fail = |error: LibraError| SweepError {
-            point,
-            shape: shape.clone(),
-            workload: workload.name().to_string(),
-            error,
-        };
+        let fail = |error| SweepError::new(grid, workloads, point, error);
         let tables = run.of(index);
         let mut built = false;
         let targets = tables.targets.get_or_init(|| {
@@ -952,15 +964,9 @@ impl<'a> SweepEngine<'a> {
             panic!("injected fault: {} at grid index {index}", fault::SWEEP_POINT_PANIC);
         }
         if injector.fires(fault::SWEEP_POINT_ERROR, instance) {
-            return Some(SweepError {
-                point,
-                shape: grid.shapes()[point.shape].clone(),
-                workload: workloads[point.workload].name().to_string(),
-                error: LibraError::BadRequest(format!(
-                    "injected fault: {} at grid index {index}",
-                    fault::SWEEP_POINT_ERROR
-                )),
-            });
+            let message =
+                format!("injected fault: {} at grid index {index}", fault::SWEEP_POINT_ERROR);
+            return Some(SweepError::new(grid, workloads, point, LibraError::BadRequest(message)));
         }
         None
     }
@@ -979,12 +985,8 @@ impl<'a> SweepEngine<'a> {
             .map(|s| (*s).to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "opaque panic payload".to_string());
-        SweepError {
-            point,
-            shape: grid.shapes()[point.shape].clone(),
-            workload: workloads[point.workload].name().to_string(),
-            error: LibraError::BadRequest(format!("point evaluation panicked: {message}")),
-        }
+        let error = LibraError::BadRequest(format!("point evaluation panicked: {message}"));
+        SweepError::new(grid, workloads, point, error)
     }
 
     /// Evaluates one grid point (`point`, at global grid `index`) and,
@@ -1012,12 +1014,7 @@ impl<'a> SweepEngine<'a> {
         let Ok(result) = &outcome else { return (outcome, None) };
         let shape = &grid.shapes()[point.shape];
         let workload = &workloads[point.workload];
-        let fail = |error: LibraError| SweepError {
-            point,
-            shape: shape.clone(),
-            workload: workload.name().to_string(),
-            error,
-        };
+        let fail = |error| SweepError::new(grid, workloads, point, error);
         let planned = run.of(index).plan.get_or_init(|| workload.comm_plan(shape));
         let priced = match planned {
             Err(e) => Some(Err(fail(e.clone()))),
@@ -1036,12 +1033,11 @@ impl<'a> SweepEngine<'a> {
     /// Prices `cells` — ascending global indices into `grid`'s
     /// enumeration — under `backends`: the single driver behind every
     /// [`crate::scenario::Session`] run and every adaptive-search round.
-    /// Each cell's outcome goes to `emit` with its global index, in
-    /// `cells` order, and every seeded cell seeds from the anchor the
-    /// full run seeds it from, so shard outputs concatenate back into the
-    /// unsharded run bit for bit. The run builds its own [`RunTables`];
-    /// only solved points outlive it, in the engine's store, which is
-    /// flushed after the drive.
+    /// Returns each cell's outcome in `cells` order. Every seeded cell
+    /// seeds from the anchor the full run seeds it from, so shard outputs
+    /// concatenate back into the unsharded run bit for bit. The run
+    /// builds its own [`RunTables`]; only solved points outlive it, in
+    /// the engine's store, which is flushed before this returns.
     pub(crate) fn run_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
@@ -1049,8 +1045,7 @@ impl<'a> SweepEngine<'a> {
         backends: &[&dyn EvalBackend],
         cells: &[usize],
         exec: ExecMode,
-        emit: PointEmit<'_>,
-    ) -> SweepReport {
+    ) -> Vec<PricedOutcome> {
         let run = RunTables::new(grid, cells);
         // Per-point failure isolation: a panicking eval (a buggy
         // backend, a poisoned workload closure, an injected chaos
@@ -1071,16 +1066,7 @@ impl<'a> SweepEngine<'a> {
         // *next* run still finds this one's solves); flush errors stay
         // observable via `flush_store`, and drop retries.
         let _ = self.flush_store();
-        let mut report =
-            SweepReport { results: Vec::new(), errors: Vec::new(), cache: self.cache.stats() };
-        for (&i, (outcome, priced)) in cells.iter().zip(outcomes) {
-            emit(i, &outcome, priced.as_ref());
-            match outcome {
-                Ok(r) => report.results.push(r),
-                Err(e) => report.errors.push(e),
-            }
-        }
-        report
+        outcomes
     }
 }
 

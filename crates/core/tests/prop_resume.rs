@@ -1,16 +1,16 @@
 //! Property test of the resume path's headline contract: for random
 //! grids, interrupting a run after a random prefix of its JSON-lines
 //! stream (optionally mid-line, the way a killed writer tears its last
-//! record) and resuming via [`resume_scenario`] reproduces the
-//! uninterrupted run **bit for bit** — every record, the summary line,
-//! and the exit verdict — with or without the persistent solve store
-//! backing the re-priced ranges.
+//! record) and resuming via [`partial_records`] + [`resume_rows`]
+//! reproduces the uninterrupted run **bit for bit** — every record, the
+//! summary line, and the exit verdict — with or without the persistent
+//! solve store backing the re-priced ranges.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use libra_core::comm::{Collective, CommModel, GroupSpan};
 use libra_core::cost::CostModel;
-use libra_core::dispatch::resume_scenario;
+use libra_core::dispatch::{partial_records, resume_rows};
 use libra_core::eval::CommPlan;
 use libra_core::network::NetworkShape;
 use libra_core::opt::Objective;
@@ -111,12 +111,13 @@ proptest! {
         }
 
         let store = with_store.then(scratch_store);
-        let merged = resume_scenario(
+        let rows = partial_records(&partial).unwrap();
+        let merged = resume_rows(
             &scenario,
             &wls,
             &registry,
             &cm,
-            &partial,
+            rows,
             ExecMode::Parallel,
             store.as_deref(),
         )

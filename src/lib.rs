@@ -76,9 +76,7 @@ pub use libra_core::scenario::{
 // Shard dispatch and the persistent cross-run solve store: split grids
 // into worker ranges, merge streams, resume interrupted runs, and cache
 // solves on disk between processes.
-pub use libra_core::dispatch::{
-    partial_records, resume_rows, resume_scenario, Dispatcher, MergedRun,
-};
+pub use libra_core::dispatch::{partial_records, resume_rows, Dispatcher, MergedRun};
 pub use libra_core::store::{SolveStore, StoreStats, StoredPoint};
 // Adaptive search: the Pareto-guided successive-refinement driver for
 // design spaces too large to sweep exhaustively.
