@@ -58,6 +58,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod budgets;
 pub mod comm;
 pub mod constraints;
 pub mod cost;

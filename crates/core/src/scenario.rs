@@ -60,6 +60,7 @@
 
 use std::io::Write;
 
+use crate::budgets::Budgets;
 use crate::cost::CostModel;
 use crate::error::LibraError;
 use crate::eval::{rel_error, EvalBackend, LinkParams};
@@ -449,7 +450,7 @@ pub struct Scenario {
     /// Candidate shapes, in grid order.
     pub shapes: Vec<NetworkShape>,
     /// Total per-NPU bandwidth budgets (GB/s), in grid order.
-    pub budgets: Vec<f64>,
+    pub budgets: Budgets,
     /// Optimization objectives, in grid order.
     pub objectives: Vec<Objective>,
     /// Workload names (resolved by the caller, e.g. Table II model names).
@@ -500,7 +501,7 @@ impl Scenario {
             scenario: Scenario {
                 name: name.into(),
                 shapes: Vec::new(),
-                budgets: Vec::new(),
+                budgets: Budgets::default(),
                 objectives: Vec::new(),
                 workloads: Vec::new(),
                 link: None,
@@ -516,7 +517,7 @@ impl Scenario {
     pub fn grid(&self) -> SweepGrid {
         SweepGrid::new()
             .with_shapes(self.shapes.iter().cloned())
-            .with_budgets(self.budgets.iter().copied())
+            .with_budget_axis(&self.budgets)
             .with_objectives(self.objectives.iter().copied())
     }
 
@@ -558,7 +559,7 @@ impl Scenario {
         field(&mut o, "name", json_escape(&self.name), false);
         let shapes: Vec<String> = self.shapes.iter().map(|s| s.to_string()).collect();
         field(&mut o, "shapes", str_arr(&shapes), false);
-        let budgets: Vec<String> = self.budgets.iter().map(|&b| json_f64(b)).collect();
+        let budgets: Vec<String> = self.budgets.iter().map(json_f64).collect();
         field(&mut o, "budgets", format!("[{}]", budgets.join(", ")), false);
         let objectives: Vec<String> =
             self.objectives.iter().map(|&ob| objective_name(ob).to_string()).collect();
@@ -672,10 +673,10 @@ impl Scenario {
             b = b.with_shape(s.parse::<NetworkShape>()?);
         }
         // Budgets: either an explicit array, or a ladder object
-        // `{"from", "to", "count", "scale"}` expanded here — the compact
-        // form huge search scenarios need (an over-cap grid would be
-        // absurd to spell out point by point). A ladder expands straight
-        // into the scenario, with no intermediate copy of its axis.
+        // `{"from", "to", "count", "scale"}` — the compact form huge
+        // search scenarios need (an over-cap grid would be absurd to spell
+        // out point by point). A ladder stays four numbers: its values are
+        // computed as the engine reads them.
         b = match root.get("budgets") {
             Some(ladder @ Json::Obj(fields)) => {
                 for (key, _) in fields {
@@ -707,8 +708,9 @@ impl Scenario {
                         "budgets ladder field \"count\" must be an integer >= 2, got {count}"
                     )));
                 }
-                // Bounded before expanding: a few bytes of JSON must not
-                // ask for terabytes (a failed allocation aborts).
+                // Bounded, since a ladder still expands where a slice or
+                // its JSON is asked for: a few bytes of JSON must not ask
+                // for terabytes (a failed allocation aborts).
                 if count > Scenario::MAX_GRID_POINTS as f64 {
                     return Err(bad(format!(
                         "budgets ladder field \"count\" must be at most {} \
@@ -727,14 +729,8 @@ impl Scenario {
                         )))
                     }
                 };
-                b.with_budgets((0..count).map(|i| {
-                    let t = i as f64 / (count - 1) as f64;
-                    if scale == "linear" {
-                        from + t * (to - from)
-                    } else {
-                        from * (to / from).powf(t)
-                    }
-                }))
+                b.scenario.budgets = Budgets::ladder(from, to, count, scale == "geometric");
+                b
             }
             _ => b.with_budgets(
                 arr_field("budgets")?
@@ -1019,7 +1015,7 @@ impl ScenarioBuilder {
         if s.budgets.is_empty() {
             return bad("at least one budget is required");
         }
-        if let Some(&b) = s.budgets.iter().find(|b| !b.is_finite() || **b <= 0.0) {
+        if let Some(b) = s.budgets.iter().find(|b| !b.is_finite() || *b <= 0.0) {
             return bad(&format!("budgets must be finite and > 0, got {b}"));
         }
         if s.objectives.is_empty() {

@@ -250,8 +250,11 @@ fn run_inner<W: SweepWorkload>(
     sinks: &mut [&mut dyn ReportSink],
 ) -> Result<SearchReport, LibraError> {
     config.validate()?;
-    let axes =
-        Axes { n_wl: workloads.len(), n_bud: grid.budgets().len(), n_obj: grid.objectives().len() };
+    let axes = Axes {
+        n_wl: workloads.len(),
+        n_bud: grid.budget_axis().len(),
+        n_obj: grid.objectives().len(),
+    };
     let groups = grid.shapes().len() * axes.n_wl * axes.n_obj;
     let nominal = groups
         .checked_mul(axes.n_bud)

@@ -70,6 +70,7 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
+use crate::budgets::Budgets;
 use crate::cost::CostModel;
 use crate::error::LibraError;
 use crate::eval::{CommPlan, EvalBackend};
@@ -213,7 +214,7 @@ impl std::fmt::Debug for FnWorkload {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepGrid {
     shapes: Vec<NetworkShape>,
-    budgets: Vec<f64>,
+    budgets: Budgets,
     objectives: Vec<Objective>,
 }
 
@@ -273,10 +274,11 @@ impl SweepGrid {
     #[must_use]
     pub fn with_budgets(mut self, budgets: impl IntoIterator<Item = f64>) -> Self {
         let budgets = budgets.into_iter();
-        self.budgets.reserve(budgets.size_hint().0);
-        self.budgets.extend(budgets.filter(|b| b.is_finite() && *b > 0.0));
-        let n = u32::try_from(self.budgets.len()).expect("at most u32::MAX budgets");
-        let bits = |p: u32| self.budgets[p as usize].to_bits();
+        let mut values = std::mem::take(&mut self.budgets).into_vec();
+        values.reserve(budgets.size_hint().0);
+        values.extend(budgets.filter(|b| b.is_finite() && *b > 0.0));
+        let n = u32::try_from(values.len()).expect("at most u32::MAX budgets");
+        let bits = |p: u32| values[p as usize].to_bits();
         let mut order: Vec<u32> = (0..n).collect();
         order.sort_unstable_by_key(|&p| (bits(p), p));
         let mut first = vec![false; order.len()];
@@ -284,8 +286,21 @@ impl SweepGrid {
             first[run[0] as usize] = true;
         }
         let mut first = first.into_iter();
-        self.budgets.retain(|_| first.next() == Some(true));
+        values.retain(|_| first.next() == Some(true));
+        self.budgets = Budgets::from(values);
         self
+    }
+
+    /// Adds the budgets of `axis` as [`SweepGrid::with_budgets`] does,
+    /// except that a distinct ladder on an empty axis is shared, not
+    /// expanded: its values are computed as the grid reads them.
+    #[must_use]
+    pub(crate) fn with_budget_axis(mut self, axis: &Budgets) -> Self {
+        if self.budgets.is_empty() && axis.is_distinct_ladder() {
+            self.budgets = axis.clone();
+            return self;
+        }
+        self.with_budgets(axis.iter())
     }
 
     /// Adds objectives (duplicates ignored).
@@ -304,8 +319,15 @@ impl SweepGrid {
         &self.shapes
     }
 
-    /// The deduplicated budgets, in insertion order.
+    /// The deduplicated budgets, in insertion order (the first call
+    /// expands a scenario's ladder).
     pub fn budgets(&self) -> &[f64] {
+        &self.budgets
+    }
+
+    /// The deduplicated budgets as an axis, which reads a ladder's
+    /// values without expanding it.
+    pub(crate) fn budget_axis(&self) -> &Budgets {
         &self.budgets
     }
 
@@ -337,7 +359,7 @@ impl SweepGrid {
         GridPoint {
             shape: index / (n_obj * n_bud * n_workloads),
             workload: index / (n_obj * n_bud) % n_workloads,
-            budget: self.budgets[index / n_obj % n_bud],
+            budget: self.budgets.value(index / n_obj % n_bud),
             objective: self.objectives[index % n_obj],
         }
     }
@@ -460,7 +482,7 @@ impl RunTables {
     /// Empty tables for the pairs of `cells` (ascending global indices).
     fn new(grid: &SweepGrid, cells: &[usize]) -> Self {
         let n_obj = grid.objectives().len();
-        let per_pair = grid.budgets().len() * n_obj;
+        let per_pair = grid.budgets.len() * n_obj;
         let mut pairs: Vec<usize> = cells.iter().map(|&i| i / per_pair).collect();
         pairs.dedup();
         let tables = pairs
@@ -897,7 +919,7 @@ impl<'a> SweepEngine<'a> {
         let counter = if built { &self.cache.expr_misses } else { &self.cache.expr_hits };
         counter.fetch_add(1, Ordering::Relaxed);
         let (targets, hash) = targets.as_ref().map_err(|e| fail(e.clone()))?;
-        let anchor_budget = grid.budgets()[0];
+        let anchor_budget = grid.budgets.value(0);
         // The point at `budget`, seeded from the anchor's design when
         // `seed` holds it, else solved cold.
         let solve_at = |budget: f64, seed: Option<&StoredPoint>| {
